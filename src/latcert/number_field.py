@@ -5,11 +5,15 @@ arithmetic, norms, and sign evaluations at the real places are exact; the
 real places themselves are the isolated real roots of the defining
 polynomial in ascending order, which fixes a canonical indexing from 0.
 
-Counting automorphisms is the one place numerics enter: for degree >= 4 an
-integer-relation ladder (PSLQ, via mpmath) proposes expressions of each real
-root in the power basis of the first, and every proposal is then verified
-exactly over Q. Precision therefore affects completeness of the count, never
-soundness; degrees up to 3 are decided purely algebraically.
+Counting automorphisms is the one place numerics enter. Degrees up to 3 are
+decided purely algebraically. For degree >= 4 an exact sieve first bounds the
+count from above by the number of roots of the defining polynomial modulo
+small unramified primes; a bound of 1 settles the count with no numerics.
+Otherwise an integer-relation ladder (PSLQ, via mpmath) proposes expressions
+of each real root in the power basis of the first, and every proposal is
+verified exactly over Q, so the ladder gives a lower bound. When the two
+bounds meet the count is exact; precision affects only whether they meet,
+never soundness.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Union
 
 import mpmath
 
+from . import modular
 from .errors import InconclusiveError, InvalidInputError
 from .polynomials import (
     Interval,
@@ -36,6 +41,9 @@ from .polynomials import (
 Scalar = Union[int, Fraction]
 
 _LADDER_DIGITS = (60, 120, 240, 480, 960)
+# Primes tried by the automorphism sieve (Cohen, GTM 138, ch. 6); those
+# dividing the discriminant are skipped.
+_AUTOMORPHISM_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_rational_square(q: Fraction) -> bool:
@@ -294,11 +302,14 @@ def automorphism_count(field: NumberField, precision_cap_digits: int = 480) -> i
 
     Degrees 1-3 are decided exactly (an irreducible cubic is Galois exactly
     when its discriminant is a rational square). Higher degrees require at
-    least one real place and run the PSLQ reconstruction ladder; candidates
-    are verified exactly, so any positive count is sound. A root for which
-    no relation is found at the precision cap is treated as lying outside
-    the field (the documented completeness caveat); a relation that exists
-    but fails exact verification at the cap raises InconclusiveError.
+    least one real place. The exact mod-l sieve bounds the count from above;
+    a bound of 1 is returned at once. Otherwise the PSLQ ladder finds roots
+    of min_poly in the field, each verified exactly, which bounds the count
+    from below, and it stops as soon as the two bounds meet. If the ladder
+    reaches the precision cap below the sieve bound, the verified count is
+    returned: a root with no relation found is treated as lying outside the
+    field (the documented completeness caveat), and a relation that exists
+    but fails exact verification raises InconclusiveError.
     """
     if precision_cap_digits < 15:
         raise InvalidInputError("precision cap is too small to be meaningful")
@@ -310,12 +321,58 @@ def automorphism_count(field: NumberField, precision_cap_digits: int = 480) -> i
     if d == 3:
         return 3 if is_rational_square(field.discriminant) else 1
 
-    intervals = field.real_place_intervals()
-    if not intervals:
+    if not field.real_place_count:
         raise InconclusiveError(
             "no real embedding: root reconstruction over R does not apply"
         )
+    bound = _automorphism_upper_bound(field)
+    if bound == 1:
+        return 1
+    count, dirty = _ladder_lower_bound(field, precision_cap_digits, bound)
+    if dirty:
+        raise InconclusiveError(
+            "integer relations found but not exactly verifiable at the precision cap"
+        )
+    return count
+
+
+def _automorphism_upper_bound(field: NumberField) -> int:
+    """Exact upper bound on the automorphism count of a degree >= 2 field.
+
+    For a prime l not dividing the discriminant, min_poly is squarefree mod
+    l and, by Hensel's lemma, each root mod l lifts to exactly one root in
+    Q_l. If there is such a root, F has a degree-1 place at l and embeds in
+    Q_l, which maps the roots of min_poly in F injectively to roots in Q_l.
+    Their number, the automorphism count, is then at most the number of
+    roots mod l. Primes without a root mod l say nothing and are skipped.
+    """
+    disc = field.discriminant.numerator
+    ints = field.min_poly.int_coeffs()
+    bound = field.degree
+    for ell in _AUTOMORPHISM_SIEVE_PRIMES:
+        if disc % ell == 0:
+            continue
+        roots = modular.degree_pattern(modular.normalize(ints, ell), ell).count(1)
+        if roots:
+            bound = min(bound, roots)
+            if bound == 1:
+                break
+    return bound
+
+
+def _ladder_lower_bound(
+    field: NumberField, precision_cap_digits: int, target: int
+) -> tuple[int, bool]:
+    """Exactly verified roots of min_poly in the field, found by PSLQ.
+
+    Climbs the precision ladder up to the cap and stops once `target`
+    distinct roots are verified. Returns that count, a lower bound on the
+    automorphism count, and whether some relation failed exact verification
+    at the last rung tried (never, once `target` is reached).
+    """
+    d = field.degree
     p = field.min_poly
+    intervals = field.real_place_intervals()
     ladder = sorted({min(r, precision_cap_digits) for r in _LADDER_DIGITS}
                     | {precision_cap_digits})
     resolved: dict[int, tuple[Fraction, ...]] = {}
@@ -351,18 +408,18 @@ def automorphism_count(field: NumberField, precision_cap_digits: int = 480) -> i
                 acc = field.zero()
                 for c in reversed(p.coeffs):
                     acc = acc * candidate + c
-                if acc.is_zero():
-                    resolved[idx] = coords
-                else:
+                if not acc.is_zero():
                     dirty = True
+                    continue
+                resolved[idx] = coords
+                # Distinct roots reconstruct to distinct elements; count
+                # what verified.
+                count = len(set(resolved.values()))
+                if count >= target:
+                    return count, False
         if len(resolved) == len(intervals):
             break
-    if dirty:
-        raise InconclusiveError(
-            "integer relations found but not exactly verifiable at the precision cap"
-        )
-    # Distinct roots reconstruct to distinct elements; count what verified.
-    return len(set(resolved.values()))
+    return len(set(resolved.values())), dirty
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +537,3 @@ class GaloisClosure:
 
     def verify_all(self) -> tuple[bool, ...]:
         return tuple(self.verify_embedding(j) for j in range(len(self.embeddings)))
-
-
-def verify_embedding(closure: GaloisClosure, index: int) -> bool:
-    return closure.verify_embedding(index)

@@ -9,6 +9,7 @@ computed value is recorded verbatim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -36,7 +37,13 @@ from .local import (
     local_norm_test,
     splitting_in_E,
 )
-from .number_field import CMExtension, GaloisClosure, NumberField, automorphism_count
+from .number_field import (
+    CMExtension,
+    GaloisClosure,
+    NumberField,
+    automorphism_count,
+    is_rational_square,
+)
 from .polynomials import Polynomial, discriminant
 from .volume_fingerprint import fingerprint, fingerprints_equal, level_id_for
 
@@ -80,23 +87,6 @@ def _coords(elem) -> list:
 
 def _pattern_rows(pattern) -> list:
     return [[exact(p), exact(q)] for p, q in pattern]
-
-
-def _is_rational_square(value: Fraction) -> tuple[bool, Fraction]:
-    if value < 0:
-        return False, Fraction(0)
-    num, den = value.numerator, value.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return False, Fraction(0)
-    return True, Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
@@ -171,7 +161,7 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
         closure_disc = Fraction(discriminant(closure_field.min_poly))
         recorded_closure_disc = parse_exact(inputs["closure"]["recorded_disc"])
         ratio = closure_disc / recorded_closure_disc
-        is_sq, root = _is_rational_square(ratio)
+        is_sq = is_rational_square(ratio)
         closure_block = {
             "min_poly": list(inputs["closure"]["min_poly"]),
             "poly_disc": exact(closure_disc),
@@ -182,7 +172,9 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
             "embedding_checks": list(closure.verify_all()),
         }
         if is_sq:
-            closure_block["disc_ratio_sqrt"] = exact(root)
+            closure_block["disc_ratio_sqrt"] = exact(
+                Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+            )
         if ratio != 1:
             discrepancies.append(
                 {
@@ -342,7 +334,13 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
     probe_place = factor_prime(field, probe_prime)[0]
     gens = tuple(_elem(field, c) for c in units_in.get("lambda_generators", []))
     verdict = seed_pair_check(
-        h1, h2, tau, probe_place=probe_place, unit_gens=gens, height=LAMBDA_HEIGHT
+        h1,
+        h2,
+        tau,
+        probe_place=probe_place,
+        unit_gens=gens,
+        height=LAMBDA_HEIGHT,
+        precision_cap_digits=precision_cap_digits,
     )
     verdict_block = {
         "overall": verdict.status,

@@ -7,24 +7,48 @@ small fields, hand expansion of low-degree products).
 
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latcert.errors import InvalidInputError
+from latcert.errors import InconclusiveError, InvalidInputError
 from latcert.number_field import (
     CMExtension,
     GaloisClosure,
     NumberField,
     RealPlace,
+    _automorphism_upper_bound,
+    _ladder_lower_bound,
     automorphism_count,
     is_rational_square,
 )
-from latcert.polynomials import Polynomial
+from latcert.polynomials import Polynomial, is_irreducible
 
 CUBIC = NumberField(Polynomial((1, -3, -1, 1)))  # x^3 - x^2 - 3x + 1
 ALPHA = CUBIC.generator()
 SEXTIC_COEFFS = (-148, 0, 100, 0, -20, 0, 1)
+# x^4 + 2x^3 - 3x^2 - 2x + 1: one nontrivial automorphism
+AUT2_QUARTIC = NumberField(Polynomial((1, -2, -3, 2, 1)))
+
+# All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
+# |a_i| <= 3, keyed by (a0, a1, a2, a3, 1), with their automorphism counts.
+TOTALLY_REAL_QUARTICS_BOUND_3 = {
+    (1, -3, -3, 3, 1): 2,
+    (1, -3, -2, 2, 1): 2,
+    (1, -3, -1, 3, 1): 4,
+    (1, -2, -3, 2, 1): 2,
+    (1, -2, -2, 3, 1): 2,
+    (1, -1, -3, 1, 1): 2,
+    (1, 1, -3, -1, 1): 2,
+    (1, 2, -3, -2, 1): 2,
+    (1, 2, -2, -3, 1): 2,
+    (1, 3, -3, -3, 1): 2,
+    (1, 3, -2, -2, 1): 2,
+    (1, 3, -1, -3, 1): 4,
+    (2, -3, -3, 2, 1): 1,
+    (2, 3, -3, -2, 1): 1,
+}
 
 
 class TestConstruction:
@@ -164,11 +188,58 @@ class TestAutomorphismCount:
         # Q(sqrt2, sqrt3) is Galois with group V4
         assert automorphism_count(NumberField(Polynomial((1, 0, -10, 0, 1)))) == 4
 
+    def test_cyclic_quartic(self):
+        # Q(sqrt(2 + sqrt2)) is Galois with group C4
+        assert automorphism_count(NumberField(Polynomial((2, 0, -4, 0, 1)))) == 4
+
     def test_generic_quartic(self):
         assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
 
+    def test_generic_quartic_decided_without_numerics(self, monkeypatch):
+        def no_pslq(*args, **kwargs):
+            raise AssertionError("the sieve should decide this field")
+
+        monkeypatch.setattr(mpmath, "pslq", no_pslq)
+        assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
+
+    def test_quartic_with_one_nontrivial_automorphism(self):
+        assert _automorphism_upper_bound(AUT2_QUARTIC) == 2
+        assert automorphism_count(AUT2_QUARTIC) == 2
+
+    @pytest.mark.parametrize("coeffs", sorted(TOTALLY_REAL_QUARTICS_BOUND_3))
+    def test_totally_real_quartics_at_bound_3(self, coeffs):
+        field = NumberField(Polynomial(coeffs))
+        assert automorphism_count(field) == TOTALLY_REAL_QUARTICS_BOUND_3[coeffs]
+
+    def test_failed_relation_ignored_once_bounds_meet(self, monkeypatch):
+        # Every root outside the field gets a relation that fails exact
+        # verification (it claims the root is -1); the count is still
+        # exact, because the verified roots reach the sieve bound.
+        real_pslq = mpmath.pslq
+
+        def spurious_pslq(vector, **kwargs):
+            return real_pslq(vector, **kwargs) or [1, 1, 0, 0, 0]
+
+        monkeypatch.setattr(mpmath, "pslq", spurious_pslq)
+        assert automorphism_count(AUT2_QUARTIC) == 2
+
+    def test_failed_relation_below_bound_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(mpmath, "pslq", lambda vector, **kwargs: [1, 1, 0, 0, 0])
+        with pytest.raises(InconclusiveError):
+            automorphism_count(AUT2_QUARTIC)
+
     def test_galois_sextic(self):
         assert automorphism_count(NumberField(Polynomial(SEXTIC_COEFFS))) == 6
+
+    @given(st.tuples(*[st.integers(-6, 6)] * 4))
+    @settings(max_examples=25, deadline=None)
+    def test_sieve_bound_dominates_ladder(self, tail):
+        poly = Polynomial(tail + (1,))
+        assume(is_irreducible(poly))
+        field = NumberField(poly)
+        assume(field.real_place_count > 0)
+        verified, _ = _ladder_lower_bound(field, 60, field.degree)
+        assert 1 <= verified <= _automorphism_upper_bound(field)
 
 
 class TestCMExtension:
