@@ -41,13 +41,6 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-def _parse_coeffs(text: str) -> Polynomial:
-    try:
-        return Polynomial(tuple(Fraction(c) for c in text.split(",")))
-    except (ValueError, ZeroDivisionError) as ex:
-        raise InvalidInputError(f"bad coefficient list {text!r}") from ex
-
-
 def _parse_element(field: NumberField, text: str):
     parts = text.split(",")
     try:
@@ -59,7 +52,7 @@ def _parse_element(field: NumberField, text: str):
 
 
 def _parse_form(args) -> HermitianForm:
-    field = NumberField(_parse_coeffs(args.field))
+    field = NumberField(Polynomial.from_string(args.field))
     ext = CMExtension(field, _parse_element(field, args.delta))
     entries = tuple(_parse_element(field, e) for e in args.entries.split(";"))
     return HermitianForm(ext, entries)
@@ -84,7 +77,6 @@ def _cmd_search(args) -> int:
         coefficient_bound=args.bound,
         delta_candidates=tuple(Fraction(d) for d in args.delta) or (Fraction(-1),),
         rank=args.rank,
-        lambda_height_bound=args.height,
         enumeration_budget=args.budget,
         precision_cap_digits=args.precision_cap,
         output_path=args.out,
@@ -144,7 +136,7 @@ def _cmd_classify_form(args) -> int:
 
 
 def _cmd_local_norm(args) -> int:
-    field = NumberField(_parse_coeffs(args.field))
+    field = NumberField(Polynomial.from_string(args.field))
     ext = CMExtension(field, _parse_element(field, args.delta))
     u = _parse_element(field, args.element)
     code = EXIT_PASS
@@ -177,21 +169,24 @@ def _cmd_finite_order(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    # Each option is attached only to the subcommands whose handler reads it.
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget for searches and finite-group counting",
     )
-    shared.add_argument(
+    precision_cap = argparse.ArgumentParser(add_help=False)
+    precision_cap.add_argument(
         "--precision-cap",
         type=int,
         default=480,
         dest="precision_cap",
         help="digit cap for the integer-relation ladder (automorphism counts)",
     )
-    shared.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         default="certificates",
         help="directory that receives emitted certificates",
@@ -205,12 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "paper-example",
-        parents=[shared],
+        parents=[precision_cap, out],
         help="run the full pipeline on the bundled example input",
     )
     p.set_defaults(func=_cmd_paper_example)
 
-    p = sub.add_parser("search", parents=[shared], help="search for new seed pairs")
+    p = sub.add_parser(
+        "search", parents=[budget, precision_cap, out], help="search for new seed pairs"
+    )
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--bound", type=int, default=3, help="coefficient bound")
     p.add_argument(
@@ -220,17 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative rational; repeat for several candidates",
     )
     p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--height", type=int, default=2, help="scaling search height bound")
     p.add_argument("--max-certificates", type=int, default=None, dest="max_certificates")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify", parents=[shared], help="recompute a stored certificate")
+    p = sub.add_parser("verify", help="recompute a stored certificate")
     p.add_argument("path")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "classify-form",
-        parents=[shared],
         help="signatures of a diagonal hermitian form; optionally compare to another",
     )
     p.add_argument("--field", required=True, help="comma-separated minimal polynomial, constant first")
@@ -239,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", default=None, help="second diagonal to compare against")
     p.set_defaults(func=_cmd_classify_form)
 
-    p = sub.add_parser("local-norm", parents=[shared], help="local norm tests above one prime")
+    p = sub.add_parser("local-norm", help="local norm tests above one prime")
     p.add_argument("--field", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.set_defaults(func=_cmd_local_norm)
 
-    p = sub.add_parser("finite-order", parents=[shared], help="orders of small classical groups")
+    p = sub.add_parser("finite-order", parents=[budget], help="orders of small classical groups")
     p.add_argument("--family", required=True, choices=["GL", "SL", "GU", "SU"])
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--q", type=int, required=True)

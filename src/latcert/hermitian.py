@@ -13,7 +13,6 @@ making the forms equivalent. Everything else stays UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InconclusiveError, InvalidInputError

@@ -202,12 +202,7 @@ def valuation(place: FinitePlace, elem: FieldElement) -> int:
     f = place.residue_degree
     o, _ = _norm_ord_and_unit(place, z, 2)
     assert o % f == 0, "norm order must be divisible by the residue degree"
-    ell_in_m = 0
-    mm = m
-    while mm % place.prime == 0:
-        mm //= place.prime
-        ell_in_m += 1
-    return o // f - place.ramification * ell_in_m
+    return o // f - place.ramification * _ord_int(m, place.prime)
 
 
 def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
@@ -297,11 +292,8 @@ def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int
     z, m = _clear_denominators(u)
     o, r = _norm_ord_and_unit(place, z, unit_mod)
     ef = place.ramification * place.residue_degree
-    mo = 0
-    mm = m
-    while mm % ell == 0:
-        mm //= ell
-        mo += 1
+    mo = _ord_int(m, ell)
+    mm = m // ell**mo
     beta = o - ef * mo
     r_n = r * pow(pow(mm, ef, unit_mod), -1, unit_mod) % unit_mod
     small = Fraction(ell ** (beta % 2) * r_n)
@@ -510,10 +502,6 @@ class HilbertReport:
     @property
     def minus_count_even(self) -> Optional[bool]:
         return self.minus_count % 2 == 0 if self.conclusive else None
-
-    @property
-    def product_is_one(self) -> Optional[bool]:
-        return self.minus_count_even
 
 
 def relevant_primes(ext: CMExtension, u: FieldElement) -> tuple[int, ...]:

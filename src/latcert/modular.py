@@ -49,10 +49,6 @@ def sub(a: Coeffs, b: Coeffs, m: int) -> Coeffs:
     return trim(tuple((x - y) % m for x, y in zip(a, b)))
 
 
-def neg(a: Coeffs, m: int) -> Coeffs:
-    return tuple((-x) % m for x in a)
-
-
 def scale(a: Coeffs, k: int, m: int) -> Coeffs:
     return trim(tuple(x * k % m for x in a))
 
@@ -424,11 +420,6 @@ class FiniteField:
         """All elements, lexicographic in coefficient tuples."""
         for coeffs in itertools.product(range(self.char), repeat=self.degree):
             yield trim(coeffs)
-
-    def units(self):
-        for e in self.elements():
-            if e:
-                yield e
 
     def is_square(self, a: Coeffs) -> bool:
         """Whether a is a square (zero counts; in char 2 everything is)."""

@@ -31,6 +31,7 @@ from .errors import InconclusiveError, InvalidInputError
 from .polynomials import (
     Interval,
     Polynomial,
+    _halve_toward_root,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
@@ -134,20 +135,6 @@ class NumberField:
         if self.degree == 1:
             return self.from_rational(-self.min_poly.coeffs[0])
         return self.element((0, 1) + (0,) * (self.degree - 2))
-
-    def _shrink_place(self, j: int) -> None:
-        # One exact bisection step on place j's isolating interval. The
-        # defining polynomial is irreducible, so for degree >= 2 a rational
-        # midpoint is never a root and signs at the endpoints stay opposite.
-        iv = self._root_intervals[j]
-        if iv.is_point():
-            return
-        p = self.min_poly
-        m = iv.midpoint
-        if (p(iv.lo) > 0) != (p(m) > 0):
-            self._root_intervals[j] = Interval(iv.lo, m)
-        else:
-            self._root_intervals[j] = Interval(m, iv.hi)
 
     def __str__(self) -> str:
         return f"Q[x]/({self.min_poly})"
@@ -280,8 +267,11 @@ class FieldElement:
                 return -1
             # The enclosure straddles zero: tighten the root bracket. A
             # nonzero element never evaluates to zero at a root of an
-            # irreducible polynomial, so this terminates.
-            self.field._shrink_place(j)
+            # irreducible polynomial, so this terminates; irreducibility
+            # also keeps every rational midpoint off the root.
+            cell = [iv.lo, iv.hi]
+            _halve_toward_root(self.field.min_poly, cell)
+            self.field._root_intervals[j] = Interval(*cell)
 
     def signs(self) -> tuple[int, ...]:
         return tuple(self.sign_at(j) for j in range(self.field.real_place_count))

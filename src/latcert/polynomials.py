@@ -73,10 +73,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -299,9 +295,6 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, x: Scalar) -> bool:
-        return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -22,7 +22,12 @@ from .certificates import (
     load_certificate,
     parse_exact,
 )
-from .errors import CertificateFormatError, InconclusiveError, UnsupportedPlaceError
+from .errors import (
+    CertificateFormatError,
+    InconclusiveError,
+    InvalidInputError,
+    UnsupportedPlaceError,
+)
 from .finite_groups import CongruenceLevel, congruence_index
 from .hermitian import (
     HermitianForm,
@@ -44,7 +49,7 @@ from .number_field import (
     automorphism_count,
     is_rational_square,
 )
-from .polynomials import Polynomial, discriminant
+from .polynomials import Polynomial
 from .volume_fingerprint import fingerprint, fingerprints_equal, level_id_for
 
 LAMBDA_HEIGHT = 2
@@ -158,7 +163,7 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
         closure_field = NumberField(_poly(inputs["closure"]["min_poly"]))
         images = tuple(_elem(closure_field, e) for e in inputs["closure"]["embeddings"])
         closure = GaloisClosure(field, closure_field, images)
-        closure_disc = Fraction(discriminant(closure_field.min_poly))
+        closure_disc = Fraction(closure_field.discriminant)
         recorded_closure_disc = parse_exact(inputs["closure"]["recorded_disc"])
         ratio = closure_disc / recorded_closure_disc
         is_sq = is_rational_square(ratio)
@@ -389,11 +394,20 @@ class VerificationReport:
 
 def verify_payload(recorded: dict) -> VerificationReport:
     """Recompute the pipeline from the certificate's own echoed input and
-    compare every recorded value."""
-    echo = recorded.get("config_echo", {})
-    if "input" not in echo:
+    compare every recorded value.
+
+    An echo the pipeline cannot be rebuilt from (a missing key, a value of
+    the wrong type or shape) raises CertificateFormatError.
+    """
+    echo = recorded.get("config_echo")
+    if not isinstance(echo, dict) or "input" not in echo:
         raise CertificateFormatError("certificate carries no input echo")
-    recomputed = build_certificate(echo["input"])
+    try:
+        recomputed = build_certificate(echo["input"])
+    except (KeyError, TypeError, AttributeError, InvalidInputError) as ex:
+        raise CertificateFormatError(
+            f"echoed input cannot be rebuilt: {type(ex).__name__}: {ex}"
+        ) from ex
     paths = tuple(diff_paths(recorded, recomputed))
     return VerificationReport(OK if not paths else MISMATCH, paths)
 

@@ -11,7 +11,7 @@ same machinery as the shipped example.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -32,7 +32,6 @@ class SearchConfig:
     coefficient_bound: int = 3
     delta_candidates: tuple = (Fraction(-1),)
     rank: int = 3
-    lambda_height_bound: int = 2
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
     precision_cap_digits: int = 480
     output_path: Optional[str] = None

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from latcert.cli import main
+from latcert.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -29,7 +29,48 @@ class TestUsage:
             capsys, "local-norm", "--field", "a,b", "--delta", "-1", "--element", "2", "--prime", "5"
         )
         assert code == 3
-        assert "bad coefficient list" in err
+        assert "bad polynomial string" in err
+
+
+class TestOptions:
+    # Minimal valid argument lists; every subcommand must accept exactly the
+    # options its handler reads.
+    MINIMAL = {
+        "paper-example": [],
+        "search": [],
+        "verify": ["cert.json"],
+        "classify-form": ["--field", "1,-3,-1,1", "--delta", "-1", "--entries", "-1"],
+        "local-norm": ["--field", "1,-3,-1,1", "--delta", "-1", "--element", "2", "--prime", "5"],
+        "finite-order": ["--family", "SL", "--size", "2", "--q", "2"],
+    }
+    READ = {
+        "paper-example": {"precision_cap", "out"},
+        "search": {
+            "budget",
+            "precision_cap",
+            "out",
+            "degree",
+            "bound",
+            "delta",
+            "rank",
+            "max_certificates",
+        },
+        "verify": {"path"},
+        "classify-form": {"field", "delta", "entries", "other"},
+        "local-norm": {"field", "delta", "element", "prime"},
+        "finite-order": {"family", "size", "q", "enumerate", "budget"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(READ))
+    def test_each_subcommand_takes_only_what_it_reads(self, command):
+        args = build_parser().parse_args([command, *self.MINIMAL[command]])
+        assert set(vars(args)) - {"command", "func"} == self.READ[command]
+
+    def test_verify_rejects_precision_cap(self, capsys, tmp_path):
+        assert main(["verify", "--precision-cap", "200", str(tmp_path / "cert.json")]) == 3
+
+    def test_search_rejects_height(self, capsys):
+        assert main(["search", "--height", "3"]) == 3
 
 
 class TestPaperExample:
@@ -87,6 +128,26 @@ class TestVerifyFailures:
     def test_missing_file_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda echo: echo["field"].pop("recorded_disc"),
+            lambda echo: echo.update(forms="first"),
+            lambda echo: echo["extension"].update(delta=["-1", "0"]),
+        ],
+        ids=["missing-key", "wrong-type", "wrong-coordinate-count"],
+    )
+    def test_malformed_echo_is_format_error(self, capsys, tmp_path, edit):
+        path = self._emit(capsys, tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        edit(payload["config_echo"]["input"])
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        assert "format error" in out
 
 
 class TestSearch:

@@ -327,7 +327,6 @@ class TestHilbertProductCheck:
         assert report.conclusive
         assert report.minus_count == minus
         assert report.minus_count_even is True
-        assert report.product_is_one is True
 
     def test_real_places_always_reported(self):
         report = hilbert_product_check(EXT, ALPHA)

@@ -172,7 +172,7 @@ class TestFiniteField:
 
     def test_inverse(self):
         f25 = FiniteField(5, modular.find_irreducible(5, 2))
-        for e in f25.units():
+        for e in filter(None, f25.elements()):  # the nonzero elements
             assert f25.mul(e, f25.inv(e)) == f25.one
 
     def test_minus_one_square_iff_q_mod_4(self):

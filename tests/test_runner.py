@@ -1,5 +1,6 @@
 """The example pipeline end to end: certificate content, determinism, verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -143,9 +144,17 @@ class TestCertificateContent:
         assert "surjective" in text
 
 
+# sha256 of the paper-example certificate, format "1"
+PAPER_EXAMPLE_SHA256 = "0626ad5d39536c7fd2afcbd755d9438e2eba3acabb5634298be05e9e081b4f61"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, cert):
         assert canonical_json(run_paper_example()) == canonical_json(cert)
+
+    def test_pinned_certificate_bytes(self, cert):
+        digest = hashlib.sha256(canonical_json(cert).encode("utf-8")).hexdigest()
+        assert digest == PAPER_EXAMPLE_SHA256
 
     def test_no_timestamps(self, cert):
         lowered = canonical_json(cert).lower()

@@ -1,5 +1,6 @@
 """Seed search: filters, pairing, certificate emission, persistence."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -104,6 +105,13 @@ class TestCandidates:
 class TestSearchResults:
     def test_pass_certificate_count(self, degree3_certs):
         assert len(degree3_certs) == 66
+
+    def test_pinned_certificate_bytes_at_bound_2(self):
+        # the same reference as the benchmark's smoke cubic search
+        certs = search_seeds(SearchConfig(degree=3, coefficient_bound=2))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 6
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("58fb0fd819877cad")
 
     def test_every_result_is_a_pass(self, degree3_certs):
         assert all(c["verdict"]["overall"] == "PASS" for c in degree3_certs)
