@@ -7,6 +7,8 @@ re-emission is a meaningful determinism test and diffs stay readable.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -72,30 +74,50 @@ def content_hash(text: str) -> str:
 
 
 def certificate_filename(payload: dict) -> str:
-    return f"{CERT_PREFIX}{content_hash(canonical_json(payload))[:16]}.json"
+    return _filename_of(canonical_json(payload))
+
+
+def _filename_of(text: str) -> str:
+    return f"{CERT_PREFIX}{content_hash(text)[:16]}.json"
 
 
 def write_certificate(payload: dict, directory: str) -> str:
-    """Store one certificate and refresh the index. Append-only: the file
-    name is derived from the content hash, so a rewrite is always a no-op
-    and existing certificates are never mutated."""
-    os.makedirs(directory, exist_ok=True)
+    """Store one certificate and add it to the index.
+
+    The file name is the content hash, so the store is append-only: a file
+    that already holds the right bytes is left alone, and one that holds
+    other bytes (a torn write) is replaced.  Files are published atomically
+    (`_publish`), and the index gains one entry under the store lock; only a
+    missing or unreadable index is regenerated with `rebuild_index`.
+    """
+    _check_header(payload)
     text = canonical_json(payload)
-    path = os.path.join(directory, certificate_filename(payload))
-    if not os.path.exists(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    rebuild_index(directory)
+    data = text.encode("utf-8")
+    os.makedirs(directory, exist_ok=True)
+    name = _filename_of(text)
+    path = os.path.join(directory, name)
+    try:
+        with open(path, "rb") as fh:
+            current = fh.read()
+    except FileNotFoundError:
+        current = None
+    if current != data:
+        _publish(path, data)
+    index_path = os.path.join(directory, INDEX_NAME)
+    with _store_lock(directory):
+        entries = _read_index(index_path)
+        if entries is not None and all(entry["file"] != name for entry in entries):
+            entries.append(_index_entry(name, payload))
+            entries.sort(key=lambda entry: entry["file"])
+            _publish(index_path, _index_bytes(entries))
+    if entries is None:
+        # after the lock is released: rebuild_index takes it on a descriptor
+        # of its own, which would wait for this one forever
+        rebuild_index(directory)
     return path
 
 
-def load_certificate(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as ex:
-        raise CertificateFormatError(f"not certificate JSON: {ex}") from ex
+def _check_header(payload) -> None:
     if not isinstance(payload, dict):
         raise CertificateFormatError("certificate root must be an object")
     if "format_version" not in payload:
@@ -104,31 +126,89 @@ def load_certificate(path: str) -> dict:
         raise CertificateVersionError(
             f"format_version {payload['format_version']!r}, expected {FORMAT_VERSION!r}"
         )
+
+
+def load_certificate(path: str) -> dict:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as ex:  # UnicodeDecodeError or JSONDecodeError
+        raise CertificateFormatError(f"not certificate JSON: {ex}") from ex
+    _check_header(payload)
     _check_payload(payload, "")
     return payload
 
 
 def rebuild_index(directory: str) -> str:
-    """Regenerate the index from the certificate files actually present."""
-    entries = []
-    for name in sorted(os.listdir(directory)):
-        if not (name.startswith(CERT_PREFIX) and name.endswith(".json")):
-            continue
-        cert = load_certificate(os.path.join(directory, name))
-        field = cert.get("field_block", {})
-        verdict = cert.get("verdict", {})
-        entries.append(
-            {
-                "file": name,
-                "field": field.get("min_poly"),
-                "disc": field.get("disc"),
-                "verdict": verdict.get("overall"),
-            }
-        )
-    path = os.path.join(directory, INDEX_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"certificates": entries}))
+    """Regenerate the index from the certificate files actually present.
+
+    This is the repair tool: it reloads every certificate, drops entries
+    whose file is gone, and raises on a file that does not load."""
+    with _store_lock(directory):
+        entries = []
+        for name in sorted(os.listdir(directory)):
+            if name.startswith(CERT_PREFIX) and name.endswith(".json"):
+                entries.append(_index_entry(name, load_certificate(os.path.join(directory, name))))
+        path = os.path.join(directory, INDEX_NAME)
+        _publish(path, _index_bytes(entries))
     return path
+
+
+def _index_entry(name: str, cert: dict) -> dict:
+    field = cert.get("field_block", {})
+    verdict = cert.get("verdict", {})
+    return {
+        "file": name,
+        "field": field.get("min_poly"),
+        "disc": field.get("disc"),
+        "verdict": verdict.get("overall"),
+    }
+
+
+def _index_bytes(entries: list) -> bytes:
+    return canonical_json({"certificates": entries}).encode("utf-8")
+
+
+def _read_index(path: str) -> list | None:
+    """The entries of an index file, or None if it is missing or malformed."""
+    try:
+        with open(path, "rb") as fh:
+            index = json.loads(fh.read().decode("utf-8"))
+        entries = index["certificates"]
+        _check_payload(entries, "")
+        if all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
+            return entries
+    except (FileNotFoundError, ValueError, KeyError, TypeError, CertificateFormatError):
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def _store_lock(directory: str):
+    """Exclusive flock on the store directory itself, so no lock file is added."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the lock
+
+
+def _publish(path: str, data: bytes) -> None:
+    """Atomically make `path` hold `data`: write a temporary file beside it,
+    fsync it, then rename it over `path`."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def diff_paths(recorded, recomputed, path: str = "") -> list[str]:

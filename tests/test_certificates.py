@@ -1,11 +1,14 @@
 """Canonical serialization, the certificate store, and structural checks."""
 
 import json
+import multiprocessing
 import os
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert.certificates import (
@@ -138,6 +141,137 @@ class TestStore:
         path = write_certificate(cert, str(tmp_path))
         assert load_certificate(path) == cert
 
+    @pytest.mark.parametrize(
+        "cert, error",
+        [
+            ({"tool_version": TOOL_VERSION}, CertificateFormatError),
+            ({**_minimal_cert("148"), "format_version": "99"}, CertificateVersionError),
+        ],
+        ids=["no-version", "wrong-version"],
+    )
+    def test_unloadable_certificate_not_written(self, tmp_path, cert, error):
+        with pytest.raises(error):
+            write_certificate(cert, str(tmp_path))
+        assert not any(n.startswith("cert_") for n in os.listdir(tmp_path))
+
+
+def _index_file_bytes(directory) -> bytes:
+    with open(os.path.join(directory, "index.json"), "rb") as fh:
+        return fh.read()
+
+
+def _rebuilt_index_bytes(directory) -> bytes:
+    rebuild_index(str(directory))
+    return _index_file_bytes(directory)
+
+
+def _truncate(path, size: int = 10) -> None:
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+def _write_all(directory, tags, barrier) -> None:
+    barrier.wait()
+    for tag in tags:
+        write_certificate(_minimal_cert(tag), directory)
+
+
+class TestStoreRepair:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(["5", "49", "81", "148", "229", "257"]), min_size=1, max_size=8))
+    def test_incremental_index_equals_rebuilt_index(self, tags):
+        with tempfile.TemporaryDirectory() as store:
+            for tag in tags:
+                write_certificate(_minimal_cert(tag), store)
+            written = _index_file_bytes(store)
+            assert written == _rebuilt_index_bytes(store)
+            assert len(json.loads(written)["certificates"]) == len(set(tags))
+
+    def test_truncated_certificate_repaired_by_next_write(self, tmp_path):
+        cert = _minimal_cert("148")
+        path = write_certificate(cert, str(tmp_path))
+        _truncate(path)
+        with pytest.raises(CertificateFormatError):
+            load_certificate(path)
+        assert write_certificate(cert, str(tmp_path)) == path
+        assert load_certificate(path) == cert
+
+    def test_torn_file_does_not_block_other_writes(self, tmp_path):
+        torn = write_certificate(_minimal_cert("148"), str(tmp_path))
+        _truncate(torn)
+        (tmp_path / "cert_0123456789abcdef.json").write_bytes(b'{"format_')
+        path = write_certificate(_minimal_cert("81"), str(tmp_path))
+        assert load_certificate(path) == _minimal_cert("81")
+        listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
+        assert listed == sorted([os.path.basename(torn), os.path.basename(path)])
+
+    def test_unindexed_file_added_when_written_again(self, tmp_path):
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        before = _index_file_bytes(tmp_path)
+        cert = _minimal_cert("148")
+        # a crash between publishing the file and indexing it
+        (tmp_path / certificate_filename(cert)).write_text(canonical_json(cert), encoding="ascii")
+        assert _index_file_bytes(tmp_path) == before
+        write_certificate(cert, str(tmp_path))
+        listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
+        assert certificate_filename(cert) in listed
+        assert _index_file_bytes(tmp_path) == _rebuilt_index_bytes(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            os.unlink,
+            _truncate,
+            lambda p: Path(p).write_bytes(b"\xff\xfe"),
+            lambda p: Path(p).write_text('{"certificates": [{"disc": "5"}]}', encoding="ascii"),
+        ],
+        ids=["deleted", "truncated", "not-utf8", "entry-without-file"],
+    )
+    def test_damaged_index_rebuilt_by_next_write(self, tmp_path, damage):
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        write_certificate(_minimal_cert("148"), str(tmp_path))
+        damage(str(tmp_path / "index.json"))
+        write_certificate(_minimal_cert("229"), str(tmp_path))
+        written = _index_file_bytes(tmp_path)
+        assert len(json.loads(written)["certificates"]) == 3
+        assert written == _rebuilt_index_bytes(tmp_path)
+
+    def test_no_temporary_files_left(self, tmp_path):
+        cert = _minimal_cert("148")
+        path = write_certificate(cert, str(tmp_path))
+        _truncate(path)
+        write_certificate(cert, str(tmp_path))
+        os.unlink(tmp_path / "index.json")
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        rebuild_index(str(tmp_path))
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        assert len(os.listdir(tmp_path)) == 3
+
+    def test_concurrent_writers(self, tmp_path):
+        tags = [str(n) for n in range(1, 25)]
+        # four overlapping sets of 12 tags, each written in its own order
+        plans = [tags[0:12], tags[12:24][::-1], tags[6:18], (tags[18:24] + tags[0:6])[::-1]]
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(len(plans))
+        procs = [
+            ctx.Process(target=_write_all, args=(str(tmp_path), plan, barrier), daemon=True)
+            for plan in plans
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert [p.exitcode for p in procs] == [0] * len(plans)
+        names = sorted(n for n in os.listdir(tmp_path) if n.startswith("cert_"))
+        assert names == sorted(certificate_filename(_minimal_cert(t)) for t in tags)
+        for name in names:
+            text = (tmp_path / name).read_text(encoding="ascii")
+            assert name == f"cert_{content_hash(text)[:16]}.json"
+        written = _index_file_bytes(tmp_path)
+        assert [e["file"] for e in json.loads(written)["certificates"]] == names
+        assert written == _rebuilt_index_bytes(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted(names + ["index.json"])
+
 
 class TestLoadErrors:
     def test_not_json(self, tmp_path):
@@ -162,6 +296,12 @@ class TestLoadErrors:
         p = tmp_path / "x.json"
         p.write_text('{"format_version": "99"}', encoding="utf-8")
         with pytest.raises(CertificateVersionError):
+            load_certificate(str(p))
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_bytes(b'\xff\xfe{"format_version": "1"}')
+        with pytest.raises(CertificateFormatError, match="not certificate JSON"):
             load_certificate(str(p))
 
     def test_bare_numbers_rejected_on_load(self, tmp_path):

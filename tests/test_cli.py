@@ -125,6 +125,14 @@ class TestVerifyFailures:
         assert code == 1
         assert "format error" in out
 
+    def test_non_utf8_file_is_format_error(self, capsys, tmp_path):
+        bad = tmp_path / "cert_bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert out.startswith("format error: ")
+        assert "Traceback" not in out + err
+
     def test_missing_file_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 1

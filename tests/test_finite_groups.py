@@ -1,7 +1,5 @@
 """Orders and brute-force enumeration of finite matrix groups, plus congruence indices."""
 
-from fractions import Fraction
-
 import pytest
 
 from latcert.errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError

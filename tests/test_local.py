@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert import local
-from latcert.errors import InconclusiveError, InvalidInputError, UnsupportedPlaceError
+from latcert.errors import InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
 from latcert.local import (
-    FinitePlace,
     factor_prime,
     hilbert_product_check,
     hilbert_symbol_qq,
@@ -27,7 +26,7 @@ from latcert.local import (
     splitting_in_E,
     valuation,
 )
-from latcert.number_field import CMExtension, NumberField, RealPlace
+from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import Polynomial
 
 F = NumberField(Polynomial((1, -3, -1, 1)))
