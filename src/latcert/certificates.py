@@ -141,15 +141,21 @@ def load_certificate(path: str) -> dict:
 
 
 def rebuild_index(directory: str) -> str:
-    """Regenerate the index from the certificate files actually present.
+    """Regenerate the index from the certificate files that load.
 
     This is the repair tool: it reloads every certificate, drops entries
-    whose file is gone, and raises on a file that does not load."""
+    whose file is gone, and leaves out a file that does not load (a torn
+    write or another format version), so the store stays writable.  Writing
+    the same certificate again replaces such a file and indexes it."""
     with _store_lock(directory):
         entries = []
         for name in sorted(os.listdir(directory)):
             if name.startswith(CERT_PREFIX) and name.endswith(".json"):
-                entries.append(_index_entry(name, load_certificate(os.path.join(directory, name))))
+                try:
+                    cert = load_certificate(os.path.join(directory, name))
+                except (CertificateFormatError, CertificateVersionError):
+                    continue
+                entries.append(_index_entry(name, cert))
         path = os.path.join(directory, INDEX_NAME)
         _publish(path, _index_bytes(entries))
     return path

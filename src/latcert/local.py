@@ -11,6 +11,12 @@ valuations and norm square-classes are read off integer resultants against
 the lifted block: ord_l Res(P_v, z) = f * v(z) for l-integral z. When l has a
 single place the block is p itself and everything is exact outright.
 
+Every block is monic with integer coefficients, so Res(P_v, z) is the
+determinant of multiplication by z on Z[x]/(P_v), an integer matrix, taken
+by fraction-free (Bareiss) elimination. Elements enter as cleared-denominator
+integer coordinate tuples; no rational arithmetic sits between a place's
+representatives and their norm orders.
+
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
 projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. The few
@@ -42,7 +48,6 @@ from .number_field import (
     NumberField,
     RealPlace,
 )
-from .polynomials import Polynomial, resultant
 
 _MAX_LIFT_PRECISION = 8192
 _DYADIC_ENUMERATION_CAP = 2_000_000
@@ -92,9 +97,9 @@ def factor_prime(field: NumberField, ell: int) -> tuple[FinitePlace, ...]:
         gbar = modular.mul(gbar, g, ell)
         for _ in range(e - 1):
             hbar = modular.mul(hbar, g, ell)
-    lifted = Polynomial(gbar) * Polynomial(hbar) - field.min_poly
-    correction = lifted * Fraction(1, ell)
-    cbar = modular.normalize(correction.int_coeffs(), ell)
+    # gbar * hbar and p are monic of the same degree and agree mod l
+    lifted = zip(_poly_mul(gbar, hbar), p_ints)
+    cbar = modular.normalize(tuple((a - b) // ell for a, b in lifted), ell)
     common = modular.gcd_poly(modular.gcd_poly(cbar, gbar, ell), hbar, ell)
     if modular.degree(common) > 0:
         raise UnsupportedPlaceError(
@@ -142,8 +147,7 @@ def _block_resultant(place: FinitePlace, z: tuple[int, ...], precision: int) -> 
     field, ell = place.field, place.prime
     places = factor_prime(field, ell)
     if len(places) == 1:
-        r = resultant_int(field.min_poly, Polynomial(z))
-        return r, True
+        return resultant_int(field.min_poly.int_coeffs(), z), True
     key = (field.min_poly.coeffs, ell, precision)
     blocks = _BLOCK_CACHE.get(key)
     if blocks is None:
@@ -157,14 +161,75 @@ def _block_resultant(place: FinitePlace, z: tuple[int, ...], precision: int) -> 
             field.min_poly.int_coeffs(), raw, ell, precision
         )
         _BLOCK_CACHE[key] = blocks
-    r = resultant_int(Polynomial(blocks[place.index]), Polynomial(z))
-    return r, False
+    return resultant_int(blocks[place.index], z), False
 
 
-def resultant_int(a: Polynomial, b: Polynomial) -> int:
-    value = resultant(a, b)
-    assert value.denominator == 1, "integer polynomials have integer resultants"
-    return value.numerator
+def resultant_int(p: tuple[int, ...], z: tuple[int, ...]) -> int:
+    """Res(P, z) for monic integer P of degree n >= 1 and any integer z.
+
+    This is the determinant of multiplication by z on Z[x]/(P), whose column
+    k is z * x^k mod P, taken by Bareiss elimination; like
+    polynomials.resultant it equals the product of z over the roots of P,
+    and Res(P, 0) = 0.  Coefficient tuples are constant term first.
+    """
+    n = len(p) - 1
+    if n < 1 or p[-1] != 1:
+        raise InvalidInputError("resultant_int needs a monic modulus of degree >= 1")
+    column = _reduce_monic(z, p)
+    columns = [column]
+    for _ in range(n - 1):
+        top = column[-1]
+        column = [0] + column[:-1]
+        if top:
+            column = [c - top * q for c, q in zip(column, p)]
+        columns.append(column)
+    return _bareiss_det(columns)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    # Fraction-free Gaussian elimination (Bareiss 1968): after step k every
+    # entry is a (k+1)-minor, so each division by the previous pivot is exact.
+    n = len(rows)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1]
+
+
+def _reduce_monic(a, p: tuple[int, ...]) -> list[int]:
+    """a mod the monic integer polynomial p, as exactly deg p integers."""
+    n = len(p) - 1
+    r = list(a) + [0] * (n - len(a))
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            for i in range(n):
+                r[k - n + i] -= c * p[i]
+    return r[:n]
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _norm_ord_and_unit(place: FinitePlace, z: tuple[int, ...], unit_mod: int) -> tuple[int, int]:
@@ -199,10 +264,14 @@ def valuation(place: FinitePlace, elem: FieldElement) -> int:
     if elem.is_zero():
         raise InvalidInputError("the zero element has no finite valuation")
     z, m = _clear_denominators(elem)
+    return _int_valuation(place, z) - place.ramification * _ord_int(m, place.prime)
+
+
+def _int_valuation(place: FinitePlace, z: tuple[int, ...]) -> int:
     f = place.residue_degree
     o, _ = _norm_ord_and_unit(place, z, 2)
     assert o % f == 0, "norm order must be divisible by the residue degree"
-    return o // f - place.ramification * _ord_int(m, place.prime)
+    return o // f
 
 
 def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
@@ -333,34 +402,32 @@ def _dyadic_box(place: FinitePlace) -> tuple[int, int, int]:
     return target, t, e * f
 
 
-def _dyadic_representatives(place: FinitePlace):
-    _, t, width = _dyadic_box(place)
-    field = place.field
-    pad = field.degree - width
-    for coeffs in itertools.product(range(2**t), repeat=width):
-        yield field.element(tuple(Fraction(c) for c in coeffs) + (Fraction(0),) * pad)
-
-
 def _dyadic_square_test(place: FinitePlace, w: Fraction) -> bool:
-    """Whether the odd rational w is a square in the dyadic completion."""
-    target, _, _ = _dyadic_box(place)
-    w_elem = place.field.from_rational(w)
-    for y in _dyadic_representatives(place):
-        g = y * y - w_elem
-        if g.is_zero():
-            return True
-        if valuation(place, g) >= target:
+    """Whether the odd rational w = n/d is a square in the dyadic completion.
+
+    d is odd, so v(y^2 - w) = v(d*y^2 - n), an integer element.
+    """
+    target, t, width = _dyadic_box(place)
+    p = place.field.min_poly.int_coeffs()
+    n, d = w.numerator, w.denominator
+    for y in itertools.product(range(2**t), repeat=width):
+        g = [d * c for c in _reduce_monic(_poly_mul(y, y), p)]
+        g[0] -= n
+        if not any(g) or _int_valuation(place, tuple(g)) >= target:
             return True
     return False
 
 
 def _dyadic_exists_unit_non_norm(place: FinitePlace, w: Fraction) -> bool:
     # E_w/F_v is unramified exactly when every unit is a norm; units are
-    # covered modulo squares by the representative box.
-    for y in _dyadic_representatives(place):
-        if y.is_zero() or valuation(place, y) != 0:
+    # covered modulo squares by the representative box.  A unit's norm has
+    # 2-order 0, so its square class in Q_2 is its residue mod 8.
+    _, t, width = _dyadic_box(place)
+    for y in itertools.product(range(2**t), repeat=width):
+        if not any(y):
             continue
-        if _symbol_vs_rational(place, w, y) == -1:
+        o, r = _norm_ord_and_unit(place, y, 8)
+        if o == 0 and hilbert_symbol_qq(w, r, 2) == -1:
             return True
     return False
 
@@ -514,7 +581,7 @@ def relevant_primes(ext: CMExtension, u: FieldElement) -> tuple[int, ...]:
     out = {2}
     for elem in (ext.delta, u):
         z, m = _clear_denominators(elem)
-        r = resultant_int(ext.base.min_poly, Polynomial(z))
+        r = resultant_int(ext.base.min_poly.int_coeffs(), z)
         out |= set(prime_factors(r))
         if m > 1:
             out |= set(prime_factors(m))

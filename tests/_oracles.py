@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's own algorithms: the resultant oracle
 expands a Sylvester determinant, the root oracle scans signs on a fine grid,
-and the group-order oracle enumerates matrices directly over Z/m. Slow and
+the group-order oracle enumerates matrices directly over Z/m, and the dyadic
+square oracle tries every residue in the Hensel box with FieldElement
+arithmetic, reading valuations off the Sylvester determinant. Slow and
 simple on purpose.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -32,20 +35,22 @@ def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
     for i in range(m):
         rows.append([Fraction(0)] * i + brev + [Fraction(0)] * (size - n - 1 - i))
 
-    def det(mat: list[list[Fraction]]) -> Fraction:
-        k = len(mat)
-        if k == 1:
-            return mat[0][0]
-        total = Fraction(0)
-        for col in range(k):
-            if mat[0][col] == 0:
+    @functools.lru_cache(maxsize=None)
+    def det(cols: tuple[int, ...]) -> Fraction:
+        # Laplace expansion along the first of the remaining rows, over the
+        # remaining columns; minors repeat, so each is expanded only once.
+        row = rows[size - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        total = 0
+        for pos, col in enumerate(cols):
+            if row[col] == 0:
                 continue
-            minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-            term = mat[0][col] * det(minor)
-            total += term if col % 2 == 0 else -term
+            term = row[col] * det(cols[:pos] + cols[pos + 1:])
+            total += term if pos % 2 == 0 else -term
         return total
 
-    return det(rows)
+    return Fraction(det(tuple(range(size))))
 
 
 def sign_scan_roots(
@@ -101,3 +106,39 @@ def _det_mod(mat: list[list[int]], m: int) -> int:
         term = mat[0][col] * _det_mod(minor, m)
         total += term if col % 2 == 0 else -term
     return total % m
+
+
+def dyadic_square_scan(field, block: list[int], e: int, f: int, w: Fraction) -> bool:
+    """Whether the odd rational w is a square at a place of the field above 2.
+
+    The place has ramification e and residue degree f, and `block` is its
+    factor of the defining polynomial over Z_2, constant term first (the
+    polynomial itself when the place is alone above 2, otherwise a lift
+    correct mod 2^64).  Every y in the box of integer coordinates of degree
+    < e*f with coefficients mod 2^t, t*e >= 2e+1, is tried: w is a square
+    exactly when some y^2 - w has valuation at least 2e+1 (Hensel's bound
+    for x^2 - w).  Arithmetic is FieldElement multiplication, and the
+    valuation is ord_2 of the Sylvester resultant against the block over f.
+    """
+    target = 2 * e + 1
+    t = -(-target // e)
+    pad = field.degree - e * f
+    w_elem = field.from_rational(w)
+    for coeffs in itertools.product(range(2**t), repeat=e * f):
+        y = field.element(tuple(Fraction(c) for c in coeffs) + (Fraction(0),) * pad)
+        g = y * y - w_elem
+        if g.is_zero():
+            return True
+        # w's denominator d is odd, so d*g has the valuation of g
+        coords = [int(c * w.denominator) for c in g.coords]
+        while coords[-1] == 0:
+            coords.pop()
+        order = _ord2(sylvester_resultant(list(block), coords).numerator)
+        assert order < 60, "the block is only known mod 2^64"
+        if order // f >= target:
+            return True
+    return False
+
+
+def _ord2(n: int) -> int:
+    return (n & -n).bit_length() - 1

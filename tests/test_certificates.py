@@ -236,6 +236,18 @@ class TestStoreRepair:
         assert len(json.loads(written)["certificates"]) == 3
         assert written == _rebuilt_index_bytes(tmp_path)
 
+    def test_lost_index_rebuilt_around_torn_file(self, tmp_path):
+        torn = write_certificate(_minimal_cert("148"), str(tmp_path))
+        kept = write_certificate(_minimal_cert("81"), str(tmp_path))
+        _truncate(torn)
+        os.unlink(tmp_path / "index.json")
+        path = write_certificate(_minimal_cert("229"), str(tmp_path))
+        listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
+        assert listed == sorted(os.path.basename(p) for p in (kept, path))
+        assert rebuild_index(str(tmp_path)) == str(tmp_path / "index.json")
+        write_certificate(_minimal_cert("148"), str(tmp_path))
+        assert len(json.loads(_index_file_bytes(tmp_path))["certificates"]) == 3
+
     def test_no_temporary_files_left(self, tmp_path):
         cert = _minimal_cert("148")
         path = write_certificate(cert, str(tmp_path))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcert import local
+from _oracles import dyadic_square_scan, sylvester_resultant
+from latcert import local, modular
 from latcert.errors import InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
 from latcert.local import (
@@ -124,6 +125,49 @@ class TestValuation:
             return
         for v in (place_above(F, 2), place_above(F, 37, 1)):
             assert valuation(v, x * y) == valuation(v, x) + valuation(v, y)
+
+
+@st.composite
+def monic_and_multiplier(draw):
+    """A monic integer P of degree 1-6 and an integer z of any degree,
+    sometimes a multiple of P."""
+    n = draw(st.integers(1, 6))
+    p = tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))) + (1,)
+    if draw(st.booleans()):
+        # zeros are frequent, so that elimination often meets a zero pivot
+        z = draw(st.lists(st.just(0) | st.integers(-9, 9), min_size=1, max_size=n + 3))
+    else:
+        q = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2))
+        z = (Polynomial(p) * Polynomial(q)).int_coeffs()
+    return p, tuple(z)
+
+
+class TestResultantInt:
+    @given(monic_and_multiplier())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sylvester_oracle(self, case):
+        p, z = case
+        trimmed = list(z)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        expected = sylvester_resultant(list(map(Fraction, p)), trimmed) if trimmed else 0
+        assert local.resultant_int(p, z) == expected
+
+    def test_multiple_of_modulus_is_zero(self):
+        p = (1, -3, -1, 1)
+        assert local.resultant_int(p, (Polynomial(p) * Polynomial((2, 0, 5))).int_coeffs()) == 0
+
+    def test_zero_pivot_swaps_rows(self):
+        # multiplication by x on Z[x]/(x^2 + 1) is [[0, -1], [1, 0]]
+        assert local.resultant_int((1, 0, 1), (0, 1)) == 1
+        assert local.resultant_int((1, 0, 0, 1), (0, 0, 1)) == 1
+
+    def test_constant_is_a_power(self):
+        assert local.resultant_int((1, -3, -1, 1), (-7,)) == -343
+
+    def test_rejects_non_monic_modulus(self):
+        with pytest.raises(InvalidInputError):
+            local.resultant_int((1, 2), (1, 1))
 
 
 class TestResidueImage:
@@ -248,6 +292,53 @@ class TestSplitting:
     def test_mismatched_base_field(self):
         with pytest.raises(InvalidInputError):
             splitting_in_E(EXT, place_above(RATIONALS, 2))
+
+
+class TestDyadicSquareTest:
+    # (field, place index, (e, f)) for every shape of a place above 2 in
+    # degree <= 3; the lines marked "shared" have another place above 2
+    CASES = [
+        (RATIONALS, 0, (1, 1)),
+        (NumberField(Polynomial((-3, -3, 1))), 0, (1, 2)),
+        (NumberField(Polynomial((-3, -2, 0, 1))), 1, (1, 2)),  # shared
+        (NumberField(Polynomial((-3, -3, -2, 1))), 0, (1, 3)),
+        (NumberField(Polynomial((-3, 0, 1))), 0, (2, 1)),
+        (NumberField(Polynomial((-2, -3, -2, 1))), 1, (2, 1)),  # shared
+        (NumberField(Polynomial((-2, -2, -3, 1))), 0, (2, 1)),  # shared
+        (F, 0, (3, 1)),
+    ]
+    ODD = [Fraction(w) for w in (1, -1, 3, -3, 5, -5, 7, -7)]
+
+    @staticmethod
+    def squares(field, index, shape, candidates):
+        """The candidates that are squares at the place, checked against the
+        enumeration oracle."""
+        places = factor_prime(field, 2)
+        place = places[index]
+        assert (place.ramification, place.residue_degree) == shape
+        raw = []
+        for v in places:
+            b = (1,)
+            for _ in range(v.ramification):
+                b = modular.mul(b, v.factor, 2)
+            raw.append(b)
+        block = modular.hensel_lift_blocks(field.min_poly.int_coeffs(), raw, 2, 64)[index]
+        found = [w for w in candidates if local._dyadic_square_test(place, w)]
+        assert found == [w for w in candidates if dyadic_square_scan(field, list(block), *shape, w)]
+        return found
+
+    @pytest.mark.parametrize("field, index, shape", CASES)
+    def test_matches_enumeration_oracle(self, field, index, shape):
+        assert self.squares(field, index, shape, self.ODD)[:1] == [1]
+
+    @pytest.mark.parametrize("field, index, shape", [c for c in CASES if c[2] in ((1, 1), (2, 1))])
+    def test_odd_denominators(self, field, index, shape):
+        self.squares(field, index, shape, [Fraction(-1, 3), Fraction(5, 3), Fraction(-7, 5)])
+
+    def test_ramified_place_sharing_two(self):
+        # a shared (2, 1) place with squares beyond those of Q_2
+        field = NumberField(Polynomial((-2, -3, -2, 1)))
+        assert self.squares(field, 1, (2, 1), self.ODD) == [1, 3, -5, -7]
 
 
 class TestLocalNormTest:
