@@ -59,7 +59,7 @@ def _parse_form(args) -> HermitianForm:
 
 
 def _cmd_paper_example(args) -> int:
-    cert = run_paper_example(args.precision_cap)
+    cert = run_paper_example()
     path = write_certificate(cert, args.out)
     overall = cert["verdict"]["overall"]
     print(f"certificate: {path}")
@@ -78,7 +78,6 @@ def _cmd_search(args) -> int:
         delta_candidates=tuple(Fraction(d) for d in args.delta) or (Fraction(-1),),
         rank=args.rank,
         enumeration_budget=args.budget,
-        precision_cap_digits=args.precision_cap,
         output_path=args.out,
         max_certificates=args.max_certificates,
     )
@@ -177,14 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget for searches and finite-group counting",
     )
-    precision_cap = argparse.ArgumentParser(add_help=False)
-    precision_cap.add_argument(
-        "--precision-cap",
-        type=int,
-        default=480,
-        dest="precision_cap",
-        help="digit cap for the integer-relation ladder (automorphism counts)",
-    )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument(
         "--out",
@@ -200,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "paper-example",
-        parents=[precision_cap, out],
+        parents=[out],
         help="run the full pipeline on the bundled example input",
     )
     p.set_defaults(func=_cmd_paper_example)
 
     p = sub.add_parser(
-        "search", parents=[budget, precision_cap, out], help="search for new seed pairs"
+        "search", parents=[budget, out], help="search for new seed pairs"
     )
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--bound", type=int, default=3, help="coefficient bound")

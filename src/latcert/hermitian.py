@@ -290,7 +290,6 @@ def seed_pair_check(
     probe_place=None,
     unit_gens: Sequence[FieldElement] = (),
     height: int = 2,
-    precision_cap_digits: int = 480,
 ) -> SeedVerdict:
     """The four computable hypotheses that make (h1, h2, tau) a seed pair.
 
@@ -301,8 +300,6 @@ def seed_pair_check(
         composition to rule out is the identity one;
     (c) tau carries the signature pattern of h1 to that of h2;
     (d) the odd-rank local rule applies at the probe place (when given).
-
-    precision_cap_digits is passed to automorphism_count for (b).
     """
     if h1.ext != h2.ext:
         raise InvalidInputError("forms live over different CM extensions")
@@ -324,7 +321,7 @@ def seed_pair_check(
         bad = a1 if a1.status != PASS else a2
         components.append(ComponentCheck("standing-assumption", FAIL, bad.detail))
 
-    aut = automorphism_count(h1.ext.base, precision_cap_digits)
+    aut = automorphism_count(h1.ext.base)
     verdict = group_isomorphism_verdict(h1, h2, unit_gens=unit_gens, height=height)
     if aut != 1:
         components.append(

@@ -5,15 +5,12 @@ arithmetic, norms, and sign evaluations at the real places are exact; the
 real places themselves are the isolated real roots of the defining
 polynomial in ascending order, which fixes a canonical indexing from 0.
 
-Counting automorphisms is the one place numerics enter. Degrees up to 3 are
-decided purely algebraically. For degree >= 4 an exact sieve first bounds the
-count from above by the number of roots of the defining polynomial modulo
-small unramified primes; a bound of 1 settles the count with no numerics.
-Otherwise an integer-relation ladder (PSLQ, via mpmath) proposes expressions
-of each real root in the power basis of the first, and every proposal is
-verified exactly over Q, so the ladder gives a lower bound. When the two
-bounds meet the count is exact; precision affects only whether they meet,
-never soundness.
+Automorphism counts are exact too. Degrees up to 3 are decided by the
+discriminant. For degree >= 4 a sieve bounds the count from above by the
+number of roots of the defining polynomial modulo small unramified primes,
+and a bound of 1 settles it. Otherwise Trager's norm method counts the roots
+of the defining polynomial in the field by factoring one integer polynomial
+over Z.
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-import mpmath
-
 from . import modular
-from .errors import InconclusiveError, InvalidInputError
+from .errors import InvalidInputError
 from .polynomials import (
     Interval,
     Polynomial,
@@ -35,13 +30,12 @@ from .polynomials import (
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
-    refine_interval,
     resultant,
+    squarefree_factors,
 )
 
 Scalar = Union[int, Fraction]
 
-_LADDER_DIGITS = (60, 120, 240, 480, 960)
 # Primes tried by the automorphism sieve (Cohen, GTM 138, ch. 6); those
 # dividing the discriminant are skipped.
 _AUTOMORPHISM_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -287,22 +281,19 @@ class FieldElement:
 # Automorphism counting
 
 
-def automorphism_count(field: NumberField, precision_cap_digits: int = 480) -> int:
+def automorphism_count(field: NumberField) -> int:
     """Number of field automorphisms, as roots of min_poly inside the field.
 
     Degrees 1-3 are decided exactly (an irreducible cubic is Galois exactly
-    when its discriminant is a rational square). Higher degrees require at
-    least one real place. The exact mod-l sieve bounds the count from above;
-    a bound of 1 is returned at once. Otherwise the PSLQ ladder finds roots
-    of min_poly in the field, each verified exactly, which bounds the count
-    from below, and it stops as soon as the two bounds meet. If the ladder
-    reaches the precision cap below the sieve bound, the verified count is
-    returned: a root with no relation found is treated as lying outside the
-    field (the documented completeness caveat), and a relation that exists
-    but fails exact verification raises InconclusiveError.
+    when its discriminant is a rational square). For higher degrees the
+    exact mod-l sieve bounds the count from above, and a bound of 1 is
+    returned at once. Otherwise the count comes from Trager's norm method
+    (Trager 1976; Cohen, GTM 138, 3.6.2): when N_s(x) = Res_y(p(y), p(x - s*y))
+    is squarefree, the factors of p over F of degree k correspond one to one
+    to the factors of N_s over Q of degree n*k. So, for the smallest shift
+    s >= 2 with N_s squarefree, the count is the number of degree-n factors
+    of N_s over Q. Exact at every degree, with or without real places.
     """
-    if precision_cap_digits < 15:
-        raise InvalidInputError("precision cap is too small to be meaningful")
     d = field.degree
     if d == 1:
         return 1
@@ -310,20 +301,15 @@ def automorphism_count(field: NumberField, precision_cap_digits: int = 480) -> i
         return 2
     if d == 3:
         return 3 if is_rational_square(field.discriminant) else 1
-
-    if not field.real_place_count:
-        raise InconclusiveError(
-            "no real embedding: root reconstruction over R does not apply"
-        )
-    bound = _automorphism_upper_bound(field)
-    if bound == 1:
+    if _automorphism_upper_bound(field) == 1:
         return 1
-    count, dirty = _ladder_lower_bound(field, precision_cap_digits, bound)
-    if dirty:
-        raise InconclusiveError(
-            "integer relations found but not exactly verifiable at the precision cap"
-        )
-    return count
+    p = field.min_poly.int_coeffs()
+    # s = 1 never works: alpha_i + alpha_j is symmetric in i and j. Only
+    # finitely many s make two of the roots alpha_j + s*alpha_i collide.
+    s = 2
+    while (factors := squarefree_factors(_shifted_norm(p, s))) is None:
+        s += 1
+    return sum(1 for g in factors if len(g) == d + 1)
 
 
 def _automorphism_upper_bound(field: NumberField) -> int:
@@ -350,66 +336,32 @@ def _automorphism_upper_bound(field: NumberField) -> int:
     return bound
 
 
-def _ladder_lower_bound(
-    field: NumberField, precision_cap_digits: int, target: int
-) -> tuple[int, bool]:
-    """Exactly verified roots of min_poly in the field, found by PSLQ.
+def _shifted_norm(p: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """N_s(x) = Res_y(p(y), p(x - s*y)) for monic integer p of degree n.
 
-    Climbs the precision ladder up to the cap and stops once `target`
-    distinct roots are verified. Returns that count, a lower bound on the
-    automorphism count, and whether some relation failed exact verification
-    at the last rung tried (never, once `target` is reached).
+    N_s is monic of degree n^2, with roots alpha_j + s*alpha_i over all
+    pairs of roots of p, so N_s(x) - x^(n^2) is interpolated exactly from
+    the integer values N_s(x0) = Res(p, p(x0 - s*y)) at x0 = 0, ..., n^2 - 1
+    (Newton's forward differences).
     """
-    d = field.degree
-    p = field.min_poly
-    intervals = field.real_place_intervals()
-    ladder = sorted({min(r, precision_cap_digits) for r in _LADDER_DIGITS}
-                    | {precision_cap_digits})
-    resolved: dict[int, tuple[Fraction, ...]] = {}
-    dirty = False
-    for dps in ladder:
-        dirty = False
-        with mpmath.workdps(dps + 10):
-            width = Fraction(1, 10 ** (dps + 15))
-            roots = []
-            for iv in intervals:
-                tight = refine_interval(p, iv, width)
-                mid = tight.midpoint
-                roots.append(mpmath.mpf(mid.numerator) / mid.denominator)
-            theta_powers = [roots[0] ** k for k in range(d)]
-            # Keep log10(maxcoeff) well below dps/(d+1): then a spurious
-            # relation cannot cancel dps digits, so anything PSLQ returns is
-            # either genuine or exposed by the exact verification below.
-            maxcoeff = max(10**6, 10 ** (dps // (2 * (d + 1))))
-            for idx, t in enumerate(roots):
-                if idx in resolved:
-                    continue
-                relation = mpmath.pslq(
-                    [t] + theta_powers,
-                    maxcoeff=maxcoeff,
-                    maxsteps=100000,
-                )
-                if relation is None or relation[0] == 0:
-                    continue
-                coords = tuple(
-                    Fraction(-relation[k + 1], relation[0]) for k in range(d)
-                )
-                candidate = field.element(coords)
-                acc = field.zero()
-                for c in reversed(p.coeffs):
-                    acc = acc * candidate + c
-                if not acc.is_zero():
-                    dirty = True
-                    continue
-                resolved[idx] = coords
-                # Distinct roots reconstruct to distinct elements; count
-                # what verified.
-                count = len(set(resolved.values()))
-                if count >= target:
-                    return count, False
-        if len(resolved) == len(intervals):
-            break
-    return len(set(resolved.values())), dirty
+    from .local import resultant_int  # local imports this module
+
+    size = (len(p) - 1) ** 2
+    values = []
+    for x0 in range(size):
+        z = Polynomial()
+        for c in reversed(p):
+            z = z * Polynomial((x0, -s)) + Polynomial((c,))
+        values.append(resultant_int(p, z.int_coeffs()) - x0**size)
+    newton = []
+    for k in range(size):
+        newton.append(Fraction(values[0], math.factorial(k)))
+        values = [b - a for a, b in zip(values, values[1:])]
+    rest = Polynomial()
+    for k in reversed(range(size)):
+        rest = rest * Polynomial((-k, 1)) + Polynomial((newton[k],))
+    low = rest.int_coeffs()
+    return low + (0,) * (size - len(low)) + (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Everything here is Fraction-based and deterministic: resultants and
-discriminants come from a sign-tracked Euclidean remainder sequence, real
-roots are isolated with Sturm counts plus exact extraction of rational
-roots, and irreducibility over Q is decided (degrees up to ~8) by a
-rational-root test, factor-degree sieving modulo several primes, and a
-Kronecker interpolation fallback. No floating point anywhere.
+Everything here is exact and deterministic: resultants and discriminants
+come from a sign-tracked Euclidean remainder sequence over Q, real roots
+are isolated with Sturm counts plus exact extraction of rational roots, and
+squarefree monic integer polynomials are factored over Z by Zassenhaus's
+algorithm (factor modulo a prime, Hensel-lift, recombine), which also
+decides irreducibility over Q. No floating point anywhere.
 
 Coefficients are stored constant term first; the string form of
 x^3 - x^2 - 3x + 1 is "1,-3,-1,1".
@@ -20,15 +20,10 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from . import modular
-from .errors import BudgetExceededError, InvalidInputError
-from .intfactor import divisors
+from .errors import InvalidInputError
+from .intfactor import divisors, is_prime
 
 Scalar = Union[int, Fraction]
-
-# Primes used for factor-degree sieving; plenty for degree <= 8 inputs.
-_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-_SIEVE_GOAL = 6  # stop after this many usable primes agree
-_KRONECKER_BUDGET = 4_000_000  # divisor-tuple combinations
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -516,112 +511,105 @@ def interval_value_range(p: Polynomial, interval: Interval) -> tuple[Fraction, F
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility over Q
+# Factoring over Z and irreducibility over Q
+
+_FACTOR_PRIMES = 5  # usable primes compared before one is chosen
 
 
-def _proper_subset_sums(pattern: list[int], n: int) -> set[int]:
-    sums = {0}
-    for d in pattern:
-        sums |= {s + d for s in sums}
-    sums.discard(0)
-    sums.discard(n)
-    return sums
+def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """Irreducible factors over Z of a monic integer polynomial, or None
+    when it has a repeated factor.
 
+    Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5): among the first few
+    primes modulo which f stays squarefree, take the one where f has the
+    fewest irreducible factors; factor f there, Hensel-lift every factor to
+    a modulus above twice a Mignotte-type bound on the coefficients of any
+    factor over Z, and combine subsets of the lifted factors, keeping a
+    product only when it divides what is left of f exactly. Coefficient
+    tuples are constant term first; the factors are monic, sorted by
+    (degree, coefficients).
 
-def _kronecker_factor(p: Polynomial, d: int) -> Polynomial | None:
-    # Search for an integer factor of degree exactly d by interpolating
-    # through divisor tuples of p's values at small integers. p is primitive
-    # integer, has no rational roots, and degree >= 2, so no value is zero.
-    points: list[int] = [0]
-    step = 1
-    while len(points) < d + 1:
-        points.extend((step, -step))
-        step += 1
-    points = points[: d + 1]
-    values = [int(p(x)) for x in points]
-    assert all(values), "zero value would mean a rational root"
-
-    choice_lists: list[list[int]] = []
-    total = 1
-    for i, v in enumerate(values):
-        ds = divisors(v)
-        # Global sign normalization: a factor and its negation are the same
-        # discovery, so the value at the first point is kept positive.
-        opts = ds if i == 0 else [s * t for t in ds for s in (1, -1)]
-        choice_lists.append(opts)
-        total *= len(opts)
-        if total > _KRONECKER_BUDGET:
-            raise BudgetExceededError(
-                f"Kronecker search needs {total} divisor tuples for degree {d}"
-            )
-
-    # Lagrange basis over the fixed points, computed once.
-    basis: list[Polynomial] = []
-    for i, xi in enumerate(points):
-        numer = Polynomial((1,))
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if i != j:
-                numer = numer * Polynomial((-xj, 1))
-                denom *= xi - xj
-        basis.append(numer * (1 / denom))
-
-    for combo in itertools.product(*choice_lists):
-        g = Polynomial()
-        for c, b in zip(combo, basis):
-            g = g + b * c
-        if g.degree() != d:
+    >>> squarefree_factors((-1, 0, 0, 0, 1))
+    [(-1, 1), (1, 1), (1, 0, 1)]
+    >>> squarefree_factors((1, 2, 1)) is None
+    True
+    """
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
+        raise InvalidInputError("factoring over Z needs a monic polynomial of degree >= 1")
+    f = tuple(f)
+    if n == 1:
+        return [f]
+    # A proper monic factor g of f has |g_j| <= C(deg g, j) M(g) <= 2^(n-1) |f|_2
+    # (Mignotte; the Mahler measure M(g) is at most M(f) <= |f|_2).
+    bound = 2 ** (n - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    best = None
+    ell, usable = 1, 0
+    squarefree = False
+    while usable < _FACTOR_PRIMES:
+        ell += 1
+        if not is_prime(ell):
             continue
-        if any(c.denominator != 1 for c in g.coeffs):
+        fbar = modular.normalize(f, ell)
+        if modular.degree(modular.gcd_poly(fbar, modular.deriv(fbar, ell), ell)) > 0:
+            # Squarefree modulo one prime proves f squarefree over Q; until
+            # such a prime turns up, settle it once by an exact gcd.
+            if not squarefree:
+                fq = Polynomial(f)
+                if polynomial_gcd(fq, fq.derivative()).degree() > 0:
+                    return None
+                squarefree = True
             continue
-        if (p % g).is_zero():
-            return g
-    return None
+        squarefree = True
+        count = len(modular.degree_pattern(fbar, ell))
+        if count == 1:
+            return [f]
+        usable += 1
+        if best is None or count < best[0]:
+            best = (count, ell)
+    ell = best[1]
+    precision = 1
+    while ell**precision <= 2 * bound:
+        precision += 1
+    modulus = ell**precision
+    blocks = [g for g, _ in modular.factor_monic(f, ell)]
+    lifted = modular.hensel_lift_blocks(f, blocks, ell, precision)
+
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = (1,)
+            for i in subset:
+                g = modular.mul(g, lifted[i], modulus)
+            g = tuple(c - modulus if 2 * c > modulus else c for c in g)
+            quotient, remainder = divmod(Polynomial(f), Polynomial(g))
+            if remainder.is_zero():
+                factors.append(g)
+                f = quotient.int_coeffs()  # g is monic, so the quotient is integral
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    factors.append(f)
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 def is_irreducible(p: Polynomial) -> bool:
-    """Exact irreducibility over Q for degree >= 1 (intended range <= 8).
+    """Exact irreducibility over Q for degree >= 1.
 
-    Pipeline: rational-root test, factor-degree sieve modulo several primes,
-    then a complete Kronecker interpolation search over the surviving factor
-    degrees. Never probabilistic.
+    A polynomial of degree >= 2 is irreducible exactly when its primitive
+    integer associate f, of leading coefficient a, turns into a single
+    factor over Z under the monic transform a^(n-1) f(x/a), which is
+    squarefree_factors' job. Never probabilistic.
     """
     n = p.degree()
     if n < 1:
         raise InvalidInputError("irreducibility is about degree >= 1")
     if n == 1:
         return True
-    if rational_roots(p):
-        return False
-    if n <= 3:
-        return True  # any factorization would include a linear factor
-    prim = p.primitive_integer()
-    ints = prim.int_coeffs()
-
-    possible = set(range(1, n))
-    usable = 0
-    for ell in _SIEVE_PRIMES:
-        if ints[-1] % ell == 0:
-            continue
-        fbar = modular.normalize(ints, ell)
-        dbar = modular.deriv(fbar, ell)
-        if not dbar or modular.degree(modular.gcd_poly(fbar, dbar, ell)) > 0:
-            continue
-        pattern = modular.degree_pattern(modular.monic(fbar, ell), ell)
-        if pattern == [n]:
-            return True
-        possible &= _proper_subset_sums(pattern, n)
-        if not possible:
-            return True
-        usable += 1
-        if usable >= _SIEVE_GOAL:
-            break
-
-    # A true factor of degree d forces its cofactor degree n - d to survive
-    # the sieve too, so scanning d <= n // 2 loses nothing.
-    for d in sorted(possible):
-        if d > n // 2:
-            break
-        if _kronecker_factor(prim, d) is not None:
-            return False
-    return True
+    ints = p.primitive_integer().int_coeffs()
+    lead = ints[-1]
+    monic = tuple(c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])) + (1,)
+    factors = squarefree_factors(monic)
+    return factors is not None and len(factors) == 1

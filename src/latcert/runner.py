@@ -68,6 +68,7 @@ ASSUMPTIONS = (
     "torsion-free; not checked here",
     "reduction of the simply connected group at a good place is surjective, "
     "so the congruence index equals the full residue group order",
+    # The count is exact now; kept verbatim for format "1" bytes, dropped at "2".
     "the automorphism count trusts the integer-relation ladder's coefficient "
     "bound; a relation beyond that bound would be missed",
 )
@@ -94,18 +95,17 @@ def _pattern_rows(pattern) -> list:
     return [[exact(p), exact(q)] for p, q in pattern]
 
 
-def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
+def build_certificate(inputs: dict) -> dict:
     """Run the whole pipeline on one input record. Pure and deterministic:
-    equal inputs give byte-equal certificates. The precision cap bounds the
-    integer-relation ladder inside the automorphism count; the recorded
-    value is exact regardless, so verification recomputes identically."""
+    equal inputs give byte-equal certificates, so verification recomputes
+    identically from the echoed input alone."""
     field = NumberField(_poly(inputs["field"]["min_poly"]))
     discrepancies: list[dict] = []
 
     # field data
     disc = Fraction(field.discriminant)
     recorded_disc = parse_exact(inputs["field"]["recorded_disc"])
-    aut = automorphism_count(field, precision_cap_digits)
+    aut = automorphism_count(field)
     signs = field.generator().signs()
     positive = sum(1 for s in signs if s > 0)
     recorded_positive = int(parse_exact(inputs["field"]["recorded_generator_positive_count"]))
@@ -345,7 +345,6 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
         probe_place=probe_place,
         unit_gens=gens,
         height=LAMBDA_HEIGHT,
-        precision_cap_digits=precision_cap_digits,
     )
     verdict_block = {
         "overall": verdict.status,
@@ -379,8 +378,8 @@ def build_certificate(inputs: dict, precision_cap_digits: int = 480) -> dict:
     return payload
 
 
-def run_paper_example(precision_cap_digits: int = 480) -> dict:
-    return build_certificate(load_example_fixture(), precision_cap_digits)
+def run_paper_example() -> dict:
+    return build_certificate(load_example_fixture())
 
 
 @dataclass(frozen=True)

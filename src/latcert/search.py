@@ -33,7 +33,6 @@ class SearchConfig:
     delta_candidates: tuple = (Fraction(-1),)
     rank: int = 3
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
-    precision_cap_digits: int = 480
     output_path: Optional[str] = None
     max_certificates: Optional[int] = None
 
@@ -72,7 +71,7 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
         if len(isolate_real_roots(poly)) != cfg.degree:
             continue
         field = NumberField(poly)
-        if automorphism_count(field, precision_cap_digits=cfg.precision_cap_digits) != 1:
+        if automorphism_count(field) != 1:
             continue
         yield field
 
@@ -195,9 +194,7 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
                 h1, h2 = reps[i], reps[j]
                 tau = _transposition(i, j, field.real_place_count)
                 inputs = _seed_inputs(field, delta, h1, h2, tau, probe, congruence)
-                payload = build_certificate(
-                    inputs, precision_cap_digits=cfg.precision_cap_digits
-                )
+                payload = build_certificate(inputs)
                 if payload["verdict"]["overall"] != PASS:
                     continue
                 certificates.append(payload)

@@ -2,16 +2,19 @@
 
 These deliberately avoid the package's own algorithms: the resultant oracle
 expands a Sylvester determinant, the root oracle scans signs on a fine grid,
-the group-order oracle enumerates matrices directly over Z/m, and the dyadic
+the group-order oracle enumerates matrices directly over Z/m, the dyadic
 square oracle tries every residue in the Hensel box with FieldElement
-arithmetic, reading valuations off the Sylvester determinant. Slow and
-simple on purpose.
+arithmetic, reading valuations off the Sylvester determinant, the factor
+oracle is Kronecker's interpolation search, and the quartic automorphism
+oracle reads the Galois group off the resolvent cubic. Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -142,3 +145,107 @@ def dyadic_square_scan(field, block: list[int], e: int, f: int, w: Fraction) -> 
 
 def _ord2(n: int) -> int:
     return (n & -n).bit_length() - 1
+
+
+def _value(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _divides(g: list[Fraction], f: list[int]) -> bool:
+    rem = [Fraction(c) for c in f]
+    while len(rem) >= len(g):
+        c = rem[-1] / g[-1]
+        shift = len(rem) - len(g)
+        for j, y in enumerate(g):
+            rem[shift + j] -= c * y
+        rem.pop()
+    return not any(rem)
+
+
+def kronecker_factor(f: list[int], d: int) -> list[Fraction] | None:
+    """A factor of degree exactly d of the integer polynomial f, or None.
+
+    Kronecker's method: a factor g over Z divides f's value at every
+    integer, so g is the interpolant through some choice of divisors of f's
+    values at d + 1 integers where f does not vanish. Every choice is tried
+    (the points with the fewest divisors first), and a candidate counts when
+    it has integer coefficients, degree d, and divides f exactly.
+    Coefficients are constant term first.
+    """
+    candidates = sorted(
+        (x for x in range(-8, 9) if _value(f, x)), key=lambda x: len(_divisors(_value(f, x)))
+    )
+    points = candidates[: d + 1]
+    choices = []
+    for i, x in enumerate(points):
+        ds = _divisors(_value(f, x))
+        # g and -g are the same factor, so the first value stays positive
+        choices.append(ds if i == 0 else [s * t for t in ds for s in (1, -1)])
+    for combo in itertools.product(*choices):
+        # Lagrange interpolation through (points, combo)
+        g = [Fraction(0)] * (d + 1)
+        for i, (xi, yi) in enumerate(zip(points, combo)):
+            basis = [Fraction(1)]
+            denom = 1
+            for j, xj in enumerate(points):
+                if i != j:
+                    basis = [Fraction(0)] + basis
+                    for k in range(len(basis) - 1):
+                        basis[k] -= xj * basis[k + 1]
+                    denom *= xi - xj
+            for k, b in enumerate(basis):
+                g[k] += yi * b / denom
+        if g[-1] == 0 or any(c.denominator != 1 for c in g):
+            continue
+        if _divides(g, f):
+            return g
+    return None
+
+
+def _is_rational_square(q: Fraction) -> bool:
+    return q >= 0 and all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+
+def quartic_automorphism_count(a0: int, a1: int, a2: int, a3: int) -> int:
+    """#Aut of Q[x]/(f) for irreducible f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0,
+    from its Galois group.
+
+    The resolvent cubic R(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2),
+    with f = x^4 + a x^3 + b x^2 + c x + d, decides the group (Kappe & Warren
+    1989): R irreducible gives S4 or A4, where a root's stabilizer is its
+    own normalizer, so the count is 1; R with three rational roots gives V4,
+    count 4; R with exactly one rational root r gives C4 (count 4) when
+    x^2 - r x + d and x^2 + a x + (b - r) both split over Q(sqrt disc f),
+    and D4 (count 2) otherwise.
+    """
+    a, b, c, d = a3, a2, a1, a0
+    cubic = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+    bound = 1 + max(abs(k) for k in cubic)  # Cauchy: every root is below it
+    roots = [r for r in range(-bound, bound + 1) if _value(cubic, r) == 0]
+    if not roots:
+        return 1
+    if len(roots) == 3:
+        return 4
+    if len(roots) == 2:
+        raise ValueError("a double root of the resolvent means f is not squarefree")
+    r = roots[0]
+    disc = Fraction(
+        256 * d**3 - 192 * a * c * d**2 - 128 * b * b * d * d + 144 * b * c * c * d
+        - 27 * c**4 + 144 * a * a * b * d * d - 6 * a * a * c * c * d - 80 * a * b * b * c * d
+        + 18 * a * b * c**3 + 16 * b**4 * d - 4 * b**3 * c * c - 27 * a**4 * d * d
+        + 18 * a**3 * b * c * d - 4 * a**3 * c**3 - 4 * a * a * b**3 * d + a * a * b * b * c * c
+    )
+
+    def splits(p: int, q: int) -> bool:  # x^2 + p x + q over Q(sqrt disc)
+        delta = Fraction(p * p - 4 * q)
+        return _is_rational_square(delta) or _is_rational_square(delta * disc)
+
+    return 4 if splits(-r, d) and splits(a, b - r) else 2

@@ -44,10 +44,9 @@ class TestOptions:
         "finite-order": ["--family", "SL", "--size", "2", "--q", "2"],
     }
     READ = {
-        "paper-example": {"precision_cap", "out"},
+        "paper-example": {"out"},
         "search": {
             "budget",
-            "precision_cap",
             "out",
             "degree",
             "bound",
@@ -68,6 +67,11 @@ class TestOptions:
 
     def test_verify_rejects_precision_cap(self, capsys, tmp_path):
         assert main(["verify", "--precision-cap", "200", str(tmp_path / "cert.json")]) == 3
+
+    @pytest.mark.parametrize("command", ["paper-example", "search"])
+    def test_precision_cap_is_gone(self, capsys, command):
+        # automorphism counts are exact, so no command takes a precision cap
+        assert main([command, "--precision-cap", "200"]) == 3
 
     def test_search_rejects_height(self, capsys):
         assert main(["search", "--height", "3"]) == 3

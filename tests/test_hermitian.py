@@ -258,12 +258,6 @@ class TestSeedPair:
         with pytest.raises(InvalidInputError):
             seed_pair_check(pair, pair, (0, 1, 2))
 
-    def test_precision_cap_reaches_automorphism_count(self):
-        # automorphism_count rejects a cap this small, so the error shows
-        # that the caller's cap was used rather than the default
-        with pytest.raises(InvalidInputError):
-            seed_pair_check(H1, H2, TAU, unit_gens=UNIT_GENS, precision_cap_digits=5)
-
     def test_result_string_mentions_components(self):
         v = seed_pair_check(H1, H2, TAU, unit_gens=UNIT_GENS)
         assert "twist-match" in str(v)

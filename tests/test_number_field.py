@@ -5,21 +5,24 @@ independent facts (norm = resultant identities, classical Galois behavior of
 small fields, hand expansion of low-degree products).
 """
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latcert.errors import InconclusiveError, InvalidInputError
+from _oracles import quartic_automorphism_count
+from latcert import number_field
+from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
     GaloisClosure,
     NumberField,
     RealPlace,
     _automorphism_upper_bound,
-    _ladder_lower_bound,
     automorphism_count,
     is_rational_square,
 )
@@ -196,10 +199,11 @@ class TestAutomorphismCount:
         assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
 
     def test_generic_quartic_decided_without_numerics(self, monkeypatch):
-        def no_pslq(*args, **kwargs):
+        # the mod-l sieve alone settles it; the norm method is never reached
+        def no_norm(*args, **kwargs):
             raise AssertionError("the sieve should decide this field")
 
-        monkeypatch.setattr(mpmath, "pslq", no_pslq)
+        monkeypatch.setattr(number_field, "_shifted_norm", no_norm)
         assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
 
     def test_quartic_with_one_nontrivial_automorphism(self):
@@ -211,35 +215,33 @@ class TestAutomorphismCount:
         field = NumberField(Polynomial(coeffs))
         assert automorphism_count(field) == TOTALLY_REAL_QUARTICS_BOUND_3[coeffs]
 
-    def test_failed_relation_ignored_once_bounds_meet(self, monkeypatch):
-        # Every root outside the field gets a relation that fails exact
-        # verification (it claims the root is -1); the count is still
-        # exact, because the verified roots reach the sieve bound.
-        real_pslq = mpmath.pslq
-
-        def spurious_pslq(vector, **kwargs):
-            return real_pslq(vector, **kwargs) or [1, 1, 0, 0, 0]
-
-        monkeypatch.setattr(mpmath, "pslq", spurious_pslq)
-        assert automorphism_count(AUT2_QUARTIC) == 2
-
-    def test_failed_relation_below_bound_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(mpmath, "pslq", lambda vector, **kwargs: [1, 1, 0, 0, 0])
-        with pytest.raises(InconclusiveError):
-            automorphism_count(AUT2_QUARTIC)
-
     def test_galois_sextic(self):
         assert automorphism_count(NumberField(Polynomial(SEXTIC_COEFFS))) == 6
 
+    def test_totally_complex_quartic(self):
+        # Q(zeta_8) has no real place and is Galois with group V4
+        assert automorphism_count(NumberField(Polynomial((1, 0, 0, 0, 1)))) == 4
+
     @given(st.tuples(*[st.integers(-6, 6)] * 4))
     @settings(max_examples=25, deadline=None)
-    def test_sieve_bound_dominates_ladder(self, tail):
+    def test_sieve_bound_dominates_exact_count(self, tail):
         poly = Polynomial(tail + (1,))
         assume(is_irreducible(poly))
         field = NumberField(poly)
-        assume(field.real_place_count > 0)
-        verified, _ = _ladder_lower_bound(field, 60, field.degree)
-        assert 1 <= verified <= _automorphism_upper_bound(field)
+        assert 1 <= automorphism_count(field) <= _automorphism_upper_bound(field)
+
+    @given(
+        st.one_of(
+            st.tuples(*[st.integers(-6, 6)] * 4),
+            # x^4 + b x^2 + d reaches the D4, C4 and V4 cases often
+            st.tuples(st.integers(-12, 12), st.just(0), st.integers(-12, 12), st.just(0)),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_quartics_match_the_resolvent_cubic(self, tail):
+        poly = Polynomial(tail + (1,))
+        assume(is_irreducible(poly))
+        assert automorphism_count(NumberField(poly)) == quartic_automorphism_count(*tail)
 
 
 class TestCMExtension:
@@ -328,3 +330,11 @@ class TestGaloisClosure:
 
     def test_closure_is_galois_over_q(self):
         assert automorphism_count(self.CLOSURE_FIELD) == 6
+
+
+def test_import_loads_no_mpmath():
+    # the package under test, whatever sys.path pytest was given
+    src = str(Path(number_field.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import latcert; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import sign_scan_roots, sylvester_resultant
+from _oracles import kronecker_factor, sign_scan_roots, sylvester_resultant
 from latcert.errors import InvalidInputError
 from latcert.polynomials import (
     Interval,
@@ -25,6 +25,7 @@ from latcert.polynomials import (
     rational_roots,
     refine_interval,
     resultant,
+    squarefree_factors,
     squarefree_part,
     sturm_count,
 )
@@ -292,8 +293,16 @@ class TestIrreducibility:
 
     def test_quartic_that_factors_mod_every_prime(self):
         # x^4 - 10x^2 + 1 is irreducible over Q yet reducible mod every
-        # prime; only the Kronecker fallback can certify it.
+        # prime, so no prime proves it alone; the lifted factors must fail
+        # to recombine into a factor over Z.
         assert is_irreducible(Polynomial((1, 0, -10, 0, 1)))
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 4), (4, 0, 0, 0, 1)])
+    def test_reducible_quartics_without_rational_roots(self, coeffs):
+        # 4x^4 + 1 = (2x^2 + 2x + 1)(2x^2 - 2x + 1), x^4 + 4 likewise
+        p = Polynomial(coeffs)
+        assert rational_roots(p) == []
+        assert not is_irreducible(p)
 
     def test_frozen_reducible(self):
         assert not is_irreducible(Polynomial((-2, 0, 1)) * Polynomial((-3, 0, 1)))
@@ -317,3 +326,50 @@ class TestIrreducibility:
         if pa.degree() < 1 or pb.degree() < 1:
             return
         assert not is_irreducible(pa * pb)
+
+
+def _product(factors):
+    out = Polynomial((1,))
+    for g in factors:
+        out = out * Polynomial(g)
+    return out
+
+
+monic_tails = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+
+
+class TestSquarefreeFactors:
+    @given(st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.lists(monic_tails, min_size=1, max_size=3),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_kronecker_oracle(self, data):
+        if isinstance(data[0], list):
+            # a product of small monic factors, kept to degree <= 6
+            f = _product(tuple(t) + (1,) for t in data)
+        else:
+            f = Polynomial(tuple(data) + (1,))
+        if f.degree() > 6:
+            return
+        factors = squarefree_factors(f.int_coeffs())
+        if factors is None:
+            assert squarefree_part(f).degree() < f.degree()
+            return
+        assert _product(factors) == f
+        for g in factors:
+            assert g[-1] == 1
+            for d in range(1, (len(g) - 1) // 2 + 1):
+                assert kronecker_factor(list(g), d) is None
+
+    def test_frozen_factorization(self):
+        # x^4 - 10x^2 + 1 splits modulo every prime, so recombination finds it
+        f = _product([(-2, 0, 1), (-3, 0, 1), (1, 0, -10, 0, 1)])
+        assert squarefree_factors(f.int_coeffs()) == [(-3, 0, 1), (-2, 0, 1), (1, 0, -10, 0, 1)]
+
+    def test_repeated_factor_gives_none(self):
+        assert squarefree_factors(_product([(1, 1), (1, 1), (2, 0, 1)]).int_coeffs()) is None
+
+    def test_rejects_non_monic(self):
+        with pytest.raises(InvalidInputError):
+            squarefree_factors((1, 2))

@@ -87,13 +87,6 @@ class TestCandidates:
         with pytest.raises(BudgetExceededError):
             list(field_candidates(tiny))
 
-    def test_precision_cap_reaches_automorphism_filter(self):
-        # bound 2 admits totally real irreducible cubics, so the filter
-        # must consult automorphism_count, which rejects a tiny cap
-        cfg = SearchConfig(degree=3, coefficient_bound=2, precision_cap_digits=5)
-        with pytest.raises(InvalidInputError):
-            list(field_candidates(cfg))
-
     def test_good_odd_primes_avoid_disc(self):
         field = NumberField(Polynomial((1, -3, -1, 1)))
         delta = field.from_rational(-1)
