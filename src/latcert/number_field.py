@@ -249,6 +249,11 @@ class FieldElement:
         if self.is_zero():
             return 0
         g = self.as_polynomial()
+        den = math.lcm(*(c.denominator for c in self.coords))
+        if den > 1:
+            # A positive multiple has the same signs, and an integral one
+            # keeps the enclosures below in integers.
+            g = g * den
         while True:
             iv = self.field._root_intervals[j]
             if iv.is_point():

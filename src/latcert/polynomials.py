@@ -7,12 +7,24 @@ squarefree monic integer polynomials are factored over Z by Zassenhaus's
 algorithm (factor modulo a prime, Hensel-lift, recombine), which also
 decides irreducibility over Q. No floating point anywhere.
 
+The real-root layer (squarefree parts, gcds, rational roots, Sturm counts,
+isolation, refinement, interval enclosures) keeps its Fraction interface
+but runs on an integer core: int tuples, with content removed. Gcds and
+Sturm chains come from the primitive remainder sequence over Z (Collins
+1967; Brown & Traub 1971), built on a pseudo-remainder whose multiplier
+|lc|^(delta+1) is positive, and the sign of f at num/den comes from
+homogeneous Horner, den^n f(num/den) for den > 0. Every decision is a sign
+that does not change when the polynomial is scaled by a positive constant,
+so the isolating intervals are the same rationals as those of plain
+Fraction arithmetic.
+
 Coefficients are stored constant term first; the string form of
 x^3 - x^2 - 3x + 1 is "1,-3,-1,1".
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,22 +210,18 @@ class Polynomial:
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over Q (gcd with zero returns the monic other operand)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    g = Polynomial(_gcd(_integer_associate(a), _integer_associate(b)))
+    return g.monic() if not g.is_zero() else g
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with repeated roots collapsed: p / gcd(p, p').
-
-    The gcd is monic, so the result keeps p's leading sign.
+    """p with repeated roots collapsed: p / gcd(p, p') for the monic gcd,
+    so the result keeps p's leading coefficient.
     """
     if p.is_zero():
         raise InvalidInputError("squarefree part of zero is undefined")
-    if p.degree() < 1:
-        return p
-    g = polynomial_gcd(p, p.derivative())
-    return p // g
+    q = _squarefree(_integer_associate(p))
+    return Polynomial(q) * (p.leading_coefficient() / q[-1])
 
 
 def resultant(a: Polynomial, b: Polynomial) -> Fraction:
@@ -295,30 +303,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _sturm_chain(q: Polynomial) -> list[Polynomial]:
-    # q must be squarefree. Members are scaled to primitive integer form;
-    # positive scaling leaves every sign evaluation unchanged.
-    chain = [q.primitive_integer()]
-    d = q.derivative()
-    if not d.is_zero():
-        chain.append(d.primitive_integer())
-        while chain[-1].degree() > 0:
-            r = -(chain[-2] % chain[-1])
-            if r.is_zero():
-                break
-            chain.append(r.primitive_integer())
-    return chain
-
-
-def _sign_variations(chain: list[Polynomial], x: Fraction) -> int:
-    signs = []
-    for member in chain:
-        v = member(x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
 def sturm_count(p: Polynomial, interval: Interval) -> int:
     """Number of distinct real roots of p in the half-open (lo, hi].
 
@@ -331,17 +315,18 @@ def sturm_count(p: Polynomial, interval: Interval) -> int:
     lo, hi = interval.lo, interval.hi
     if lo == hi:
         return 0
-    q = squarefree_part(p)
+    a, b, d = _over_common_denominator(lo, hi)
+    q = _squarefree(_integer_associate(p))
     extra = 0
-    if q(lo) == 0:
-        q = q // Polynomial((-lo, 1))
-    if q(hi) == 0:
-        q = q // Polynomial((-hi, 1))
+    if _value(q, a, d) == 0:
+        q = _exact_div(q, (-lo.numerator, lo.denominator))
+    if _value(q, b, d) == 0:
+        q = _exact_div(q, (-hi.numerator, hi.denominator))
         extra = 1
-    if q.degree() < 1:
+    if len(q) < 2:
         return extra
     chain = _sturm_chain(q)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi) + extra
+    return _sign_variations(chain, a, d) - _sign_variations(chain, b, d) + extra
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -356,58 +341,16 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     """Sorted distinct rational roots of nonzero p, by exact testing."""
     if p.is_zero():
         raise InvalidInputError("rational roots of the zero polynomial")
-    q = squarefree_part(p).primitive_integer()
-    roots: set[Fraction] = set()
-    if q.degree() >= 1 and q(0) == 0:
-        roots.add(Fraction(0))
-        q = q // Polynomial.x()
-    if q.degree() >= 1:
-        ints = q.int_coeffs()
-        for num in divisors(ints[0]):
-            for den in divisors(ints[-1]):
-                if math.gcd(num, den) != 1:
-                    continue
-                cand = Fraction(num, den)
-                if q(cand) == 0:
-                    roots.add(cand)
-                if q(-cand) == 0:
-                    roots.add(-cand)
-    return sorted(roots)
-
-
-def _bisect_cells(q: Polynomial, chain: list[Polynomial], lo: Fraction, hi: Fraction) -> list[list[Fraction]]:
-    # q squarefree with no rational roots, so midpoints are never roots and
-    # every Sturm count on (lo, hi] is trustworthy with untouched endpoints.
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    out = []
-    stack = [(lo, hi, count(lo, hi))]
-    while stack:
-        a, b, c = stack.pop()
-        if c == 0:
-            continue
-        if c == 1:
-            out.append([a, b])
-            continue
-        m = (a + b) / 2
-        cl = count(a, m)
-        stack.append((a, m, cl))
-        stack.append((m, b, c - cl))
-    return out
+    roots = _rational_roots(_squarefree(_integer_associate(p)))
+    return sorted(Fraction(num, den) for num, den in roots)
 
 
 def _halve_toward_root(q: Polynomial, cell: list[Fraction]) -> None:
     # One bisection step keeping the sign change of q; q has exactly one
     # root strictly inside the cell and is nonzero at rational points.
-    a, b = cell
-    m = (a + b) / 2
-    qa, qm = q(a), q(m)
-    assert qm != 0, "midpoint cannot be a root: rational roots were deflated"
-    if (qa > 0) != (qm > 0):
-        cell[1] = m
-    else:
-        cell[0] = m
+    scaled = list(_over_common_denominator(*cell))
+    _halve(_integer_associate(q), scaled)
+    cell[:] = Fraction(scaled[0], scaled[2]), Fraction(scaled[1], scaled[2])
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
@@ -415,49 +358,55 @@ def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
 
     Rational roots come back as exact degenerate intervals; irrational
     roots get open-interior brackets with rational endpoints that are
-    never roots themselves. Sorted ascending.
+    never roots themselves. Sorted ascending. The irrational roots are
+    bracketed by bisecting Cauchy's interval (-B, B) of the squarefree part
+    with the rational roots divided out, so every bracket endpoint is B
+    times a dyadic rational.
+
+    >>> for iv in isolate_real_roots(Polynomial.from_string("1,-3,-1,1")):
+    ...     print(iv)
+    [-2, -1]
+    [0, 1]
+    [2, 4]
     """
     if p.is_zero():
         raise InvalidInputError("cannot isolate roots of the zero polynomial")
     if p.degree() < 1:
         return ()
-    q = squarefree_part(p)
-    rats = rational_roots(q)
+    q = _squarefree(_integer_associate(p))
+    rats = _rational_roots(q)
     reduced = q
-    for r in rats:
-        reduced = reduced // Polynomial((-r, 1))
+    for num, den in rats:
+        reduced = _exact_div(reduced, (-num, den))
 
-    cells: list[list[Fraction]] = []
-    if reduced.degree() >= 1:
-        bound = cauchy_root_bound(reduced)
-        chain = _sturm_chain(reduced)
-        cells = _bisect_cells(reduced, chain, -bound, bound)
+    cells: list[list[int]] = []
+    if len(reduced) > 1:
+        # Cauchy's bound B = bound / lead, as for cauchy_root_bound.
+        lead = abs(reduced[-1])
+        bound = lead + max(abs(c) for c in reduced[:-1])
+        cells = _bisect_cells(_sturm_chain(reduced), -bound, bound, lead)
         # Shrink each bracket until it traps no rational root of p; the
         # bracketed root is irrational, so bisection always separates.
         for cell in cells:
-            while any(cell[0] <= r <= cell[1] for r in rats):
-                _halve_toward_root(reduced, cell)
+            while any(cell[0] * den <= num * cell[2] <= cell[1] * den for num, den in rats):
+                _halve(reduced, cell)
 
-    items: list[Interval] = [Interval(r, r) for r in rats]
-    items.extend(Interval(a, b) for a, b in cells)
-    items.sort(key=lambda iv: (iv.lo, iv.hi))
-
+    items = [[num, num, den] for num, den in rats] + cells
+    items.sort(key=_ASCENDING)
     # Closed intervals must be pairwise disjoint; keep halving offenders.
     done = False
     while not done:
         done = True
         for i in range(len(items) - 1):
-            left, right = items[i], items[i + 1]
-            if left.hi >= right.lo:
+            (a, b, d), (a2, b2, d2) = items[i], items[i + 1]
+            if b * d2 >= a2 * d:
                 done = False
-                target = i if left.width >= right.width else i + 1
-                if items[target].is_point():
+                target = i if (b - a) * d2 >= (b2 - a2) * d else i + 1
+                if items[target][0] == items[target][1]:
                     target = i + 1 if target == i else i
-                cell = [items[target].lo, items[target].hi]
-                _halve_toward_root(reduced, cell)
-                items[target] = Interval(cell[0], cell[1])
-        items.sort(key=lambda iv: (iv.lo, iv.hi))
-    return tuple(items)
+                _halve(reduced, items[target])
+        items.sort(key=_ASCENDING)
+    return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in items)
 
 
 def refine_interval(p: Polynomial, interval: Interval, width: Scalar) -> Interval:
@@ -475,39 +424,214 @@ def refine_interval(p: Polynomial, interval: Interval, width: Scalar) -> Interva
         if p(interval.lo) != 0:
             raise InvalidInputError("degenerate interval is not a root")
         return interval
-    q = squarefree_part(p)
-    lo, hi = interval.lo, interval.hi
-    qlo, qhi = q(lo), q(hi)
+    q = _squarefree(_integer_associate(p))
+    lo, hi, d = _over_common_denominator(interval.lo, interval.hi)
+    qlo, qhi = _value(q, lo, d), _value(q, hi, d)
     if qlo == 0:
-        return Interval(lo, lo)
+        return Interval(interval.lo, interval.lo)
     if qhi == 0:
-        return Interval(hi, hi)
+        return Interval(interval.hi, interval.hi)
     if (qlo > 0) == (qhi > 0):
         raise InvalidInputError("interval does not bracket a sign change of the squarefree part")
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        qm = q(m)
+    while (hi - lo) * width.denominator > width.numerator * d:
+        m, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+        qm = _value(q, m, d)
         if qm == 0:
-            return Interval(m, m)
+            return Interval(Fraction(m, d), Fraction(m, d))
         if (qlo > 0) != (qm > 0):
             hi = m
         else:
             lo, qlo = m, qm
-    return Interval(lo, hi)
+    return Interval(Fraction(lo, d), Fraction(hi, d))
 
 
 def interval_value_range(p: Polynomial, interval: Interval) -> tuple[Fraction, Fraction]:
-    """Exact interval-arithmetic enclosure of p over a closed interval."""
-    lo = hi = Fraction(0)
+    """Exact interval-arithmetic enclosure of p over a closed interval.
+
+    Horner's scheme on intervals: (lo, hi) <- (min, max) of the products
+    of (lo, hi) with the endpoints, plus the next coefficient. It runs on
+    integers: with the endpoints l/e and h/e and D the common denominator of
+    the coefficients, the pair after k coefficients is kept times D e^k, a
+    positive constant, which keeps every min and max.
+    """
+    l, h, e = _over_common_denominator(interval.lo, interval.hi)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    lo = hi = 0
+    scale = den
     for c in reversed(p.coeffs):
-        products = (
-            lo * interval.lo,
-            lo * interval.hi,
-            hi * interval.lo,
-            hi * interval.hi,
-        )
-        lo, hi = min(products) + c, max(products) + c
-    return lo, hi
+        scale *= e
+        products = (lo * l, lo * h, hi * l, hi * h)
+        term = c.numerator * (scale // c.denominator)
+        lo, hi = min(products) + term, max(products) + term
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+# Integer core. Polynomials are int tuples, constant term first, as in
+# `modular`; the Fraction functions above hand it a primitive integer
+# associate. Every decision it makes is a sign, and the associate is a
+# positive multiple of the rational input, so the answers are the ones an
+# exact Fraction computation gives. A rational point is a pair (num, den)
+# with den > 0, and a cell [a, b, d] is the interval [a/d, b/d].
+
+
+def _integer_associate(p: Polynomial) -> tuple[int, ...]:
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive(tuple(c.numerator * (den // c.denominator) for c in p.coeffs))
+
+
+def _primitive(f: tuple[int, ...]) -> tuple[int, ...]:
+    """f over its content; the content is positive, so signs are kept."""
+    g = math.gcd(*f)
+    return f if g <= 1 else tuple(c // g for c in f)
+
+
+def _derivative(f: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(f) if i)
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Pseudo-remainder |lc(b)|^(deg a - deg b + 1) a mod b: a positive
+    multiple of the remainder over Q."""
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if lead != 1:
+            r = [x * lead for x in r]
+        if c:
+            for j in range(n):
+                r[top - n + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
+
+
+def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for a primitive divisor b of a; the quotient is integral by
+    Gauss's lemma, so every step divides exactly."""
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    quot = [0] * (len(a) - n)
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r.pop() // lead
+        quot[top - n] = c
+        if c:
+            for j in range(n):
+                r[top - n + j] -= c * b[j]
+    assert not any(r), "exact division left a remainder"
+    return tuple(quot)
+
+
+def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd with positive leading coefficient of primitive a, b,
+    by the primitive remainder sequence (Collins 1967; Brown & Traub 1971)."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a if not a or a[-1] > 0 else tuple(-c for c in a)
+
+
+def _squarefree(f: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive squarefree part f / gcd(f, f'), with f's leading sign."""
+    if len(f) < 3:
+        return f
+    g = _gcd(f, _primitive(_derivative(f)))
+    return f if len(g) == 1 else _exact_div(f, g)
+
+
+def _sturm_chain(q: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # q squarefree of degree >= 1; each member is the negated remainder of
+    # the two before it, scaled to primitive form by a positive constant.
+    chain = [q, _primitive(_derivative(q))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive(tuple(-c for c in r)))
+    return chain
+
+
+def _value(f: tuple[int, ...], num: int, den: int) -> int:
+    """den^deg(f) f(num/den) by homogeneous Horner; for den > 0 it has the
+    sign of f(num/den)."""
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _sign_variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
+    count, last = 0, 0
+    for member in chain:
+        v = _value(member, num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _bisect_cells(chain: list[tuple[int, ...]], lo: int, hi: int, den: int) -> list[list[int]]:
+    # chain[0] is squarefree with no rational roots, so midpoints are never
+    # roots and every Sturm count on (a, b] is trustworthy with untouched
+    # endpoints. The count of a cell is V(a) - V(b).
+    out = []
+    stack = [(lo, hi, den, _sign_variations(chain, lo, den), _sign_variations(chain, hi, den))]
+    while stack:
+        a, b, d, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if va - vb == 1:
+            out.append([a, b, d])
+            continue
+        m = a + b
+        vm = _sign_variations(chain, m, 2 * d)
+        stack.append((2 * a, m, 2 * d, va, vm))
+        stack.append((m, 2 * b, 2 * d, vm, vb))
+    return out
+
+
+def _halve(q: tuple[int, ...], cell: list[int]) -> None:
+    # Replace the cell [a/d, b/d] by the half where q changes sign; q is
+    # nonzero at the midpoint (a + b) / 2d.
+    a, b, d = cell
+    m = a + b
+    qa, qm = _value(q, a, d), _value(q, m, 2 * d)
+    assert qm != 0, "midpoint cannot be a root: rational roots were deflated"
+    cell[:] = (2 * a, m, 2 * d) if (qa > 0) != (qm > 0) else (m, 2 * b, 2 * d)
+
+
+def _rational_roots(q: tuple[int, ...]) -> list[tuple[int, int]]:
+    # Roots (num, den) of a squarefree integer polynomial: num divides the
+    # constant term and den the leading coefficient (the rational root test).
+    roots = []
+    if len(q) > 1 and q[0] == 0:
+        roots.append((0, 1))
+        q = q[1:]
+    if len(q) > 1:
+        for num in divisors(q[0]):
+            for den in divisors(q[-1]):
+                if math.gcd(num, den) == 1:
+                    roots += [(x, den) for x in (num, -num) if _value(q, x, den) == 0]
+    return roots
+
+
+def _over_common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
+def _ascending(x: list[int], y: list[int]) -> int:
+    # Order cells [a, b, d] by (a/d, b/d).
+    lhs, rhs = x[0] * y[2], y[0] * x[2]
+    if lhs == rhs:
+        lhs, rhs = x[1] * y[2], y[1] * x[2]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+_ASCENDING = functools.cmp_to_key(_ascending)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +679,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             # Squarefree modulo one prime proves f squarefree over Q; until
             # such a prime turns up, settle it once by an exact gcd.
             if not squarefree:
-                fq = Polynomial(f)
-                if polynomial_gcd(fq, fq.derivative()).degree() > 0:
+                if len(_gcd(f, _primitive(_derivative(f)))) > 1:
                     return None
                 squarefree = True
             continue

@@ -22,7 +22,7 @@ from .hermitian import PASS, HermitianForm, global_invariant, signature_pattern
 from .intfactor import is_prime
 from .local import hilbert_product_check
 from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
-from .polynomials import Polynomial, is_irreducible, isolate_real_roots
+from .polynomials import Polynomial
 from .runner import build_certificate
 
 
@@ -66,11 +66,14 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
             f"scanning {total} polynomials exceeds the budget of {cfg.enumeration_budget}"
         )
     for poly in candidate_polynomials(cfg.degree, cfg.coefficient_bound):
-        if not is_irreducible(poly):
+        try:
+            # The candidates are monic and integral of degree >= 2, so a
+            # reducible polynomial is the only one refused here.
+            field = NumberField(poly)
+        except InvalidInputError:
             continue
-        if len(isolate_real_roots(poly)) != cfg.degree:
+        if not field.is_totally_real():
             continue
-        field = NumberField(poly)
         if automorphism_count(field) != 1:
             continue
         yield field

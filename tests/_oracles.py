@@ -6,8 +6,9 @@ the group-order oracle enumerates matrices directly over Z/m, the dyadic
 square oracle tries every residue in the Hensel box with FieldElement
 arithmetic, reading valuations off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
-oracle reads the Galois group off the resolvent cubic. Slow and simple on
-purpose.
+oracle reads the Galois group off the resolvent cubic. The root isolation
+and interval enclosure oracles are the package's former Fraction
+implementations, on plain coefficient lists. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -249,3 +250,140 @@ def quartic_automorphism_count(a0: int, a1: int, a2: int, a3: int) -> int:
         return _is_rational_square(delta) or _is_rational_square(delta * disc)
 
     return 4 if splits(-r, d) and splits(a, b - r) else 2
+
+
+# -- the former Fraction real-root layer -------------------------------------
+# Coefficient lists of Fractions, constant term first, no trailing zeros.
+
+
+def _trim(a) -> list[Fraction]:
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return _trim(quot), _trim(rem)
+
+
+def _primitive_integer(a: list[Fraction]) -> list[Fraction]:
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints)
+    return [Fraction(c, g) for c in ints]
+
+
+def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
+    # p / gcd(p, p') for the monic gcd, by Euclid over Q
+    if len(p) < 2:
+        return p
+    a, b = p, _trim(i * c for i, c in enumerate(p) if i)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _divmod(p, [c / a[-1] for c in a])[0]
+
+
+def _sturm_chain(q: list[Fraction]) -> list[list[Fraction]]:
+    chain = [_primitive_integer(q), _primitive_integer(_trim(i * c for i, c in enumerate(q) if i))]
+    while len(chain[-1]) > 1:
+        r = _divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(_primitive_integer([-c for c in r]))
+    return chain
+
+
+def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_value(member, x) for member in chain) if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _halve_toward_root(q: list[Fraction], cell: list[Fraction]) -> None:
+    a, b = cell
+    m = (a + b) / 2
+    qa, qm = _value(q, a), _value(q, m)
+    assert qm != 0
+    if (qa > 0) != (qm > 0):
+        cell[1] = m
+    else:
+        cell[0] = m
+
+
+def fraction_rational_roots(p: list[Fraction]) -> list[Fraction]:
+    """Sorted distinct rational roots of a nonzero polynomial, by testing
+    every +-(divisor of the constant)/(divisor of the leading coefficient)
+    on the primitive squarefree part."""
+    q = _primitive_integer(_squarefree_part(_trim(p)))
+    roots = set()
+    if len(q) > 1 and q[0] == 0:
+        roots.add(Fraction(0))
+        q = _divmod(q, [Fraction(0), Fraction(1)])[0]
+    if len(q) > 1:
+        for num in _divisors(int(q[0])):
+            for den in _divisors(int(q[-1])):
+                if math.gcd(num, den) == 1:
+                    roots |= {x for x in (Fraction(num, den), Fraction(-num, den)) if _value(q, x) == 0}
+    return sorted(roots)
+
+
+def fraction_isolate_real_roots(p: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi), ascending, by the Fraction algorithm the
+    package used before its integer core: rational roots become points; the
+    rest are bracketed by bisecting Cauchy's interval with Sturm counts of
+    the squarefree part with the rational roots divided out, then halved
+    until no two closed intervals meet."""
+    q = _squarefree_part(_trim(p))
+    if len(q) < 2:
+        return []
+    rats = fraction_rational_roots(q)
+    reduced = q
+    for r in rats:
+        reduced = _divmod(reduced, [-r, Fraction(1)])[0]
+    cells = []
+    if len(reduced) > 1:
+        bound = 1 + max(abs(c) / abs(reduced[-1]) for c in reduced[:-1])
+        chain = _sturm_chain(reduced)
+        stack = [(-bound, bound)]
+        while stack:
+            a, b = stack.pop()
+            count = _variations(chain, a) - _variations(chain, b)
+            if count == 1:
+                cells.append([a, b])
+            elif count > 1:
+                m = (a + b) / 2
+                stack += [(a, m), (m, b)]
+        for cell in cells:
+            while any(cell[0] <= r <= cell[1] for r in rats):
+                _halve_toward_root(reduced, cell)
+    items = sorted([[r, r] for r in rats] + cells)
+    done = False
+    while not done:
+        done = True
+        for i in range(len(items) - 1):
+            left, right = items[i], items[i + 1]
+            if left[1] >= right[0]:
+                done = False
+                wide = left[1] - left[0] >= right[1] - right[0]
+                target = i if wide else i + 1
+                if items[target][0] == items[target][1]:
+                    target = 2 * i + 1 - target
+                _halve_toward_root(reduced, items[target])
+        items.sort()
+    return [(a, b) for a, b in items]
+
+
+def fraction_value_range(p: list[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Interval Horner enclosure of the polynomial over [lo, hi]."""
+    vlo = vhi = Fraction(0)
+    for c in reversed(_trim(p)):
+        products = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(products) + c, max(products) + c
+    return vlo, vhi

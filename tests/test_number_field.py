@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import quartic_automorphism_count
+from _oracles import fraction_value_range, quartic_automorphism_count
 from latcert import number_field
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
@@ -111,6 +111,28 @@ class TestRealPlaces:
 
     def test_zero_sign(self):
         assert CUBIC.zero().signs() == (0, 0, 0)
+
+    def test_intervals_after_signs_are_pinned(self):
+        # Certificates record the intervals as sign evaluations left them.
+        field = NumberField(Polynomial((2, -3, -3, 2, 1)))
+        assert field.generator().signs() == (-1, -1, 1, 1)
+        assert [(iv.lo, iv.hi) for iv in field.real_place_intervals()] == [
+            (-3, Fraction(-5, 2)),
+            (-2, -1),
+            (Fraction(1, 2), Fraction(3, 4)),
+            (1, Fraction(3, 2)),
+        ]
+
+    def test_sign_of_element_with_fractional_coordinates(self):
+        field = NumberField(Polynomial((1, -3, -1, 1)))
+        coords = [Fraction(1, 3), Fraction(-1, 2), Fraction(0)]
+        u = field.element(coords)
+        assert u.signs() == (1, 1, -1)
+        ivs = field.real_place_intervals()
+        assert [(iv.lo, iv.hi) for iv in ivs] == [(-2, -1), (0, Fraction(1, 2)), (2, 4)]
+        for sign, iv in zip(u.signs(), ivs):
+            lo, hi = fraction_value_range(coords, iv.lo, iv.hi)
+            assert (lo > 0) if sign > 0 else (hi < 0)
 
 
 class TestArithmetic:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import kronecker_factor, sign_scan_roots, sylvester_resultant
+from _oracles import (
+    fraction_isolate_real_roots,
+    fraction_rational_roots,
+    fraction_value_range,
+    kronecker_factor,
+    sign_scan_roots,
+    sylvester_resultant,
+)
 from latcert.errors import InvalidInputError
 from latcert.polynomials import (
     Interval,
@@ -223,6 +230,102 @@ class TestIsolation:
                 assert p(iv.lo) == 0
             else:
                 assert p(iv.lo) != 0 and p(iv.hi) != 0
+
+
+def _endpoints(intervals):
+    return [(iv.lo, iv.hi) for iv in intervals]
+
+
+@st.composite
+def real_root_inputs(draw):
+    """Degree 1-7: rational, non-monic coefficients, or a product of rational
+    linear and integer quadratic factors, some of them repeated."""
+    if draw(st.booleans()):
+        lead = draw(small_fractions.filter(bool))
+        tail = draw(st.lists(small_fractions, min_size=1, max_size=7))
+        return Polynomial(tail + [lead])
+    p = Polynomial((draw(st.sampled_from((1, -1, 2, -3, Fraction(5, 2)))),))
+    linear = st.tuples(st.fractions(-4, 4, max_denominator=3), st.integers(1, 3))
+    quadratic = st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(1, 2))
+    factors = st.tuples(st.one_of(linear, quadratic), st.integers(1, 2))
+    for factor, k in draw(st.lists(factors, min_size=1, max_size=4)):
+        q = p * Polynomial(factor) ** k
+        if q.degree() <= 7:
+            p = q
+    return p
+
+
+class TestAgainstFractionOracle:
+    # The integer core must reproduce the Fraction algorithm exactly: the
+    # same endpoints and the same enclosures, not merely valid ones.
+
+    @given(real_root_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_isolation_endpoints_match(self, p):
+        assert _endpoints(isolate_real_roots(p)) == fraction_isolate_real_roots(list(p.coeffs))
+        assert rational_roots(p) == fraction_rational_roots(list(p.coeffs))
+
+    @given(
+        real_root_inputs(),
+        st.fractions(-6, 6, max_denominator=40),
+        st.fractions(0, 3, max_denominator=64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_enclosure_matches(self, p, lo, width):
+        iv = Interval(lo, lo + width)
+        assert interval_value_range(p, iv) == fraction_value_range(list(p.coeffs), iv.lo, iv.hi)
+
+    def test_abnormal_sturm_chains(self):
+        # x^4 + bx + c: the remainder of p by p' drops to degree 1, so the
+        # next pseudo-remainder has an odd power of a leading coefficient
+        # that is negative for b > 0.
+        for b in range(-3, 4):
+            for c in range(-3, 4):
+                p = Polynomial((c, b, 0, 0, 1))
+                assert _endpoints(isolate_real_roots(p)) == fraction_isolate_real_roots(list(p.coeffs))
+        assert sturm_count(Polynomial((-1, 1, 0, 0, 1)), Interval(-3, 3)) == 2
+
+    def test_enclosure_of_zero_and_constants(self):
+        iv = Interval(Fraction(-1, 3), Fraction(1, 2))
+        assert interval_value_range(Polynomial(), iv) == (0, 0)
+        assert interval_value_range(Polynomial((Fraction(-7, 4),)), iv) == (Fraction(-7, 4),) * 2
+
+
+class TestCanonicalIntervals:
+    # Exact endpoints of the canonical isolation, as recorded in
+    # certificates' place intervals; they must never move.
+
+    def test_cubic(self):
+        assert _endpoints(isolate_real_roots(P_CUBIC)) == [(-2, -1), (0, 1), (2, 4)]
+
+    def test_sextic(self):
+        F = Fraction
+        assert _endpoints(isolate_real_roots(Q_SEXTIC)) == [
+            (F(-149, 32), F(-149, 64)),
+            (F(-1937, 1024), F(-7599, 4096)),
+            (F(-3725, 2048), F(-447, 256)),
+            (F(7301, 4096), F(3725, 2048)),
+            (F(7599, 4096), F(1937, 1024)),
+            (F(149, 64), F(149, 32)),
+        ]
+
+    def test_rational_and_irrational_roots(self):
+        p = Polynomial((-1, 0, 1)) * Polynomial((-2, 0, 1))  # (x^2-1)(x^2-2)
+        assert _endpoints(isolate_real_roots(p)) == [
+            (Fraction(-3, 2), Fraction(-9, 8)),
+            (-1, -1),
+            (1, 1),
+            (Fraction(9, 8), Fraction(3, 2)),
+        ]
+
+    def test_non_monic_with_fractional_cauchy_bound(self):
+        p = Polynomial((1, -5, 0, 3))  # 3x^3 - 5x + 1, Cauchy bound 8/3
+        assert cauchy_root_bound(p) == Fraction(8, 3)
+        assert _endpoints(isolate_real_roots(p)) == [
+            (Fraction(-8, 3), Fraction(-4, 3)),
+            (0, Fraction(1, 3)),
+            (Fraction(2, 3), Fraction(4, 3)),
+        ]
 
 
 class TestRefinement:
