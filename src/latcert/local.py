@@ -12,10 +12,11 @@ the lifted block: ord_l Res(P_v, z) = f * v(z) for l-integral z. When l has a
 single place the block is p itself and everything is exact outright.
 
 Every block is monic with integer coefficients, so Res(P_v, z) is the
-determinant of multiplication by z on Z[x]/(P_v), an integer matrix, taken
-by fraction-free (Bareiss) elimination. Elements enter as cleared-denominator
-integer coordinate tuples; no rational arithmetic sits between a place's
-representatives and their norm orders.
+determinant of multiplication by z on Z[x]/(P_v), an integer matrix; it is
+resultant_int, borrowed with the other integer helpers from the integer core
+of polynomials, which takes it by fraction-free (Bareiss) elimination.
+Elements enter as cleared-denominator integer coordinate tuples; no rational
+arithmetic sits between a place's representatives and their norm orders.
 
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
@@ -48,6 +49,7 @@ from .number_field import (
     NumberField,
     RealPlace,
 )
+from .polynomials import _poly_mul, _reduce_monic, resultant_int
 
 _MAX_LIFT_PRECISION = 8192
 _DYADIC_ENUMERATION_CAP = 2_000_000
@@ -162,74 +164,6 @@ def _block_resultant(place: FinitePlace, z: tuple[int, ...], precision: int) -> 
         )
         _BLOCK_CACHE[key] = blocks
     return resultant_int(blocks[place.index], z), False
-
-
-def resultant_int(p: tuple[int, ...], z: tuple[int, ...]) -> int:
-    """Res(P, z) for monic integer P of degree n >= 1 and any integer z.
-
-    This is the determinant of multiplication by z on Z[x]/(P), whose column
-    k is z * x^k mod P, taken by Bareiss elimination; like
-    polynomials.resultant it equals the product of z over the roots of P,
-    and Res(P, 0) = 0.  Coefficient tuples are constant term first.
-    """
-    n = len(p) - 1
-    if n < 1 or p[-1] != 1:
-        raise InvalidInputError("resultant_int needs a monic modulus of degree >= 1")
-    column = _reduce_monic(z, p)
-    columns = [column]
-    for _ in range(n - 1):
-        top = column[-1]
-        column = [0] + column[:-1]
-        if top:
-            column = [c - top * q for c, q in zip(column, p)]
-        columns.append(column)
-    return _bareiss_det(columns)
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    # Fraction-free Gaussian elimination (Bareiss 1968): after step k every
-    # entry is a (k+1)-minor, so each division by the previous pivot is exact.
-    n = len(rows)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[-1][-1]
-
-
-def _reduce_monic(a, p: tuple[int, ...]) -> list[int]:
-    """a mod the monic integer polynomial p, as exactly deg p integers."""
-    n = len(p) - 1
-    r = list(a) + [0] * (n - len(a))
-    for k in range(len(r) - 1, n - 1, -1):
-        c = r[k]
-        if c:
-            for i in range(n):
-                r[k - n + i] -= c * p[i]
-    return r[:n]
-
-
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _norm_ord_and_unit(place: FinitePlace, z: tuple[int, ...], unit_mod: int) -> tuple[int, int]:

@@ -27,10 +27,13 @@ from .polynomials import (
     Interval,
     Polynomial,
     _halve_toward_root,
+    _poly_mul,
+    discriminant,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
     resultant,
+    resultant_int,
     squarefree_factors,
 )
 
@@ -82,8 +85,6 @@ class NumberField:
 
     @cached_property
     def discriminant(self) -> Fraction:
-        from .polynomials import discriminant
-
         return discriminant(self.min_poly)
 
     @cached_property
@@ -347,26 +348,26 @@ def _shifted_norm(p: tuple[int, ...], s: int) -> tuple[int, ...]:
     N_s is monic of degree n^2, with roots alpha_j + s*alpha_i over all
     pairs of roots of p, so N_s(x) - x^(n^2) is interpolated exactly from
     the integer values N_s(x0) = Res(p, p(x0 - s*y)) at x0 = 0, ..., n^2 - 1
-    (Newton's forward differences).
+    (Newton's forward differences; the k-th difference of an integer
+    polynomial at consecutive integers is divisible by k!).
     """
-    from .local import resultant_int  # local imports this module
-
     size = (len(p) - 1) ** 2
     values = []
     for x0 in range(size):
-        z = Polynomial()
-        for c in reversed(p):
-            z = z * Polynomial((x0, -s)) + Polynomial((c,))
-        values.append(resultant_int(p, z.int_coeffs()) - x0**size)
+        z = [p[-1]]
+        for c in reversed(p[:-1]):
+            z = _poly_mul(z, (x0, -s))
+            z[0] += c
+        values.append(resultant_int(p, z) - x0**size)
     newton = []
     for k in range(size):
-        newton.append(Fraction(values[0], math.factorial(k)))
+        newton.append(values[0] // math.factorial(k))
         values = [b - a for a, b in zip(values, values[1:])]
-    rest = Polynomial()
-    for k in reversed(range(size)):
-        rest = rest * Polynomial((-k, 1)) + Polynomial((newton[k],))
-    low = rest.int_coeffs()
-    return low + (0,) * (size - len(low)) + (1,)
+    low = [newton[-1]]
+    for k in reversed(range(size - 1)):
+        low = _poly_mul(low, (-k, 1))
+        low[0] += newton[k]
+    return tuple(low) + (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,22 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Everything here is exact and deterministic: resultants and discriminants
-come from a sign-tracked Euclidean remainder sequence over Q, real roots
-are isolated with Sturm counts plus exact extraction of rational roots, and
-squarefree monic integer polynomials are factored over Z by Zassenhaus's
-algorithm (factor modulo a prime, Hensel-lift, recombine), which also
-decides irreducibility over Q. No floating point anywhere.
+are Bareiss determinants on the integer core, real roots are isolated with
+Sturm counts plus exact extraction of rational roots, and squarefree monic
+integer polynomials are factored over Z by Zassenhaus's algorithm (factor
+modulo a prime, Hensel-lift, recombine), which also decides irreducibility
+over Q. No floating point anywhere.
 
-The real-root layer (squarefree parts, gcds, rational roots, Sturm counts,
-isolation, refinement, interval enclosures) keeps its Fraction interface
-but runs on an integer core: int tuples, with content removed. Gcds and
-Sturm chains come from the primitive remainder sequence over Z (Collins
-1967; Brown & Traub 1971), built on a pseudo-remainder whose multiplier
-|lc|^(delta+1) is positive, and the sign of f at num/den comes from
-homogeneous Horner, den^n f(num/den) for den > 0. Every decision is a sign
-that does not change when the polynomial is scaled by a positive constant,
-so the isolating intervals are the same rationals as those of plain
-Fraction arithmetic.
+The Fraction functions keep their interface but run on an integer core:
+int tuples, with content removed. Gcds and Sturm chains come from the
+primitive remainder sequence over Z (Collins 1967; Brown & Traub 1971),
+built on a pseudo-remainder whose multiplier |lc|^(delta+1) is positive,
+and the sign of f at num/den comes from homogeneous Horner, den^n f(num/den)
+for den > 0. Every real-root decision is a sign that does not change when
+the polynomial is scaled by a positive constant, so the isolating intervals
+are the same rationals as those of plain Fraction arithmetic. Res(P, z)
+for monic P is the determinant of multiplication by z on Z[x]/(P), taken by
+fraction-free elimination (Bareiss 1968).
 
 Coefficients are stored constant term first; the string form of
 x^3 - x^2 - 3x + 1 is "1,-3,-1,1".
@@ -75,10 +75,6 @@ class Polynomial:
         if not self.coeffs:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
 
     # -- basic queries -----------------------------------------------------
 
@@ -189,15 +185,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def primitive_integer(self) -> "Polynomial":
-        """Integer-coefficient associate with content 1, leading sign kept."""
-        if self.is_zero():
-            return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return Polynomial(tuple(Fraction(c, g) for c in ints))
-
     def int_coeffs(self) -> tuple[int, ...]:
         """Coefficients as plain ints; error if any is fractional."""
         out = []
@@ -225,36 +212,32 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 
 def resultant(a: Polynomial, b: Polynomial) -> Fraction:
-    """Resultant via a sign-carrying Euclidean remainder sequence.
+    """Resultant Res(a, b) = lc(a)^deg b times the product of b over the
+    roots of a.
 
     Res(a, b) = lc(b)^deg a when b is a nonzero constant; zero when the
     inputs share a root; Res(f, 0) = 0 by convention here (both zero is an
-    error).
+    error). The integer associates f and g of a and b carry the rational
+    scale; with A = lc(f), Res(f, g) is resultant_int of the monic
+    transform A^(m-1) f(x/A) and A^n g(x/A), over A^(n(m-1)).
 
     >>> resultant(Polynomial((-2, 1)), Polynomial((-3, 1)))
     Fraction(-1, 1)
+    >>> resultant(Polynomial((-1, 2)), Polynomial((1, 0, 1)))
+    Fraction(5, 1)
     """
     if a.is_zero() and b.is_zero():
         raise InvalidInputError("resultant of zero with zero")
     if a.is_zero() or b.is_zero():
         return Fraction(0)
-    acc = Fraction(1)
-    while True:
-        m, n = a.degree(), b.degree()
-        if n == 0:
-            return acc * b.leading_coefficient() ** m
-        if m < n:
-            if m & n & 1:
-                acc = -acc
-            a, b = b, a
-            continue
-        r = a % b
-        if r.is_zero():
-            return Fraction(0)
-        acc *= b.leading_coefficient() ** (m - r.degree())
-        if m & n & 1:
-            acc = -acc
-        a, b = b, r
+    f, g = _integer_associate(a), _integer_associate(b)
+    m, n = len(f) - 1, len(g) - 1
+    scale = (a.leading_coefficient() / f[-1]) ** n * (b.leading_coefficient() / g[-1]) ** m
+    if m == 0:
+        return scale * f[0] ** n
+    lead = f[-1]
+    moved = tuple(c * lead ** (n - k) for k, c in enumerate(g))
+    return scale * Fraction(resultant_int(_monic_transform(f), moved), lead ** (n * (m - 1)))
 
 
 def discriminant(p: Polynomial) -> Fraction:
@@ -291,10 +274,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -468,10 +447,11 @@ def interval_value_range(p: Polynomial, interval: Interval) -> tuple[Fraction, F
 
 # Integer core. Polynomials are int tuples, constant term first, as in
 # `modular`; the Fraction functions above hand it a primitive integer
-# associate. Every decision it makes is a sign, and the associate is a
+# associate. Every root decision it makes is a sign, and the associate is a
 # positive multiple of the rational input, so the answers are the ones an
-# exact Fraction computation gives. A rational point is a pair (num, den)
-# with den > 0, and a cell [a, b, d] is the interval [a/d, b/d].
+# exact Fraction computation gives; `resultant` scales its value back
+# exactly. A rational point is a pair (num, den) with den > 0, and a cell
+# [a, b, d] is the interval [a/d, b/d].
 
 
 def _integer_associate(p: Polynomial) -> tuple[int, ...]:
@@ -487,6 +467,80 @@ def _primitive(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def _derivative(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(f) if i)
+
+
+def _monic_transform(f: tuple[int, ...]) -> tuple[int, ...]:
+    """a^(n-1) f(x/a) for f of degree n >= 1 and leading coefficient a: a
+    monic integer polynomial whose roots are a times those of f."""
+    lead, n = f[-1], len(f) - 1
+    return tuple(c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])) + (1,)
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _reduce_monic(a, p: tuple[int, ...]) -> list[int]:
+    """a mod the monic integer polynomial p, as exactly deg p integers."""
+    n = len(p) - 1
+    r = list(a) + [0] * (n - len(a))
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            for i in range(n):
+                r[k - n + i] -= c * p[i]
+    return r[:n]
+
+
+def resultant_int(p: tuple[int, ...], z: tuple[int, ...]) -> int:
+    """Res(P, z) for monic integer P of degree n >= 1 and any integer z.
+
+    This is the determinant of multiplication by z on Z[x]/(P), whose column
+    k is z * x^k mod P, taken by Bareiss elimination; it equals the product
+    of z over the roots of P, and Res(P, 0) = 0.
+    """
+    n = len(p) - 1
+    if n < 1 or p[-1] != 1:
+        raise InvalidInputError("resultant_int needs a monic modulus of degree >= 1")
+    column = _reduce_monic(z, p)
+    columns = [column]
+    for _ in range(n - 1):
+        top = column[-1]
+        column = [0] + column[:-1]
+        if top:
+            column = [c - top * q for c, q in zip(column, p)]
+        columns.append(column)
+    return _bareiss_det(columns)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    # Fraction-free Gaussian elimination (Bareiss 1968): after step k every
+    # entry is a (k+1)-minor, so each division by the previous pivot is exact.
+    n = len(rows)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1]
 
 
 def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -706,10 +760,9 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             for i in subset:
                 g = modular.mul(g, lifted[i], modulus)
             g = tuple(c - modulus if 2 * c > modulus else c for c in g)
-            quotient, remainder = divmod(Polynomial(f), Polynomial(g))
-            if remainder.is_zero():
+            if not _prem(f, g):  # g is monic: the plain remainder
                 factors.append(g)
-                f = quotient.int_coeffs()  # g is monic, so the quotient is integral
+                f = _exact_div(f, g)
                 lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
         else:
@@ -731,8 +784,5 @@ def is_irreducible(p: Polynomial) -> bool:
         raise InvalidInputError("irreducibility is about degree >= 1")
     if n == 1:
         return True
-    ints = p.primitive_integer().int_coeffs()
-    lead = ints[-1]
-    monic = tuple(c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])) + (1,)
-    factors = squarefree_factors(monic)
+    factors = squarefree_factors(_monic_transform(_integer_associate(p)))
     return factors is not None and len(factors) == 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_value_range, quartic_automorphism_count
+from _oracles import fraction_value_range, quartic_automorphism_count, sylvester_resultant
 from latcert import number_field
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
@@ -23,6 +23,7 @@ from latcert.number_field import (
     NumberField,
     RealPlace,
     _automorphism_upper_bound,
+    _shifted_norm,
     automorphism_count,
     is_rational_square,
 )
@@ -264,6 +265,29 @@ class TestAutomorphismCount:
         poly = Polynomial(tail + (1,))
         assume(is_irreducible(poly))
         assert automorphism_count(NumberField(poly)) == quartic_automorphism_count(*tail)
+
+
+class TestShiftedNorm:
+    def test_frozen_quadratic(self):
+        # roots +-sqrt(2) +- 2 sqrt(2): (x^2 - 18)(x^2 - 2)
+        assert _shifted_norm((-2, 0, 1), 2) == (36, 0, -20, 0, 1)
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+        st.integers(2, 4),
+        st.sampled_from(("below", "last", "beyond")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sylvester_off_the_nodes(self, tail, s, where):
+        # N_s is interpolated at 0, ..., n^2 - 1; check it elsewhere.
+        p = tuple(tail) + (1,)
+        size = (len(p) - 1) ** 2
+        x0 = {"below": -1, "last": size, "beyond": size + 1}[where]
+        moved = Polynomial(p[-1:])
+        for c in reversed(p[:-1]):
+            moved = moved * Polynomial((x0, -s)) + Polynomial((c,))
+        expected = sylvester_resultant(list(Polynomial(p).coeffs), list(moved.coeffs))
+        assert Polynomial(_shifted_norm(p, s))(x0) == expected
 
 
 class TestCMExtension:

@@ -22,6 +22,7 @@ from _oracles import (
 from latcert.errors import InvalidInputError
 from latcert.polynomials import (
     Interval,
+    _integer_associate,
     Polynomial,
     cauchy_root_bound,
     discriminant,
@@ -87,9 +88,9 @@ class TestArithmetic:
 
     def test_primitive_integer(self):
         p = Polynomial((Fraction(1, 2), Fraction(3, 4)))
-        assert p.primitive_integer().coeffs == (Fraction(2), Fraction(3))
+        assert _integer_associate(p) == (2, 3)
         q = Polynomial((-4, -8))
-        assert q.primitive_integer().coeffs == (Fraction(-1), Fraction(-2))
+        assert _integer_associate(q) == (-1, -2)
 
 
 class TestResultant:
@@ -122,7 +123,9 @@ class TestResultant:
         assert resultant(Polynomial((7,)), P_CUBIC) == 7**3
         assert resultant(P_CUBIC, Polynomial((7,))) == 7**3
 
-    @given(poly_strategy(max_degree=3, ints=True), poly_strategy(max_degree=3, ints=True))
+    # Rational coefficients reach non-monic and negative leading
+    # coefficients and constant arguments on either side.
+    @given(poly_strategy(max_degree=5), poly_strategy(max_degree=5))
     @settings(max_examples=60, deadline=None)
     def test_matches_sylvester_oracle(self, a, b):
         if a.is_zero() or b.is_zero():
