@@ -74,10 +74,13 @@ def signature_pattern(h: HermitianForm) -> SignaturePattern:
     return tuple(pattern)
 
 
+def _indefinite(pattern: SignaturePattern) -> tuple[int, ...]:
+    """Places j whose signature has both positives and negatives."""
+    return tuple(j for j, pq in enumerate(pattern) if min(pq) > 0)
+
+
 def indefinite_places(h: HermitianForm) -> tuple[int, ...]:
-    return tuple(
-        j for j, (p, q) in enumerate(signature_pattern(h)) if p > 0 and q > 0
-    )
+    return _indefinite(signature_pattern(h))
 
 
 @dataclass(frozen=True)
@@ -184,13 +187,13 @@ def group_isomorphism_verdict(
         raise InvalidInputError("even rank is out of scope for group verdicts")
 
     sig1, sig2 = signature_pattern(h1), signature_pattern(h2)
-    for j, ((p1, q1), (p2, q2)) in enumerate(zip(sig1, sig2)):
-        definite1, definite2 = min(p1, q1) == 0, min(p2, q2) == 0
-        if definite1 != definite2:
+    indef1, indef2 = _indefinite(sig1), _indefinite(sig2)
+    for j, (pq1, pq2) in enumerate(zip(sig1, sig2)):
+        if (j in indef1) != (j in indef2):
             return IsomorphismVerdict(
                 NOT_ISOMORPHIC,
                 witness_place=j,
-                detail=f"real place {j}: signatures {(p1, q1)} vs {(p2, q2)}",
+                detail=f"real place {j}: signatures {pq1} vs {pq2}",
             )
 
     saw_inconclusive = False
@@ -266,12 +269,13 @@ def _standing_assumption(h: HermitianForm) -> ComponentCheck:
     # Exactly one real place indefinite, with the extreme signature
     # {rank-1, 1}; all other places definite.
     pattern = signature_pattern(h)
-    indef = [(j, pq) for j, pq in enumerate(pattern) if min(pq) > 0]
+    indef = _indefinite(pattern)
     if len(indef) != 1:
         return ComponentCheck(
             "standing-assumption", FAIL, f"{len(indef)} indefinite places in {pattern}"
         )
-    j, (p, q) = indef[0]
+    j = indef[0]
+    p, q = pattern[j]
     if sorted((p, q)) != [1, h.rank - 1]:
         return ComponentCheck(
             "standing-assumption",

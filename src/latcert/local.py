@@ -15,8 +15,9 @@ Every block is monic with integer coefficients, so Res(P_v, z) is the
 determinant of multiplication by z on Z[x]/(P_v), an integer matrix; it is
 resultant_int, borrowed with the other integer helpers from the integer core
 of polynomials, which takes it by fraction-free (Bareiss) elimination.
-Elements enter as cleared-denominator integer coordinate tuples; no rational
-arithmetic sits between a place's representatives and their norm orders.
+Elements enter as the integer coordinates and common denominator of
+FieldElement.integral, and the field as its int_poly; no rational arithmetic
+sits between a place's representatives and their norm orders.
 
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
@@ -32,7 +33,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Union
 
 from . import modular
@@ -90,7 +90,7 @@ def factor_prime(field: NumberField, ell: int) -> tuple[FinitePlace, ...]:
     """
     if not is_prime(ell):
         raise InvalidInputError(f"{ell} is not prime")
-    p_ints = field.min_poly.int_coeffs()
+    p_ints = field.int_poly
     factors = modular.factor_monic(p_ints, ell)
 
     gbar: tuple[int, ...] = (1,)
@@ -118,12 +118,6 @@ def residue_field(place: FinitePlace) -> FiniteField:
     return FiniteField(place.prime, place.factor)
 
 
-def _clear_denominators(elem: FieldElement) -> tuple[tuple[int, ...], int]:
-    m = lcm(*(c.denominator for c in elem.coords))
-    z = tuple(int(c * m) for c in elem.coords)
-    return z, m
-
-
 def _ord_int(n: int, ell: int) -> int:
     if n == 0:
         raise InvalidInputError("valuation of zero")
@@ -143,25 +137,23 @@ _BLOCK_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 def _block_resultant(place: FinitePlace, z: tuple[int, ...], precision: int) -> tuple[int, bool]:
     """Res(P_v-lift, z) as an integer, and whether it is exact.
 
-    With a single place above l the block is min_poly itself, making the
-    resultant exact at any precision; otherwise it is correct mod l^precision.
+    With a single place above l (e * f = n) the block is min_poly itself, exact
+    at any precision; otherwise the resultant is correct mod l^precision.
     """
     field, ell = place.field, place.prime
-    places = factor_prime(field, ell)
-    if len(places) == 1:
-        return resultant_int(field.min_poly.int_coeffs(), z), True
-    key = (field.min_poly.coeffs, ell, precision)
+    p = field.int_poly
+    if place.ramification * place.residue_degree == field.degree:
+        return resultant_int(p, z), True
+    key = (p, ell, precision)
     blocks = _BLOCK_CACHE.get(key)
     if blocks is None:
         raw = []
-        for v in places:
+        for v in factor_prime(field, ell):
             b: tuple[int, ...] = (1,)
             for _ in range(v.ramification):
                 b = modular.mul(b, v.factor, ell)
             raw.append(b)
-        blocks = modular.hensel_lift_blocks(
-            field.min_poly.int_coeffs(), raw, ell, precision
-        )
+        blocks = modular.hensel_lift_blocks(p, raw, ell, precision)
         _BLOCK_CACHE[key] = blocks
     return resultant_int(blocks[place.index], z), False
 
@@ -197,7 +189,7 @@ def valuation(place: FinitePlace, elem: FieldElement) -> int:
         raise InvalidInputError("element belongs to a different field")
     if elem.is_zero():
         raise InvalidInputError("the zero element has no finite valuation")
-    z, m = _clear_denominators(elem)
+    z, m = elem.integral
     return _int_valuation(place, z) - place.ramification * _ord_int(m, place.prime)
 
 
@@ -214,7 +206,7 @@ def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
     Requires coordinate denominators coprime to l (then the element is
     automatically integral at every place above l).
     """
-    z, m = _clear_denominators(elem)
+    z, m = elem.integral
     ell = place.prime
     if m % ell == 0:
         raise InvalidInputError(
@@ -231,15 +223,9 @@ def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
 
 
 def _split_prime_part(x: Fraction, ell: int) -> tuple[int, Fraction]:
-    o = 0
     n, d = x.numerator, x.denominator
-    while n % ell == 0:
-        n //= ell
-        o += 1
-    while d % ell == 0:
-        d //= ell
-        o -= 1
-    return o, Fraction(n, d)
+    on, od = _ord_int(n, ell), _ord_int(d, ell)
+    return on - od, Fraction(n // ell**on, d // ell**od)
 
 
 def _legendre(u: Fraction, ell: int) -> int:
@@ -292,7 +278,7 @@ def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int
     """
     ell = place.prime
     unit_mod = 8 if ell == 2 else ell
-    z, m = _clear_denominators(u)
+    z, m = u.integral
     o, r = _norm_ord_and_unit(place, z, unit_mod)
     ef = place.ramification * place.residue_degree
     mo = _ord_int(m, ell)
@@ -342,7 +328,7 @@ def _dyadic_square_test(place: FinitePlace, w: Fraction) -> bool:
     d is odd, so v(y^2 - w) = v(d*y^2 - n), an integer element.
     """
     target, t, width = _dyadic_box(place)
-    p = place.field.min_poly.int_coeffs()
+    p = place.field.int_poly
     n, d = w.numerator, w.denominator
     for y in itertools.product(range(2**t), repeat=width):
         g = [d * c for c in _reduce_monic(_poly_mul(y, y), p)]
@@ -386,8 +372,7 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 
     if ell != 2:
         if v_delta == 0:
-            _, m = _clear_denominators(delta)
-            if m % ell != 0:
+            if delta.integral[1] % ell != 0:
                 square = _residue_square_test(place, delta)
                 return SplittingResult(
                     "split" if square else "inert", "residue square test"
@@ -514,8 +499,8 @@ def relevant_primes(ext: CMExtension, u: FieldElement) -> tuple[int, ...]:
     """
     out = {2}
     for elem in (ext.delta, u):
-        z, m = _clear_denominators(elem)
-        r = resultant_int(ext.base.min_poly.int_coeffs(), z)
+        z, m = elem.integral
+        r = resultant_int(ext.base.int_poly, z)
         out |= set(prime_factors(r))
         if m > 1:
             out |= set(prime_factors(m))

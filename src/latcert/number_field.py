@@ -1,8 +1,11 @@
 """Number fields presented by a monic irreducible integer polynomial.
 
-Elements are coordinate vectors in the power basis of a root. All field
-arithmetic, norms, and sign evaluations at the real places are exact; the
-real places themselves are the isolated real roots of the defining
+Elements are power-basis coordinate vectors, held as integers over a common
+denominator (integral) beside the field's integer polynomial (int_poly), so
+all arithmetic is exact on the integer core of polynomials: the norm is the
+determinant of the multiplication matrix (Cohen, GTM 138, 4.2) and the inverse
+solves it by Cramer's rule. Sign evaluations at the real places are exact
+too; the real places themselves are the isolated real roots of the defining
 polynomial in ascending order, which fixes a canonical indexing from 0.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
@@ -26,13 +29,15 @@ from .errors import InvalidInputError
 from .polynomials import (
     Interval,
     Polynomial,
+    _bareiss_det,
     _halve_toward_root,
+    _multiplication_columns,
     _poly_mul,
+    _reduce_monic,
     discriminant,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
-    resultant,
     resultant_int,
     squarefree_factors,
 )
@@ -75,13 +80,18 @@ class NumberField:
             raise InvalidInputError("defining polynomial must have degree >= 1")
         if not p.is_monic():
             raise InvalidInputError("defining polynomial must be monic")
-        p.int_coeffs()  # raises on fractional coefficients
+        self.int_poly  # raises on fractional coefficients
         if not is_irreducible(p):
             raise InvalidInputError("defining polynomial is reducible over Q")
 
     @property
     def degree(self) -> int:
         return self.min_poly.degree()
+
+    @cached_property
+    def int_poly(self) -> tuple[int, ...]:
+        """min_poly as integers, constant term first."""
+        return self.min_poly.int_coeffs()
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -114,11 +124,6 @@ class NumberField:
 
     def from_rational(self, c: Scalar) -> "FieldElement":
         return self.element((c,) + (0,) * (self.degree - 1))
-
-    def from_polynomial(self, poly: Polynomial) -> "FieldElement":
-        reduced = poly % self.min_poly
-        coords = reduced.coeffs + (Fraction(0),) * (self.degree - len(reduced.coeffs))
-        return FieldElement(self, coords)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -161,18 +166,17 @@ class FieldElement:
             return self.field.from_rational(other)
         raise InvalidInputError(f"cannot coerce {type(other).__name__} into the field")
 
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial(self.coords)
+    @cached_property
+    def integral(self) -> tuple[tuple[int, ...], int]:
+        """(z, m) with coords = z/m, m > 0 the lcm of the coordinate denominators."""
+        m = math.lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (m // c.denominator) for c in self.coords), m
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def is_integral_vector(self) -> bool:
-        """All power-basis coordinates are integers."""
-        return all(c.denominator == 1 for c in self.coords)
 
     # -- ring structure --------------------------------------------------------
 
@@ -192,25 +196,26 @@ class FieldElement:
         return FieldElement(self.field, tuple(-c for c in self.coords))
 
     def __mul__(self, other) -> "FieldElement":
-        o = self._coerce(other)
-        prod = self.as_polynomial() * o.as_polynomial()
-        return self.field.from_polynomial(prod)
+        (z, m), (w, k) = self.integral, self._coerce(other).integral
+        prod = _reduce_monic(_poly_mul(z, w), self.field.int_poly)
+        return FieldElement(self.field, tuple(Fraction(c, m * k) for c in prod))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise InvalidInputError("inverting zero")
-        # Extended Euclid in Q[x] against the (irreducible) minimal
-        # polynomial: t*g = gcd = nonzero constant mod p.
-        r0, r1 = self.field.min_poly, self.as_polynomial()
-        t0, t1 = Polynomial(), Polynomial((1,))
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        assert r0.degree() == 0, "gcd with an irreducible modulus is constant"
-        return self.field.from_polynomial(t0 * (1 / r0.coeffs[0]))
+        # Cramer's rule on M w = e_0 for the multiplication matrix M of z, so
+        # w = 1/z; _bareiss_det overwrites its rows, hence fresh copies.
+        z, m = self.integral
+        columns = _multiplication_columns(self.field.int_poly, z)
+        det = _bareiss_det([c[:] for c in columns])
+        coords = []
+        for i in range(len(columns)):
+            rows = [c[:] for c in columns]
+            rows[i] = [1] + [0] * (len(columns) - 1)
+            coords.append(Fraction(m * _bareiss_det(rows), det))
+        return FieldElement(self.field, tuple(coords))
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self._coerce(other).inverse()
@@ -234,11 +239,12 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all conjugate values, exact."""
-        return resultant(self.field.min_poly, self.as_polynomial())
+        z, m = self.integral
+        return Fraction(resultant_int(self.field.int_poly, z), m**self.field.degree)
 
     def is_unit(self) -> bool:
         """Unit of the polynomial order: integral coordinates, norm +-1."""
-        if not self.is_integral_vector():
+        if self.integral[1] != 1:
             raise InvalidInputError("unit test requires integral coordinates")
         return abs(self.norm()) == 1
 
@@ -249,12 +255,9 @@ class FieldElement:
             raise InvalidInputError(f"no real place with index {j}")
         if self.is_zero():
             return 0
-        g = self.as_polynomial()
-        den = math.lcm(*(c.denominator for c in self.coords))
-        if den > 1:
-            # A positive multiple has the same signs, and an integral one
-            # keeps the enclosures below in integers.
-            g = g * den
+        # A positive multiple has the same signs, and an integral one keeps
+        # the enclosures below in integers.
+        g = Polynomial(self.integral[0])
         while True:
             iv = self.field._root_intervals[j]
             if iv.is_point():
@@ -309,7 +312,7 @@ def automorphism_count(field: NumberField) -> int:
         return 3 if is_rational_square(field.discriminant) else 1
     if _automorphism_upper_bound(field) == 1:
         return 1
-    p = field.min_poly.int_coeffs()
+    p = field.int_poly
     # s = 1 never works: alpha_i + alpha_j is symmetric in i and j. Only
     # finitely many s make two of the roots alpha_j + s*alpha_i collide.
     s = 2
@@ -329,7 +332,7 @@ def _automorphism_upper_bound(field: NumberField) -> int:
     roots mod l. Primes without a root mod l say nothing and are skipped.
     """
     disc = field.discriminant.numerator
-    ints = field.min_poly.int_coeffs()
+    ints = field.int_poly
     bound = field.degree
     for ell in _AUTOMORPHISM_SIEVE_PRIMES:
         if disc % ell == 0:

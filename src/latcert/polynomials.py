@@ -504,18 +504,22 @@ def resultant_int(p: tuple[int, ...], z: tuple[int, ...]) -> int:
     k is z * x^k mod P, taken by Bareiss elimination; it equals the product
     of z over the roots of P, and Res(P, 0) = 0.
     """
-    n = len(p) - 1
-    if n < 1 or p[-1] != 1:
+    if len(p) < 2 or p[-1] != 1:
         raise InvalidInputError("resultant_int needs a monic modulus of degree >= 1")
+    return _bareiss_det(_multiplication_columns(p, z))
+
+
+def _multiplication_columns(p: tuple[int, ...], z) -> list[list[int]]:
+    """Column k is z * x^k mod the monic integer polynomial p, k < deg p."""
     column = _reduce_monic(z, p)
     columns = [column]
-    for _ in range(n - 1):
+    for _ in range(len(p) - 2):
         top = column[-1]
         column = [0] + column[:-1]
         if top:
             column = [c - top * q for c, q in zip(column, p)]
         columns.append(column)
-    return _bareiss_det(columns)
+    return columns
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

@@ -31,6 +31,7 @@ from .errors import (
 from .finite_groups import CongruenceLevel, congruence_index
 from .hermitian import (
     HermitianForm,
+    _indefinite,
     global_invariant,
     seed_pair_check,
     signature_pattern,
@@ -207,8 +208,7 @@ def build_certificate(inputs: dict) -> dict:
     pat1, pat2 = signature_pattern(h1), signature_pattern(h2)
     signature_table = {"first": _pattern_rows(pat1), "second": _pattern_rows(pat2)}
 
-    indef1 = [j for j, pq in enumerate(pat1) if min(pq) > 0]
-    indef2 = [j for j, pq in enumerate(pat2) if min(pq) > 0]
+    indef1, indef2 = _indefinite(pat1), _indefinite(pat2)
     place_dictionary = {}
     if len(indef1) == 1 and len(indef2) == 1 and indef1 != indef2:
         rest = [j for j in range(len(pat1)) if j not in (indef1[0], indef2[0])]

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from .certificates import exact, write_certificate
 from .errors import BudgetExceededError, InvalidInputError
 from .finite_groups import DEFAULT_ENUMERATION_BUDGET
-from .hermitian import PASS, HermitianForm, global_invariant, signature_pattern
+from .hermitian import PASS, HermitianForm, _indefinite, global_invariant, signature_pattern
 from .intfactor import is_prime
 from .local import hilbert_product_check
 from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
@@ -182,7 +182,7 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
                 diag = (u,) * (cfg.rank - 1) + (neg_one,)
                 h = HermitianForm(ext, diag)
                 pattern = signature_pattern(h)
-                indefinite = [j for j, pq in enumerate(pattern) if min(pq) > 0]
+                indefinite = _indefinite(pattern)
                 if len(indefinite) != 1:
                     continue
                 key = _form_class_key(h)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .errors import InvalidInputError
 from .finite_groups import CongruenceLevel
 from .hermitian import HermitianForm
 from .intfactor import prime_factors
-from .number_field import CMExtension
+from .number_field import CMExtension, FieldElement
 
 ITEM_NAMES = (
     "base_field_disc",
@@ -31,15 +31,15 @@ ITEM_NAMES = (
 )
 
 
-def _squarefree_delta_coords(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
+def _squarefree_delta_coords(delta: FieldElement) -> tuple[int, ...]:
     """Unique representative of delta's orbit under rational-square scaling.
 
     Scale by the squared common denominator, then strip the largest square
     dividing the integer content. The result has squarefree content, and no
     two distinct such tuples differ by a rational square.
     """
-    den = lcm(*(c.denominator for c in coords))
-    ints = [int(c * den * den) for c in coords]
+    z, m = delta.integral
+    ints = [c * m for c in z]
     content = gcd(*ints)
     side = 1
     for p, e in prime_factors(content).items():
@@ -54,7 +54,7 @@ def relative_extension_id(ext: CMExtension) -> str:
     element in the same square class over the base may still get a distinct
     id, which only ever makes the equality check more conservative.
     """
-    delta = ",".join(str(c) for c in _squarefree_delta_coords(ext.delta.coords))
+    delta = ",".join(str(c) for c in _squarefree_delta_coords(ext.delta))
     base = ",".join(str(c) for c in ext.base.min_poly.coeffs)
     return f"sqrt({delta})/field({base})"
 

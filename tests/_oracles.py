@@ -6,9 +6,10 @@ the group-order oracle enumerates matrices directly over Z/m, the dyadic
 square oracle tries every residue in the Hensel box with FieldElement
 arithmetic, reading valuations off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
-oracle reads the Galois group off the resolvent cubic. The root isolation
-and interval enclosure oracles are the package's former Fraction
-implementations, on plain coefficient lists. Slow and simple on purpose.
+oracle reads the Galois group off the resolvent cubic. The root isolation,
+interval enclosure and field product and inverse oracles are the package's
+former Fraction implementations, on plain coefficient lists. Slow and simple
+on purpose.
 """
 
 from __future__ import annotations
@@ -272,6 +273,38 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
         for j, y in enumerate(b):
             rem[i + j] -= c * y
     return _trim(quot), _trim(rem)
+
+
+def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _field_coords(a: list[Fraction], p: list[Fraction]) -> list[Fraction]:
+    # a mod p, padded to deg p power-basis coordinates
+    r = _divmod(a, p)[1]
+    return r + [Fraction(0)] * (len(p) - 1 - len(r))
+
+
+def fraction_field_product(a: list[Fraction], b: list[Fraction], p: list[Fraction]) -> list[Fraction]:
+    """Coordinates of a * b in Q[x]/(p): the product, then its remainder."""
+    return _field_coords(_mul(_trim(a), _trim(b)), p)
+
+
+def fraction_field_inverse(a: list[Fraction], p: list[Fraction]) -> list[Fraction]:
+    """Coordinates of 1/a in Q[x]/(p) for irreducible p and nonzero a, by the
+    extended Euclidean algorithm in Q[x]: t*a = gcd = nonzero constant mod p."""
+    r0, r1 = p, _trim(a)
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _trim(x - y for x, y in itertools.zip_longest(t0, _mul(q, t1), fillvalue=0))
+    assert len(r0) == 1, "gcd with an irreducible modulus is constant"
+    return _field_coords([c / r0[0] for c in t0], p)
 
 
 def _primitive_integer(a: list[Fraction]) -> list[Fraction]:

@@ -70,6 +70,21 @@ class TestFactorPrime:
             places = factor_prime(F, ell)
             assert sum(v.ramification * v.residue_degree for v in places) == 3
 
+    @pytest.mark.parametrize(
+        "coeffs", [(1, -3, -1, 1), (1, -2, -3, 2, 1), (-148, 0, 100, 0, -20, 0, 1)]
+    )
+    def test_single_place_exactly_when_e_times_f_is_the_degree(self, coeffs):
+        # _block_resultant takes min_poly itself as the block when e * f = n
+        field = NumberField(Polynomial(coeffs))
+        for ell in (2, 3, 5, 7):
+            try:
+                places = factor_prime(field, ell)
+            except UnsupportedPlaceError:
+                continue
+            for v in places:
+                single = v.ramification * v.residue_degree == field.degree
+                assert single == (len(places) == 1)
+
     def test_dedekind_refusal(self):
         # 2 divides the index of Z[x]/(x^3 - x^2 - 2x - 8) in its maximal order
         field = NumberField(Polynomial((-8, -2, -1, 1)))

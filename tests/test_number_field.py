@@ -14,7 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_value_range, quartic_automorphism_count, sylvester_resultant
+from _oracles import (
+    fraction_field_inverse,
+    fraction_field_product,
+    fraction_value_range,
+    quartic_automorphism_count,
+    sylvester_resultant,
+)
 from latcert import number_field
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
@@ -34,6 +40,16 @@ ALPHA = CUBIC.generator()
 SEXTIC_COEFFS = (-148, 0, 100, 0, -20, 0, 1)
 # x^4 + 2x^3 - 3x^2 - 2x + 1: one nontrivial automorphism
 AUT2_QUARTIC = NumberField(Polynomial((1, -2, -3, 2, 1)))
+
+# One field per degree for the Fraction oracles of *, inverse() and norm()
+ORACLE_FIELDS = (
+    NumberField(Polynomial((-3, 1))),
+    NumberField(Polynomial((1, 1, 1))),
+    CUBIC,
+    AUT2_QUARTIC,
+    NumberField(Polynomial(SEXTIC_COEFFS)),
+)
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 
 # All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
 # |a_i| <= 3, keyed by (a0, a1, a2, a3, 1), with their automorphism counts.
@@ -179,10 +195,6 @@ class TestArithmetic:
     def test_negative_power(self):
         assert ((ALPHA**-2) * ALPHA**2 - 1).is_zero()
 
-    def test_from_polynomial_reduces(self):
-        e = CUBIC.from_polynomial(Polynomial((0, 0, 0, 0, 1)))
-        assert e == ALPHA**4
-
     @given(
         st.tuples(*[st.integers(-8, 8)] * 3),
         st.tuples(*[st.integers(-8, 8)] * 3),
@@ -195,6 +207,32 @@ class TestArithmetic:
     def test_mixed_scalar_arithmetic(self):
         assert (Fraction(1, 2) * ALPHA + ALPHA).coords == (0, Fraction(3, 2), 0)
         assert (1 - ALPHA) + (ALPHA - 1) == CUBIC.zero()
+
+    def test_integral_form(self):
+        e = CUBIC.element((Fraction(1, 2), Fraction(-2, 3), 5))
+        assert e.integral == ((3, -4, 30), 6)
+        assert CUBIC.zero().integral == ((0, 0, 0), 1)
+
+    @given(
+        st.sampled_from(ORACLE_FIELDS).flatmap(
+            lambda field: st.tuples(
+                st.just(field),
+                *[st.lists(SMALL_FRACTIONS, min_size=field.degree, max_size=field.degree)] * 2,
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_integer_core_matches_the_fraction_oracles(self, case):
+        field, xs, ys = case
+        p = list(field.min_poly.coeffs)
+        x, y = field.element(xs), field.element(ys)
+        assert list((x * y).coords) == fraction_field_product(xs, ys, p)
+        if x.is_zero():
+            assert x.norm() == 0
+            return
+        assert list(x.inverse().coords) == fraction_field_inverse(xs, p)
+        trimmed = list(Polynomial(xs).coeffs)
+        assert x.norm() == sylvester_resultant(p, trimmed)
 
 
 class TestAutomorphismCount:
