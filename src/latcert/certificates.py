@@ -73,10 +73,6 @@ def content_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def certificate_filename(payload: dict) -> str:
-    return _filename_of(canonical_json(payload))
-
-
 def _filename_of(text: str) -> str:
     return f"{CERT_PREFIX}{content_hash(text)[:16]}.json"
 

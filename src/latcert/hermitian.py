@@ -229,15 +229,6 @@ def twist_pattern(pattern: SignaturePattern, tau: Sequence[int]) -> SignaturePat
     return tuple(pattern[tau[j]] for j in range(len(pattern)))
 
 
-def compose_permutations(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Permutation doing a first, then b: result[i] = b[a[i]]."""
-    if len(a) != len(b):
-        raise InvalidInputError("permutations act on different index sets")
-    a = _validate_permutation(a, len(a))
-    b = _validate_permutation(b, len(b))
-    return tuple(b[a[i]] for i in range(len(a)))
-
-
 PASS = "PASS"
 FAIL = "FAIL"
 

@@ -116,13 +116,6 @@ def ext_gcd(a: Coeffs, b: Coeffs, p: int) -> tuple[Coeffs, Coeffs, Coeffs]:
     return scale(r0, c, p), scale(s0, c, p), scale(t0, c, p)
 
 
-def eval_poly(a: Coeffs, x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc
-
-
 def deriv(a: Coeffs, m: int) -> Coeffs:
     return trim(tuple(i * c % m for i, c in enumerate(a) if i >= 1))
 

@@ -4,9 +4,14 @@ Elements are power-basis coordinate vectors, held as integers over a common
 denominator (integral) beside the field's integer polynomial (int_poly), so
 all arithmetic is exact on the integer core of polynomials: the norm is the
 determinant of the multiplication matrix (Cohen, GTM 138, 4.2) and the inverse
-solves it by Cramer's rule. Sign evaluations at the real places are exact
-too; the real places themselves are the isolated real roots of the defining
-polynomial in ascending order, which fixes a canonical indexing from 0.
+solves it by Cramer's rule. The real places are the isolated real roots of
+the defining polynomial in ascending order, which fixes a canonical
+indexing from 0. Each is kept as one integer cell [a, b, d] = [a/d, b/d]
+from isolation on, and the sign of an element at a place is decided on
+that cell by an integer interval enclosure of its numerators, halving the
+cell while the enclosure straddles zero; rational intervals are built only
+for `real_place_intervals`. A CM extension F(sqrt(delta)) is carried as
+its totally real base field and a totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
 discriminant. For degree >= 4 a sieve bounds the count from above by the
@@ -30,12 +35,13 @@ from .polynomials import (
     Interval,
     Polynomial,
     _bareiss_det,
-    _halve_toward_root,
+    _enclosure,
+    _halve,
     _multiplication_columns,
+    _over_common_denominator,
     _poly_mul,
     _reduce_monic,
     discriminant,
-    interval_value_range,
     is_irreducible,
     isolate_real_roots,
     resultant_int,
@@ -98,18 +104,19 @@ class NumberField:
         return discriminant(self.min_poly)
 
     @cached_property
-    def _root_intervals(self) -> list[Interval]:
-        # Mutable cache: sign evaluations shrink these in place. The
-        # ascending order (the canonical place indexing) never changes.
-        return list(isolate_real_roots(self.min_poly))
+    def _root_cells(self) -> list[list[int]]:
+        # Mutable cache: one integer cell [a, b, d] = [a/d, b/d] per real
+        # place, which sign evaluations halve in place. The ascending order
+        # (the canonical place indexing) never changes.
+        return [list(_over_common_denominator(iv.lo, iv.hi)) for iv in isolate_real_roots(self.min_poly)]
 
     @property
     def real_place_count(self) -> int:
-        return len(self._root_intervals)
+        return len(self._root_cells)
 
     def real_place_intervals(self) -> tuple[Interval, ...]:
         """Current isolating interval per real place, ascending."""
-        return tuple(self._root_intervals)
+        return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in self._root_cells)
 
     def real_places(self) -> tuple[RealPlace, ...]:
         return tuple(RealPlace(j) for j in range(self.real_place_count))
@@ -253,28 +260,25 @@ class FieldElement:
         j = place.index if isinstance(place, RealPlace) else place
         if not 0 <= j < self.field.real_place_count:
             raise InvalidInputError(f"no real place with index {j}")
-        if self.is_zero():
+        # The integral numerators z are a positive multiple of the element,
+        # so they have the same signs.
+        z = self.integral[0]
+        if not any(z):
             return 0
-        # A positive multiple has the same signs, and an integral one keeps
-        # the enclosures below in integers.
-        g = Polynomial(self.integral[0])
+        # Over a point cell, the root of a degree-1 field, the enclosure is
+        # the exact value and decides at once.
+        cell = self.field._root_cells[j]
         while True:
-            iv = self.field._root_intervals[j]
-            if iv.is_point():
-                v = g(iv.lo)
-                return 0 if v == 0 else (1 if v > 0 else -1)
-            lo, hi = interval_value_range(g, iv)
+            lo, hi = _enclosure(z, *cell)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            # The enclosure straddles zero: tighten the root bracket. A
+            # The enclosure straddles zero: halve the root's cell in place. A
             # nonzero element never evaluates to zero at a root of an
             # irreducible polynomial, so this terminates; irreducibility
             # also keeps every rational midpoint off the root.
-            cell = [iv.lo, iv.hi]
-            _halve_toward_root(self.field.min_poly, cell)
-            self.field._root_intervals[j] = Interval(*cell)
+            _halve(self.field.int_poly, cell)
 
     def signs(self) -> tuple[int, ...]:
         return tuple(self.sign_at(j) for j in range(self.field.real_place_count))
@@ -396,63 +400,8 @@ class CMExtension:
         if self.delta.is_zero() or not self.delta.is_totally_negative():
             raise InvalidInputError("delta must be totally negative")
 
-    def element(self, a, b) -> "CMElement":
-        lift = self.base.from_rational
-        a = a if isinstance(a, FieldElement) else lift(a)
-        b = b if isinstance(b, FieldElement) else lift(b)
-        return CMElement(self, a, b)
-
-    def sqrt_delta(self) -> "CMElement":
-        return self.element(self.base.zero(), self.base.one())
-
     def __str__(self) -> str:
         return f"{self.base}(sqrt({self.delta}))"
-
-
-@dataclass(frozen=True)
-class CMElement:
-    """a + b*sqrt(delta) over the base field."""
-
-    ext: CMExtension
-    a: FieldElement
-    b: FieldElement
-
-    def conjugate(self) -> "CMElement":
-        """The nontrivial automorphism over the base: sqrt(delta) -> -sqrt(delta)."""
-        return CMElement(self.ext, self.a, -self.b)
-
-    def __add__(self, other: "CMElement") -> "CMElement":
-        return CMElement(self.ext, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "CMElement") -> "CMElement":
-        return CMElement(self.ext, self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "CMElement":
-        return CMElement(self.ext, -self.a, -self.b)
-
-    def __mul__(self, other: "CMElement") -> "CMElement":
-        d = self.ext.delta
-        return CMElement(
-            self.ext,
-            self.a * other.a + d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def norm_to_base(self) -> FieldElement:
-        """Relative norm x * conj(x) = a^2 - delta b^2, an element of the base."""
-        return self.a * self.a - self.ext.delta * self.b * self.b
-
-    def inverse(self) -> "CMElement":
-        if self.is_zero():
-            raise InvalidInputError("inverting zero")
-        n = self.norm_to_base().inverse()
-        return CMElement(self.ext, self.a * n, -self.b * n)
-
-    def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})*sqrt(delta)"
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ integer polynomials are factored over Z by Zassenhaus's algorithm (factor
 modulo a prime, Hensel-lift, recombine), which also decides irreducibility
 over Q. No floating point anywhere.
 
-The Fraction functions keep their interface but run on an integer core:
-int tuples, with content removed. Gcds and Sturm chains come from the
-primitive remainder sequence over Z (Collins 1967; Brown & Traub 1971),
-built on a pseudo-remainder whose multiplier |lc|^(delta+1) is positive,
-and the sign of f at num/den comes from homogeneous Horner, den^n f(num/den)
-for den > 0. Every real-root decision is a sign that does not change when
-the polynomial is scaled by a positive constant, so the isolating intervals
-are the same rationals as those of plain Fraction arithmetic. Res(P, z)
-for monic P is the determinant of multiplication by z on Z[x]/(P), taken by
+`Polynomial` and `Interval` are the rational boundary; the work runs on
+an integer core of int tuples with content removed. Gcds and Sturm chains
+come from the primitive remainder sequence over Z (Collins 1967; Brown &
+Traub 1971), built on a pseudo-remainder whose multiplier |lc|^(delta+1)
+is positive, and the sign of f at num/den comes from homogeneous Horner,
+den^n f(num/den) for den > 0. A real root is bracketed by an integer cell
+[a, b, d], the interval [a/d, b/d], with d a denominator times a power of
+two (Collins & Akritas 1976; Rouillier & Zimmermann 2004); bisection
+(`_halve`) and interval Horner enclosures (`_enclosure`) act on the cell
+directly, which is how `number_field` keeps its real places. Every
+real-root decision is a sign that does not change when the polynomial is
+scaled by a positive constant, so the isolating intervals are the same
+rationals as those of plain Fraction arithmetic. Res(P, z) for monic P is
+the determinant of multiplication by z on Z[x]/(P), taken by
 fraction-free elimination (Bareiss 1968).
 
 Coefficients are stored constant term first; the string form of
@@ -177,11 +182,6 @@ class Polynomial:
 
     # -- normal forms --------------------------------------------------------
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise InvalidInputError("cannot make the zero polynomial monic")
-        return self * (1 / self.leading_coefficient())
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -193,22 +193,6 @@ class Polynomial:
                 raise InvalidInputError("polynomial has non-integer coefficients")
             out.append(c.numerator)
         return tuple(out)
-
-
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q (gcd with zero returns the monic other operand)."""
-    g = Polynomial(_gcd(_integer_associate(a), _integer_associate(b)))
-    return g.monic() if not g.is_zero() else g
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with repeated roots collapsed: p / gcd(p, p') for the monic gcd,
-    so the result keeps p's leading coefficient.
-    """
-    if p.is_zero():
-        raise InvalidInputError("squarefree part of zero is undefined")
-    q = _squarefree(_integer_associate(p))
-    return Polynomial(q) * (p.leading_coefficient() / q[-1])
 
 
 def resultant(a: Polynomial, b: Polynomial) -> Fraction:
@@ -282,56 +266,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def sturm_count(p: Polynomial, interval: Interval) -> int:
-    """Number of distinct real roots of p in the half-open (lo, hi].
-
-    Roots sitting exactly on an endpoint are handled by deflating the
-    rational linear factor, so endpoint hits are counted exactly (hi in,
-    lo out) rather than perturbed away.
-    """
-    if p.is_zero():
-        raise InvalidInputError("root counting needs a nonzero polynomial")
-    lo, hi = interval.lo, interval.hi
-    if lo == hi:
-        return 0
-    a, b, d = _over_common_denominator(lo, hi)
-    q = _squarefree(_integer_associate(p))
-    extra = 0
-    if _value(q, a, d) == 0:
-        q = _exact_div(q, (-lo.numerator, lo.denominator))
-    if _value(q, b, d) == 0:
-        q = _exact_div(q, (-hi.numerator, hi.denominator))
-        extra = 1
-    if len(q) < 2:
-        return extra
-    chain = _sturm_chain(q)
-    return _sign_variations(chain, a, d) - _sign_variations(chain, b, d) + extra
-
-
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
-    if p.degree() < 1:
-        raise InvalidInputError("root bound needs degree >= 1")
-    lead = abs(p.leading_coefficient())
-    return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
-
-
-def rational_roots(p: Polynomial) -> list[Fraction]:
-    """Sorted distinct rational roots of nonzero p, by exact testing."""
-    if p.is_zero():
-        raise InvalidInputError("rational roots of the zero polynomial")
-    roots = _rational_roots(_squarefree(_integer_associate(p)))
-    return sorted(Fraction(num, den) for num, den in roots)
-
-
-def _halve_toward_root(q: Polynomial, cell: list[Fraction]) -> None:
-    # One bisection step keeping the sign change of q; q has exactly one
-    # root strictly inside the cell and is nonzero at rational points.
-    scaled = list(_over_common_denominator(*cell))
-    _halve(_integer_associate(q), scaled)
-    cell[:] = Fraction(scaled[0], scaled[2]), Fraction(scaled[1], scaled[2])
-
-
 def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
     """Pairwise-disjoint closed intervals, one per distinct real root.
 
@@ -360,7 +294,8 @@ def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
 
     cells: list[list[int]] = []
     if len(reduced) > 1:
-        # Cauchy's bound B = bound / lead, as for cauchy_root_bound.
+        # Cauchy's bound B = 1 + max |c_i| / |lead| = bound / lead, so every
+        # real root lies strictly inside (-B, B).
         lead = abs(reduced[-1])
         bound = lead + max(abs(c) for c in reduced[:-1])
         cells = _bisect_cells(_sturm_chain(reduced), -bound, bound, lead)
@@ -427,21 +362,14 @@ def refine_interval(p: Polynomial, interval: Interval, width: Scalar) -> Interva
 def interval_value_range(p: Polynomial, interval: Interval) -> tuple[Fraction, Fraction]:
     """Exact interval-arithmetic enclosure of p over a closed interval.
 
-    Horner's scheme on intervals: (lo, hi) <- (min, max) of the products
-    of (lo, hi) with the endpoints, plus the next coefficient. It runs on
-    integers: with the endpoints l/e and h/e and D the common denominator of
-    the coefficients, the pair after k coefficients is kept times D e^k, a
-    positive constant, which keeps every min and max.
+    Horner's scheme on intervals, run by `_enclosure` on D p, where D is the
+    common denominator of the coefficients, over the endpoints written on a
+    common denominator e; the pair comes back divided by D e^(deg p + 1).
     """
     l, h, e = _over_common_denominator(interval.lo, interval.hi)
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    lo = hi = 0
-    scale = den
-    for c in reversed(p.coeffs):
-        scale *= e
-        products = (lo * l, lo * h, hi * l, hi * h)
-        term = c.numerator * (scale // c.denominator)
-        lo, hi = min(products) + term, max(products) + term
+    lo, hi = _enclosure([c.numerator * (den // c.denominator) for c in p.coeffs], l, h, e)
+    scale = den * e ** len(p.coeffs)
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
@@ -618,6 +546,21 @@ def _value(f: tuple[int, ...], num: int, den: int) -> int:
         acc = acc * num + c * scale
         scale *= den
     return acc
+
+
+def _enclosure(f, l: int, h: int, e: int) -> tuple[int, int]:
+    """Interval Horner enclosure of the integer polynomial f over the cell
+    [l/e, h/e], times e^len(f): (lo, hi) <- (min, max) of the products
+    of (lo, hi) with the endpoints, plus the next coefficient. After k
+    coefficients the pair is kept times e^k, a positive constant, which
+    keeps every min and max."""
+    lo = hi = 0
+    scale = 1
+    for c in reversed(f):
+        scale *= e
+        products = (lo * l, lo * h, hi * l, hi * h)
+        lo, hi = min(products) + c * scale, max(products) + c * scale
+    return lo, hi
 
 
 def _sign_variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:

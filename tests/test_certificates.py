@@ -15,7 +15,6 @@ from latcert.certificates import (
     FORMAT_VERSION,
     TOOL_VERSION,
     canonical_json,
-    certificate_filename,
     content_hash,
     diff_paths,
     exact,
@@ -106,7 +105,7 @@ class TestStore:
         assert p1 == p2
         names = sorted(os.listdir(tmp_path))
         assert names == sorted([os.path.basename(p1), "index.json"])
-        assert os.path.basename(p1) == certificate_filename(cert)
+        assert os.path.basename(p1) == f"cert_{content_hash(canonical_json(cert))[:16]}.json"
 
     def test_existing_certificates_never_rewritten(self, tmp_path):
         cert = _minimal_cert("148")
@@ -160,6 +159,11 @@ def _index_file_bytes(directory) -> bytes:
         return fh.read()
 
 
+def _stored_name(cert: dict, directory) -> str:
+    """The file name write_certificate gives cert, from a store of its own."""
+    return os.path.basename(write_certificate(cert, str(directory)))
+
+
 def _rebuilt_index_bytes(directory) -> bytes:
     rebuild_index(str(directory))
     return _index_file_bytes(directory)
@@ -205,16 +209,17 @@ class TestStoreRepair:
         listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
         assert listed == sorted([os.path.basename(torn), os.path.basename(path)])
 
-    def test_unindexed_file_added_when_written_again(self, tmp_path):
+    def test_unindexed_file_added_when_written_again(self, tmp_path, tmp_path_factory):
         write_certificate(_minimal_cert("81"), str(tmp_path))
         before = _index_file_bytes(tmp_path)
         cert = _minimal_cert("148")
+        name = _stored_name(cert, tmp_path_factory.mktemp("names"))
         # a crash between publishing the file and indexing it
-        (tmp_path / certificate_filename(cert)).write_text(canonical_json(cert), encoding="ascii")
+        (tmp_path / name).write_text(canonical_json(cert), encoding="ascii")
         assert _index_file_bytes(tmp_path) == before
         write_certificate(cert, str(tmp_path))
         listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
-        assert certificate_filename(cert) in listed
+        assert name in listed
         assert _index_file_bytes(tmp_path) == _rebuilt_index_bytes(tmp_path)
 
     @pytest.mark.parametrize(
@@ -259,7 +264,7 @@ class TestStoreRepair:
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert len(os.listdir(tmp_path)) == 3
 
-    def test_concurrent_writers(self, tmp_path):
+    def test_concurrent_writers(self, tmp_path, tmp_path_factory):
         tags = [str(n) for n in range(1, 25)]
         # four overlapping sets of 12 tags, each written in its own order
         plans = [tags[0:12], tags[12:24][::-1], tags[6:18], (tags[18:24] + tags[0:6])[::-1]]
@@ -275,7 +280,8 @@ class TestStoreRepair:
             p.join(timeout=120)
         assert [p.exitcode for p in procs] == [0] * len(plans)
         names = sorted(n for n in os.listdir(tmp_path) if n.startswith("cert_"))
-        assert names == sorted(certificate_filename(_minimal_cert(t)) for t in tags)
+        elsewhere = tmp_path_factory.mktemp("names")
+        assert names == sorted(_stored_name(_minimal_cert(t), elsewhere) for t in tags)
         for name in names:
             text = (tmp_path / name).read_text(encoding="ascii")
             assert name == f"cert_{content_hash(text)[:16]}.json"

@@ -15,7 +15,6 @@ from latcert.hermitian import (
     PASS,
     UNKNOWN,
     HermitianForm,
-    compose_permutations,
     forms_equivalent,
     global_invariant,
     group_isomorphism_verdict,
@@ -216,7 +215,7 @@ class TestTwist:
     def test_group_action(self, t1, t2):
         s = signature_pattern(H1)
         lhs = twist_pattern(twist_pattern(s, t1), t2)
-        rhs = twist_pattern(s, compose_permutations(t2, t1))
+        rhs = twist_pattern(s, tuple(t1[t2[i]] for i in range(3)))  # t2 first, then t1
         assert lhs == rhs
 
 

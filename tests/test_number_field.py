@@ -1,4 +1,4 @@
-"""Number field arithmetic: signs, norms, units, automorphisms, CM layers.
+"""Number field arithmetic: signs, norms, units, automorphisms, CM extensions.
 
 Frozen values were computed by the package itself and cross-checked against
 independent facts (norm = resultant identities, classical Galois behavior of
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from _oracles import (
     fraction_field_inverse,
     fraction_field_product,
+    fraction_isolate_real_roots,
     fraction_value_range,
     quartic_automorphism_count,
     sylvester_resultant,
@@ -50,6 +51,17 @@ ORACLE_FIELDS = (
     NumberField(Polynomial(SEXTIC_COEFFS)),
 )
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+# Totally real fields whose signs are checked on fresh cells
+SIGN_FIELDS = ((1, -3, -1, 1), (2, -3, -3, 2, 1), SEXTIC_COEFFS)
+
+
+@st.composite
+def sign_cases(draw):
+    """A totally real field, up to three elements and an order of its places."""
+    coeffs = draw(st.sampled_from(SIGN_FIELDS))
+    n = len(coeffs) - 1
+    coords = st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)
+    return coeffs, draw(st.lists(coords, min_size=1, max_size=3)), draw(st.permutations(range(n)))
 
 # All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
 # |a_i| <= 3, keyed by (a0, a1, a2, a3, 1), with their automorphism counts.
@@ -150,6 +162,38 @@ class TestRealPlaces:
         for sign, iv in zip(u.signs(), ivs):
             lo, hi = fraction_value_range(coords, iv.lo, iv.hi)
             assert (lo > 0) if sign > 0 else (hi < 0)
+
+    def test_degree_one_field_signs_come_from_the_point_cell(self):
+        field = NumberField(Polynomial((-3, 1)))
+        assert field.generator().signs() == (1,)
+        assert field.from_rational(Fraction(-7, 2)).signs() == (-1,)
+        assert field.zero().signs() == (0,)
+        assert [(iv.lo, iv.hi) for iv in field.real_place_intervals()] == [(3, 3)]
+
+    @given(sign_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_signs_agree_across_place_orders_and_with_the_oracle(self, case):
+        coeffs, elements, order = case
+        ascending, shuffled = NumberField(Polynomial(coeffs)), NumberField(Polynomial(coeffs))
+        signs = [ascending.element(coords).signs() for coords in elements]
+        for coords, expected in zip(elements, signs):
+            y = shuffled.element(coords)
+            assert [y.sign_at(j) for j in order] == [expected[j] for j in order]
+        p = ascending.min_poly
+        canonical = fraction_isolate_real_roots(list(p.coeffs))
+        for field in (ascending, shuffled):
+            ivs = field.real_place_intervals()
+            for iv, (lo, hi) in zip(ivs, canonical):
+                # halving kept the root: a sign change inside the canonical bracket
+                assert lo <= iv.lo < iv.hi <= hi
+                assert (p(iv.lo) > 0) != (p(iv.hi) > 0)
+            for coords, expected in zip(elements, signs):
+                for sign, iv in zip(expected, ivs):
+                    vlo, vhi = fraction_value_range(coords, iv.lo, iv.hi)
+                    if not any(coords):
+                        assert sign == 0
+                    else:
+                        assert vlo > 0 if sign > 0 else vhi < 0
 
 
 class TestArithmetic:
@@ -345,43 +389,6 @@ class TestCMExtension:
     def test_rejects_zero_delta(self):
         with pytest.raises(InvalidInputError):
             CMExtension(CUBIC, CUBIC.zero())
-
-
-class TestCMElement:
-    EXT = CMExtension(CUBIC, CUBIC.from_rational(-1))
-
-    def test_relative_norm_of_unit_pair(self):
-        # N(alpha + (alpha^2 - 2) sqrt(-1)) = alpha^2 + 2 alpha + 3
-        z = self.EXT.element(ALPHA, ALPHA * ALPHA - 2)
-        assert z.norm_to_base().coords == (3, 2, 1)
-
-    def test_conjugation_fixes_norm(self):
-        z = self.EXT.element(ALPHA + 1, ALPHA - 2)
-        assert (z * z.conjugate()).a == z.norm_to_base()
-        assert (z * z.conjugate()).b.is_zero()
-
-    def test_sqrt_delta_squares_to_delta(self):
-        s = self.EXT.sqrt_delta()
-        sq = s * s
-        assert sq.a == self.EXT.delta and sq.b.is_zero()
-
-    def test_inverse(self):
-        z = self.EXT.element(ALPHA, CUBIC.from_rational(3))
-        w = z * z.inverse()
-        assert w.a == CUBIC.one() and w.b.is_zero()
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(InvalidInputError):
-            self.EXT.element(0, 0).inverse()
-
-    @given(st.tuples(*[st.integers(-5, 5)] * 6))
-    @settings(max_examples=50, deadline=None)
-    def test_norm_multiplicative(self, raw):
-        z = self.EXT.element(CUBIC.element(raw[:3]), CUBIC.element(raw[3:]))
-        w = self.EXT.element(ALPHA, ALPHA + 1)
-        lhs = (z * w).norm_to_base()
-        rhs = z.norm_to_base() * w.norm_to_base()
-        assert lhs == rhs
 
 
 class TestGaloisClosure:

@@ -22,20 +22,20 @@ from _oracles import (
 from latcert.errors import InvalidInputError
 from latcert.polynomials import (
     Interval,
-    _integer_associate,
     Polynomial,
-    cauchy_root_bound,
+    _gcd,
+    _integer_associate,
+    _rational_roots,
+    _sign_variations,
+    _squarefree,
+    _sturm_chain,
     discriminant,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
-    polynomial_gcd,
-    rational_roots,
     refine_interval,
     resultant,
     squarefree_factors,
-    squarefree_part,
-    sturm_count,
 )
 
 P_CUBIC = Polynomial.from_string("1,-3,-1,1")  # x^3 - x^2 - 3x + 1
@@ -146,27 +146,39 @@ class TestResultant:
         assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)
 
 
+def _core(p):
+    """The primitive squarefree integer polynomial the root machinery runs on."""
+    return _squarefree(_integer_associate(p))
+
+
+def _sturm_count(p, lo, hi):
+    # V(lo) - V(hi) counts the distinct real roots in (lo, hi], zeros of the
+    # chain skipped, even when an endpoint is a root.
+    chain = _sturm_chain(_core(p))
+    return _sign_variations(chain, lo, 1) - _sign_variations(chain, hi, 1)
+
+
 class TestSturm:
     def test_frozen_counts_cubic(self):
         # Real roots of the cubic sit near -1.48, 0.31, 2.17.
-        assert sturm_count(P_CUBIC, Interval(-2, 3)) == 3
-        assert sturm_count(P_CUBIC, Interval(0, 3)) == 2
-        assert sturm_count(P_CUBIC, Interval(-2, 0)) == 1
-        assert sturm_count(P_CUBIC, Interval(Fraction(1), Fraction(2))) == 0
+        assert _sturm_count(P_CUBIC, -2, 3) == 3
+        assert _sturm_count(P_CUBIC, 0, 3) == 2
+        assert _sturm_count(P_CUBIC, -2, 0) == 1
+        assert _sturm_count(P_CUBIC, 1, 2) == 0
 
     def test_half_open_endpoints(self):
         p = Polynomial((-4, 0, 1))  # roots -2, 2
-        assert sturm_count(p, Interval(-2, 2)) == 1  # -2 excluded, 2 included
-        assert sturm_count(p, Interval(-3, 2)) == 2
-        assert sturm_count(p, Interval(-2, 1)) == 0
-        assert sturm_count(p, Interval(2, 2)) == 0  # empty half-open interval
+        assert _sturm_count(p, -2, 2) == 1  # -2 excluded, 2 included
+        assert _sturm_count(p, -3, 2) == 2
+        assert _sturm_count(p, -2, 1) == 0
+        assert _sturm_count(p, 2, 2) == 0  # empty half-open interval
 
     def test_multiple_roots_counted_once(self):
         p = Polynomial((-1, 1)) ** 3 * Polynomial((-5, 1))
-        assert sturm_count(p, Interval(0, 10)) == 2
+        assert _sturm_count(p, 0, 10) == 2
 
     def test_no_real_roots(self):
-        assert sturm_count(Polynomial((1, 0, 1)), Interval(-100, 100)) == 0
+        assert _sturm_count(Polynomial((1, 0, 1)), -100, 100) == 0
 
 
 class TestIsolation:
@@ -199,9 +211,7 @@ class TestIsolation:
         assert len(intervals) == 4
         points = [iv for iv in intervals if iv.is_point()]
         assert sorted(iv.lo for iv in points) == [-1, 1]
-        cells = [iv for iv in intervals if not iv.is_point()]
-        for iv in cells:
-            assert sturm_count(p, Interval(iv.lo, iv.hi)) == 1
+        assert _endpoints(intervals) == fraction_isolate_real_roots(list(p.coeffs))
 
     def test_disjoint_and_sorted(self):
         p = Polynomial((-2, 0, 1)) * Polynomial((-1, 1)) * Polynomial((1, 1))
@@ -226,8 +236,7 @@ class TestIsolation:
         if p.is_zero() or p.degree() < 1:
             return
         intervals = isolate_real_roots(p)
-        bound = cauchy_root_bound(p)
-        assert len(intervals) == sturm_count(p, Interval(-bound, bound))
+        assert _endpoints(intervals) == fraction_isolate_real_roots(list(p.coeffs))
         for iv in intervals:
             if iv.is_point():
                 assert p(iv.lo) == 0
@@ -266,7 +275,6 @@ class TestAgainstFractionOracle:
     @settings(max_examples=150, deadline=None)
     def test_isolation_endpoints_match(self, p):
         assert _endpoints(isolate_real_roots(p)) == fraction_isolate_real_roots(list(p.coeffs))
-        assert rational_roots(p) == fraction_rational_roots(list(p.coeffs))
 
     @given(
         real_root_inputs(),
@@ -286,7 +294,9 @@ class TestAgainstFractionOracle:
             for c in range(-3, 4):
                 p = Polynomial((c, b, 0, 0, 1))
                 assert _endpoints(isolate_real_roots(p)) == fraction_isolate_real_roots(list(p.coeffs))
-        assert sturm_count(Polynomial((-1, 1, 0, 0, 1)), Interval(-3, 3)) == 2
+        p = Polynomial((-1, 1, 0, 0, 1))
+        assert len(sign_scan_roots(list(p.coeffs), Fraction(-3), Fraction(3), Fraction(1, 64))) == 2
+        assert len(isolate_real_roots(p)) == 2
 
     def test_enclosure_of_zero_and_constants(self):
         iv = Interval(Fraction(-1, 3), Fraction(1, 2))
@@ -323,7 +333,6 @@ class TestCanonicalIntervals:
 
     def test_non_monic_with_fractional_cauchy_bound(self):
         p = Polynomial((1, -5, 0, 3))  # 3x^3 - 5x + 1, Cauchy bound 8/3
-        assert cauchy_root_bound(p) == Fraction(8, 3)
         assert _endpoints(isolate_real_roots(p)) == [
             (Fraction(-8, 3), Fraction(-4, 3)),
             (0, Fraction(1, 3)),
@@ -336,7 +345,9 @@ class TestRefinement:
         iv = isolate_real_roots(P_CUBIC)[0]
         tight = refine_interval(P_CUBIC, iv, Fraction(1, 10**12))
         assert tight.width <= Fraction(1, 10**12)
-        assert sturm_count(P_CUBIC, Interval(tight.lo, tight.hi)) == 1
+        # still around the root the sign scan brackets by (-95/64, -47/32)
+        assert P_CUBIC(tight.lo) < 0 < P_CUBIC(tight.hi)
+        assert Fraction(-95, 64) < tight.lo < tight.hi < Fraction(-47, 32)
 
     def test_exact_hit_collapses(self):
         p = Polynomial((-1, 0, 1))
@@ -357,26 +368,26 @@ class TestRefinement:
 class TestRationalRoots:
     def test_frozen(self):
         p = Polynomial((6, -5, 1))  # (x-2)(x-3)
-        assert rational_roots(p) == [2, 3]
-        assert rational_roots(Polynomial((0, 2, 0, 1))) == [0]
-        assert rational_roots(P_CUBIC) == []
+        assert sorted(_rational_roots(_core(p))) == [(2, 1), (3, 1)]
+        assert _rational_roots(_core(Polynomial((0, 2, 0, 1)))) == [(0, 1)]
+        assert _rational_roots(_core(P_CUBIC)) == []
 
     def test_fractional_roots(self):
         p = Polynomial((-1, 0, 4))  # (2x-1)(2x+1)
-        assert rational_roots(p) == [Fraction(-1, 2), Fraction(1, 2)]
+        assert sorted(_rational_roots(_core(p))) == [(-1, 2), (1, 2)]
 
 
 class TestHelpers:
     def test_squarefree_part(self):
         p = Polynomial((-1, 1)) ** 2 * Polynomial((-3, 1))
-        sf = squarefree_part(p)
+        sf = Polynomial(_core(p))
         assert sf.degree() == 2
         assert sf(1) == 0 and sf(3) == 0
 
     def test_gcd(self):
         a = Polynomial((-1, 1)) * Polynomial((-2, 1))
         b = Polynomial((-1, 1)) * Polynomial((-3, 1))
-        assert polynomial_gcd(a, b) == Polynomial((-1, 1))
+        assert _gcd(_integer_associate(a), _integer_associate(b)) == (-1, 1)
 
     def test_interval_value_range_contains_true_values(self):
         iv = Interval(Fraction(-1), Fraction(2))
@@ -407,7 +418,7 @@ class TestIrreducibility:
     def test_reducible_quartics_without_rational_roots(self, coeffs):
         # 4x^4 + 1 = (2x^2 + 2x + 1)(2x^2 - 2x + 1), x^4 + 4 likewise
         p = Polynomial(coeffs)
-        assert rational_roots(p) == []
+        assert fraction_rational_roots(list(p.coeffs)) == []
         assert not is_irreducible(p)
 
     def test_frozen_reducible(self):
@@ -460,7 +471,7 @@ class TestSquarefreeFactors:
             return
         factors = squarefree_factors(f.int_coeffs())
         if factors is None:
-            assert squarefree_part(f).degree() < f.degree()
+            assert sylvester_resultant(list(f.coeffs), list(f.derivative().coeffs)) == 0
             return
         assert _product(factors) == f
         for g in factors:
