@@ -37,6 +37,7 @@ from .polynomials import (
     _bareiss_det,
     _enclosure,
     _halve,
+    _isolating_cells,
     _multiplication_columns,
     _over_common_denominator,
     _poly_mul,
@@ -108,7 +109,10 @@ class NumberField:
         # Mutable cache: one integer cell [a, b, d] = [a/d, b/d] per real
         # place, which sign evaluations halve in place. The ascending order
         # (the canonical place indexing) never changes.
-        return [list(_over_common_denominator(iv.lo, iv.hi)) for iv in isolate_real_roots(self.min_poly)]
+        if self.degree == 1:
+            return [list(_over_common_denominator(iv.lo, iv.hi)) for iv in isolate_real_roots(self.min_poly)]
+        # Irreducible of degree >= 2: squarefree and without a rational root.
+        return _isolating_cells(self.int_poly, [])
 
     @property
     def real_place_count(self) -> int:

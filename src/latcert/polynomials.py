@@ -1,11 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Everything here is exact and deterministic: resultants and discriminants
-are Bareiss determinants on the integer core, real roots are isolated with
-Sturm counts plus exact extraction of rational roots, and squarefree monic
-integer polynomials are factored over Z by Zassenhaus's algorithm (factor
-modulo a prime, Hensel-lift, recombine), which also decides irreducibility
-over Q. No floating point anywhere.
+are Bareiss determinants on the integer core, real roots are counted by
+Sturm's theorem at -inf and +inf and isolated with Sturm counts plus exact
+extraction of rational roots, and squarefree monic integer polynomials are
+factored over Z by Zassenhaus's algorithm (factor modulo a prime,
+Hensel-lift, recombine), which also decides irreducibility over Q. No
+floating point anywhere.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -291,36 +292,8 @@ def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
     reduced = q
     for num, den in rats:
         reduced = _exact_div(reduced, (-num, den))
-
-    cells: list[list[int]] = []
-    if len(reduced) > 1:
-        # Cauchy's bound B = 1 + max |c_i| / |lead| = bound / lead, so every
-        # real root lies strictly inside (-B, B).
-        lead = abs(reduced[-1])
-        bound = lead + max(abs(c) for c in reduced[:-1])
-        cells = _bisect_cells(_sturm_chain(reduced), -bound, bound, lead)
-        # Shrink each bracket until it traps no rational root of p; the
-        # bracketed root is irrational, so bisection always separates.
-        for cell in cells:
-            while any(cell[0] * den <= num * cell[2] <= cell[1] * den for num, den in rats):
-                _halve(reduced, cell)
-
-    items = [[num, num, den] for num, den in rats] + cells
-    items.sort(key=_ASCENDING)
-    # Closed intervals must be pairwise disjoint; keep halving offenders.
-    done = False
-    while not done:
-        done = True
-        for i in range(len(items) - 1):
-            (a, b, d), (a2, b2, d2) = items[i], items[i + 1]
-            if b * d2 >= a2 * d:
-                done = False
-                target = i if (b - a) * d2 >= (b2 - a2) * d else i + 1
-                if items[target][0] == items[target][1]:
-                    target = i + 1 if target == i else i
-                _halve(reduced, items[target])
-        items.sort(key=_ASCENDING)
-    return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in items)
+    cells = _isolating_cells(reduced, rats)
+    return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in cells)
 
 
 def refine_interval(p: Polynomial, interval: Interval, width: Scalar) -> Interval:
@@ -527,8 +500,9 @@ def _squarefree(f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _sturm_chain(q: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # q squarefree of degree >= 1; each member is the negated remainder of
-    # the two before it, scaled to primitive form by a positive constant.
+    # q of degree >= 1; each member is the negated remainder of the two
+    # before it, scaled to primitive form by a positive constant. The chain
+    # stops at a constant multiple of gcd(q, q'), which is 1 for squarefree q.
     chain = [q, _primitive(_derivative(q))]
     while len(chain[-1]) > 1:
         r = _prem(chain[-2], chain[-1])
@@ -574,6 +548,33 @@ def _sign_variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
     return count
 
 
+def distinct_real_root_count(f: tuple[int, ...]) -> int:
+    """Number of distinct real roots of a nonconstant integer polynomial f,
+    constant term first.
+
+    Sturm's theorem read at -inf and +inf (Cohen, GTM 138, 4.1): a chain
+    member has the sign of its leading coefficient at +inf, and that sign
+    times (-1)^degree at -inf, so the count needs no bisection. The chain
+    of f ends at gcd(f, f') up to a constant, which divides every member
+    and leaves the sign variations at both ends unchanged, so each repeated
+    root counts once. A degree-n polynomial with n distinct real roots is
+    therefore squarefree and totally real.
+
+    >>> distinct_real_root_count((-2, 4, -1, -2, 1))  # (x - 1)^2 (x^2 - 2)
+    3
+    >>> distinct_real_root_count((2, 1, 2, 1))  # (x + 2)(x^2 + 1)
+    1
+    """
+    if len(f) < 2:
+        raise InvalidInputError("counting real roots needs a nonconstant polynomial")
+    chain = _sturm_chain(f)
+    at_plus = [g[-1] > 0 for g in chain]
+    at_minus = [s == (len(g) % 2 == 1) for s, g in zip(at_plus, chain)]
+    return sum(a != b for a, b in zip(at_minus, at_minus[1:])) - sum(
+        a != b for a, b in zip(at_plus, at_plus[1:])
+    )
+
+
 def _bisect_cells(chain: list[tuple[int, ...]], lo: int, hi: int, den: int) -> list[list[int]]:
     # chain[0] is squarefree with no rational roots, so midpoints are never
     # roots and every Sturm count on (a, b] is trustworthy with untouched
@@ -592,6 +593,45 @@ def _bisect_cells(chain: list[tuple[int, ...]], lo: int, hi: int, den: int) -> l
         stack.append((2 * a, m, 2 * d, va, vm))
         stack.append((m, 2 * b, 2 * d, vm, vb))
     return out
+
+
+def _isolating_cells(reduced: tuple[int, ...], rats: list[tuple[int, int]]) -> list[list[int]]:
+    """Ascending, pairwise-disjoint cells in lowest terms: the point cell
+    [num, num, den] for each rational root (num, den) in rats, and one
+    bracket per real root of reduced, a squarefree integer polynomial with
+    no rational root."""
+    cells: list[list[int]] = []
+    if len(reduced) > 1:
+        # Cauchy's bound B = 1 + max |c_i| / |lead| = bound / lead, so every
+        # real root lies strictly inside (-B, B).
+        lead = abs(reduced[-1])
+        bound = lead + max(abs(c) for c in reduced[:-1])
+        cells = _bisect_cells(_sturm_chain(reduced), -bound, bound, lead)
+        # Shrink each bracket until it traps no rational root; the bracketed
+        # root is irrational, so bisection always separates.
+        for cell in cells:
+            while any(cell[0] * den <= num * cell[2] <= cell[1] * den for num, den in rats):
+                _halve(reduced, cell)
+
+    items = [[num, num, den] for num, den in rats] + cells
+    items.sort(key=_ASCENDING)
+    # Closed intervals must be pairwise disjoint; keep halving offenders.
+    done = False
+    while not done:
+        done = True
+        for i in range(len(items) - 1):
+            (a, b, d), (a2, b2, d2) = items[i], items[i + 1]
+            if b * d2 >= a2 * d:
+                done = False
+                target = i if (b - a) * d2 >= (b2 - a2) * d else i + 1
+                if items[target][0] == items[target][1]:
+                    target = i + 1 if target == i else i
+                _halve(reduced, items[target])
+        items.sort(key=_ASCENDING)
+    for cell in items:
+        g = math.gcd(*cell)
+        cell[:] = (c // g for c in cell)
+    return items
 
 
 def _halve(q: tuple[int, ...], cell: list[int]) -> None:

@@ -30,6 +30,7 @@ from latcert.polynomials import (
     _squarefree,
     _sturm_chain,
     discriminant,
+    distinct_real_root_count,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
@@ -302,6 +303,40 @@ class TestAgainstFractionOracle:
         iv = Interval(Fraction(-1, 3), Fraction(1, 2))
         assert interval_value_range(Polynomial(), iv) == (0, 0)
         assert interval_value_range(Polynomial((Fraction(-7, 4),)), iv) == (Fraction(-7, 4),) * 2
+
+
+@st.composite
+def integer_products(draw):
+    """Integer polynomials of degree 1-6, products of integer linear and
+    quadratic factors, some squared, under a leading constant that may be
+    negative; so repeated roots, rational roots and complex pairs appear."""
+    p = Polynomial((draw(st.sampled_from((1, -1, 2, -3))),))
+    linear = st.tuples(st.integers(-4, 4), st.integers(1, 3))
+    quadratic = st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(1, 2))
+    factors = st.tuples(st.one_of(linear, quadratic), st.integers(1, 2))
+    for factor, k in draw(st.lists(factors, min_size=1, max_size=4)):
+        q = p * Polynomial(factor) ** k
+        if q.degree() <= 6:
+            p = q
+    return p
+
+
+class TestDistinctRealRootCount:
+    @given(integer_products())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle_isolation(self, p):
+        count = distinct_real_root_count(p.int_coeffs())
+        assert count == len(fraction_isolate_real_roots(list(p.coeffs)))
+
+    def test_frozen_counts(self):
+        # (x - 1)^3 (x - 5), x^2 + 1, and the sextic with six real roots
+        assert distinct_real_root_count(_product([(-1, 1)] * 3 + [(-5, 1)]).int_coeffs()) == 2
+        assert distinct_real_root_count((1, 0, 1)) == 0
+        assert distinct_real_root_count(Q_SEXTIC.int_coeffs()) == 6
+
+    def test_rejects_constants(self):
+        with pytest.raises(InvalidInputError):
+            distinct_real_root_count((3,))
 
 
 class TestCanonicalIntervals:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from latcert import number_field
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
@@ -95,6 +96,31 @@ class TestCandidates:
         assert 37 not in good_odd_primes(field, delta, 10)
 
 
+class TestFieldFilter:
+    def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
+        # 114 of the 2401 quartics at bound 3 have four distinct real roots
+        calls = []
+        original = number_field.is_irreducible
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(number_field, "is_irreducible", counting)
+        fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
+        assert len(calls) == 114
+        assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
+
+    @pytest.mark.parametrize(
+        "bound, count, prefix", [(4, 86, "aa413b4659b25950"), (3, 22, "f4146baba1d680ff")]
+    )
+    def test_cubic_fields_are_pinned(self, bound, count, prefix):
+        fields = list(field_candidates(SearchConfig(degree=3, coefficient_bound=bound)))
+        text = "\n".join(f.min_poly.to_string() for f in fields)
+        assert len(fields) == count
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
+
+
 class TestSearchResults:
     def test_pass_certificate_count(self, degree3_certs):
         assert len(degree3_certs) == 66
@@ -105,6 +131,13 @@ class TestSearchResults:
         text = "".join(canonical_json(c) for c in certs)
         assert len(certs) == 6
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("58fb0fd819877cad")
+
+    def test_pinned_certificate_bytes_at_degree_4(self):
+        # the first pin with four real places
+        certs = search_seeds(SearchConfig(degree=4, coefficient_bound=3))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 6
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("2156916496e85916")
 
     def test_every_result_is_a_pass(self, degree3_certs):
         assert all(c["verdict"]["overall"] == "PASS" for c in degree3_certs)
