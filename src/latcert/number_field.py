@@ -39,12 +39,10 @@ from .polynomials import (
     _halve,
     _isolating_cells,
     _multiplication_columns,
-    _over_common_denominator,
     _poly_mul,
     _reduce_monic,
     discriminant,
     is_irreducible,
-    isolate_real_roots,
     resultant_int,
     squarefree_factors,
 )
@@ -110,7 +108,8 @@ class NumberField:
         # place, which sign evaluations halve in place. The ascending order
         # (the canonical place indexing) never changes.
         if self.degree == 1:
-            return [list(_over_common_denominator(iv.lo, iv.hi)) for iv in isolate_real_roots(self.min_poly)]
+            # min_poly is x + c, whose one root -c is the point cell.
+            return [[-self.int_poly[0], -self.int_poly[0], 1]]
         # Irreducible of degree >= 2: squarefree and without a rational root.
         return _isolating_cells(self.int_poly, [])
 
