@@ -36,24 +36,17 @@ class HermitianForm:
     def __post_init__(self):
         if not self.diag:
             raise InvalidInputError("a form needs at least one diagonal entry")
-        coerced = []
-        for a in self.diag:
-            if not isinstance(a, FieldElement):
-                a = self.ext.base.from_rational(a)
-            if a.field != self.ext.base:
-                raise InvalidInputError("diagonal entries must lie in the base field")
-            if a.is_zero():
-                raise InvalidInputError("diagonal entries must be nonzero")
-            coerced.append(a)
-        object.__setattr__(self, "diag", tuple(coerced))
+        diag = tuple(self.ext.base._coerce(a) for a in self.diag)
+        if any(a.is_zero() for a in diag):
+            raise InvalidInputError("diagonal entries must be nonzero")
+        object.__setattr__(self, "diag", diag)
 
     @property
     def rank(self) -> int:
         return len(self.diag)
 
     def scale(self, lam) -> "HermitianForm":
-        if not isinstance(lam, FieldElement):
-            lam = self.ext.base.from_rational(lam)
+        lam = self.ext.base._coerce(lam)
         if lam.is_zero():
             raise InvalidInputError("scaling by zero destroys the form")
         return HermitianForm(self.ext, tuple(lam * a for a in self.diag))
@@ -136,8 +129,7 @@ def _lambda_candidates(
     base = []
     seen_coords = set()
     for g in tuple(unit_gens) + h1.diag + h2.diag:
-        if not isinstance(g, FieldElement):
-            g = h1.ext.base.from_rational(g)
+        g = h1.ext.base._coerce(g)
         if g.coords in seen_coords:
             continue
         seen_coords.add(g.coords)
@@ -256,10 +248,9 @@ class SeedVerdict:
         return f"{self.status} [{parts}]"
 
 
-def _standing_assumption(h: HermitianForm) -> ComponentCheck:
+def _standing_assumption(pattern: SignaturePattern, rank: int) -> ComponentCheck:
     # Exactly one real place indefinite, with the extreme signature
     # {rank-1, 1}; all other places definite.
-    pattern = signature_pattern(h)
     indef = _indefinite(pattern)
     if len(indef) != 1:
         return ComponentCheck(
@@ -267,7 +258,7 @@ def _standing_assumption(h: HermitianForm) -> ComponentCheck:
         )
     j = indef[0]
     p, q = pattern[j]
-    if sorted((p, q)) != [1, h.rank - 1]:
+    if sorted((p, q)) != [1, rank - 1]:
         return ComponentCheck(
             "standing-assumption",
             FAIL,
@@ -306,8 +297,9 @@ def seed_pair_check(
 
     components: list[ComponentCheck] = []
 
-    a1 = _standing_assumption(h1)
-    a2 = _standing_assumption(h2)
+    sig1, sig2 = signature_pattern(h1), signature_pattern(h2)
+    a1 = _standing_assumption(sig1, h1.rank)
+    a2 = _standing_assumption(sig2, h2.rank)
     if a1.status == PASS and a2.status == PASS:
         components.append(
             ComponentCheck("standing-assumption", PASS, f"{a1.detail}; {a2.detail}")
@@ -333,15 +325,15 @@ def seed_pair_check(
     else:
         components.append(ComponentCheck("non-isomorphism", UNKNOWN, verdict.detail))
 
-    twisted = twist_pattern(signature_pattern(h1), tau)
-    if twisted == signature_pattern(h2):
+    twisted = twist_pattern(sig1, tau)
+    if twisted == sig2:
         components.append(ComponentCheck("twist-match", PASS, f"tau = {tau}"))
     else:
         components.append(
             ComponentCheck(
                 "twist-match",
                 FAIL,
-                f"twisted pattern {twisted} != {signature_pattern(h2)}",
+                f"twisted pattern {twisted} != {sig2}",
             )
         )
 

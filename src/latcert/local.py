@@ -429,10 +429,7 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
     Every returned verdict is exact; undecidable corners raise
     InconclusiveError instead of guessing.
     """
-    if not isinstance(u, FieldElement):
-        u = ext.base.from_rational(u)
-    if u.field != ext.base:
-        raise InvalidInputError("element must lie in the base field")
+    u = ext.base._coerce(u)
     if u.is_zero():
         raise InvalidInputError("norm test needs a nonzero element")
 
@@ -514,8 +511,7 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
     report must contain an even number of -1 entries; this is the
     self-checking identity the engine is tested against.
     """
-    if not isinstance(u, FieldElement):
-        u = ext.base.from_rational(u)
+    u = ext.base._coerce(u)
     if u.is_zero():
         raise InvalidInputError("product check needs a nonzero element")
     entries: list[PlaceSymbolEntry] = []

@@ -6,12 +6,14 @@ all arithmetic is exact on the integer core of polynomials: the norm is the
 determinant of the multiplication matrix (Cohen, GTM 138, 4.2) and the inverse
 solves it by Cramer's rule. The real places are the isolated real roots of
 the defining polynomial in ascending order, which fixes a canonical
-indexing from 0. Each is kept as one integer cell [a, b, d] = [a/d, b/d]
-from isolation on, and the sign of an element at a place is decided on
-that cell by an integer interval enclosure of its numerators, halving the
-cell while the enclosure straddles zero; rational intervals are built only
-for `real_place_intervals`. A CM extension F(sqrt(delta)) is carried as
-its totally real base field and a totally negative delta in it.
+indexing from 0. Each is one immutable integer cell (a, b, d) = [a/d, b/d],
+a function of the polynomial alone: the isolating cell (Collins & Akritas
+1976), halved until 0 lies outside it. The sign of an element at a place
+is decided by an integer interval enclosure of its numerators over a
+private copy of that cell, halving the copy while the enclosure straddles
+zero; rational intervals are built only for `real_place_intervals`. A CM
+extension F(sqrt(delta)) is carried as its totally real base field and a
+totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
 discriminant. For degree >= 4 a sieve bounds the count from above by the
@@ -103,22 +105,28 @@ class NumberField:
         return discriminant(self.min_poly)
 
     @cached_property
-    def _root_cells(self) -> list[list[int]]:
-        # Mutable cache: one integer cell [a, b, d] = [a/d, b/d] per real
-        # place, which sign evaluations halve in place. The ascending order
-        # (the canonical place indexing) never changes.
+    def _root_cells(self) -> tuple[tuple[int, ...], ...]:
+        # One integer cell (a, b, d) = [a/d, b/d] per real place, ascending
+        # (the canonical place indexing), a function of min_poly alone.
         if self.degree == 1:
             # min_poly is x + c, whose one root -c is the point cell.
-            return [[-self.int_poly[0], -self.int_poly[0], 1]]
-        # Irreducible of degree >= 2: squarefree and without a rational root.
-        return _isolating_cells(self.int_poly, [])
+            return ((-self.int_poly[0], -self.int_poly[0], 1),)
+        # Irreducible of degree >= 2: squarefree and without a rational root,
+        # so halving each isolating cell until 0 lies outside it terminates.
+        # That is where the generator's sign at the place is decided.
+        cells = _isolating_cells(self.int_poly, [])
+        for cell in cells:
+            while cell[0] <= 0 <= cell[1]:
+                _halve(self.int_poly, cell)
+        return tuple(tuple(cell) for cell in cells)
 
     @property
     def real_place_count(self) -> int:
         return len(self._root_cells)
 
     def real_place_intervals(self) -> tuple[Interval, ...]:
-        """Current isolating interval per real place, ascending."""
+        """Isolating interval per real place, ascending, with 0 outside each
+        one of a field of degree >= 2; sign evaluations never change them."""
         return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in self._root_cells)
 
     def real_places(self) -> tuple[RealPlace, ...]:
@@ -140,6 +148,16 @@ class NumberField:
 
     def one(self) -> "FieldElement":
         return self.from_rational(1)
+
+    def _coerce(self, value) -> "FieldElement":
+        """value as an element of this field: an element of it, or a rational."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise InvalidInputError("elements of different fields")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        raise InvalidInputError(f"cannot coerce {type(value).__name__} into the field")
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
@@ -167,15 +185,6 @@ class FieldElement:
 
     # -- helpers -------------------------------------------------------------
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise InvalidInputError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        raise InvalidInputError(f"cannot coerce {type(other).__name__} into the field")
-
     @cached_property
     def integral(self) -> tuple[tuple[int, ...], int]:
         """(z, m) with coords = z/m, m > 0 the lcm of the coordinate denominators."""
@@ -191,22 +200,22 @@ class FieldElement:
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other) -> "FieldElement":
-        o = self._coerce(other)
+        o = self.field._coerce(other)
         return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElement":
-        return self + (-self._coerce(other))
+        return self + (-self.field._coerce(other))
 
     def __rsub__(self, other) -> "FieldElement":
-        return self._coerce(other) - self
+        return self.field._coerce(other) - self
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.field, tuple(-c for c in self.coords))
 
     def __mul__(self, other) -> "FieldElement":
-        (z, m), (w, k) = self.integral, self._coerce(other).integral
+        (z, m), (w, k) = self.integral, self.field._coerce(other).integral
         prod = _reduce_monic(_poly_mul(z, w), self.field.int_poly)
         return FieldElement(self.field, tuple(Fraction(c, m * k) for c in prod))
 
@@ -228,10 +237,10 @@ class FieldElement:
         return FieldElement(self.field, tuple(coords))
 
     def __truediv__(self, other) -> "FieldElement":
-        return self * self._coerce(other).inverse()
+        return self * self.field._coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "FieldElement":
-        return self._coerce(other) / self
+        return self.field._coerce(other) / self
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
@@ -270,17 +279,18 @@ class FieldElement:
             return 0
         # Over a point cell, the root of a degree-1 field, the enclosure is
         # the exact value and decides at once.
-        cell = self.field._root_cells[j]
+        cell = list(self.field._root_cells[j])
         while True:
             lo, hi = _enclosure(z, *cell)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            # The enclosure straddles zero: halve the root's cell in place. A
-            # nonzero element never evaluates to zero at a root of an
-            # irreducible polynomial, so this terminates; irreducibility
-            # also keeps every rational midpoint off the root.
+            # The enclosure straddles zero: halve this call's copy of the
+            # cell; the field's cells never change. A nonzero element never
+            # evaluates to zero at a root of an irreducible polynomial, so
+            # this terminates; irreducibility also keeps every rational
+            # midpoint off the root.
             _halve(self.field.int_poly, cell)
 
     def signs(self) -> tuple[int, ...]:

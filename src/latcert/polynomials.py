@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the rationals and their integer core.
 
 Everything here is exact and deterministic: resultants and discriminants
 are Bareiss determinants on the integer core, real roots are counted by
@@ -96,90 +96,14 @@ class Polynomial:
             raise InvalidInputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def derivative(self) -> "Polynomial":
+        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __str__(self) -> str:
         return self.to_string()
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise InvalidInputError("negative polynomial power")
-        result = Polynomial((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise InvalidInputError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = len(other.coeffs)
-        qdeg = len(rem) - dd
-        if qdeg < 0:
-            return Polynomial(), self
-        inv = 1 / other.leading_coefficient()
-        quot = [Fraction(0)] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
-            c = rem[i + dd - 1] * inv
-            if c:
-                quot[i] = c
-                for j, y in enumerate(other.coeffs):
-                    rem[i + j] -= c * y
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    # -- calculus and evaluation --------------------------------------------
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- normal forms --------------------------------------------------------
 
@@ -256,13 +180,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -307,11 +224,11 @@ def refine_interval(p: Polynomial, interval: Interval, width: Scalar) -> Interva
         raise InvalidInputError("target width must be positive")
     if p.is_zero() or p.degree() < 1:
         raise InvalidInputError("refinement needs a nonconstant polynomial")
-    if interval.is_point():
-        if p(interval.lo) != 0:
+    q = _squarefree(_integer_associate(p))
+    if interval.lo == interval.hi:
+        if _value(q, interval.lo.numerator, interval.lo.denominator) != 0:
             raise InvalidInputError("degenerate interval is not a root")
         return interval
-    q = _squarefree(_integer_associate(p))
     lo, hi, d = _over_common_denominator(interval.lo, interval.hi)
     qlo, qhi = _value(q, lo, d), _value(q, hi, d)
     if qlo == 0:

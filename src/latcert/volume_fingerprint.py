@@ -64,7 +64,7 @@ def level_id_for(levels: Iterable[CongruenceLevel]) -> str:
     lines = []
     for level in levels:
         entries = sorted(str(e.coords) for e in level.form.diag)
-        lines.append(f"{level.place.prime}#{level.place.index}|{';'.join(entries)}")
+        lines.append(f"{level.place.label()}|{';'.join(entries)}")
     digest = hashlib.sha256("\n".join(sorted(lines)).encode("utf-8")).hexdigest()
     return digest[:16]
 

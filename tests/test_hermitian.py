@@ -50,8 +50,11 @@ class TestForms:
 
     def test_rejects_foreign_entries(self):
         other = NumberField(Polynomial((-2, 0, 1)))
-        with pytest.raises(InvalidInputError):
-            HermitianForm(EXT, (other.generator(),))
+        for entry in (other.generator(), 0.5, "1"):
+            with pytest.raises(InvalidInputError):
+                HermitianForm(EXT, (entry,))
+            with pytest.raises(InvalidInputError):
+                H1.scale(entry)
 
     def test_scale_by_zero(self):
         with pytest.raises(InvalidInputError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dyadic_square_scan, sylvester_resultant
+from _oracles import _mul, dyadic_square_scan, sylvester_resultant
 from latcert import local, modular
 from latcert.errors import InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
@@ -153,7 +153,7 @@ def monic_and_multiplier(draw):
         z = draw(st.lists(st.just(0) | st.integers(-9, 9), min_size=1, max_size=n + 3))
     else:
         q = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2))
-        z = (Polynomial(p) * Polynomial(q)).int_coeffs()
+        z = [int(c) for c in _mul(p, q)]
     return p, tuple(z)
 
 
@@ -170,7 +170,7 @@ class TestResultantInt:
 
     def test_multiple_of_modulus_is_zero(self):
         p = (1, -3, -1, 1)
-        assert local.resultant_int(p, (Polynomial(p) * Polynomial((2, 0, 5))).int_coeffs()) == 0
+        assert local.resultant_int(p, tuple(int(c) for c in _mul(p, (2, 0, 5)))) == 0
 
     def test_zero_pivot_swaps_rows(self):
         # multiplication by x on Z[x]/(x^2 + 1) is [[0, -1], [1, 0]]
@@ -404,6 +404,13 @@ class TestLocalNormTest:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             local_norm_test(EXT, 0, place_above(F, 2))
+
+    @pytest.mark.parametrize("u", [RATIONALS.from_rational(2), 0.5, "2"])
+    def test_foreign_and_inexact_arguments_rejected(self, u):
+        with pytest.raises(InvalidInputError):
+            local_norm_test(EXT, u, place_above(F, 2))
+        with pytest.raises(InvalidInputError):
+            hilbert_product_check(EXT, u)
 
     def test_result_is_truthy(self):
         assert bool(local_norm_test(EXT, 2, place_above(F, 2)))

@@ -15,6 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _halve_toward_root,
+    _mul,
+    _value,
     fraction_field_inverse,
     fraction_field_product,
     fraction_isolate_real_roots,
@@ -51,18 +54,6 @@ ORACLE_FIELDS = (
     NumberField(Polynomial(SEXTIC_COEFFS)),
 )
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-# Totally real fields whose signs are checked on fresh cells
-SIGN_FIELDS = ((1, -3, -1, 1), (2, -3, -3, 2, 1), SEXTIC_COEFFS)
-
-
-@st.composite
-def sign_cases(draw):
-    """A totally real field, up to three elements and an order of its places."""
-    coeffs = draw(st.sampled_from(SIGN_FIELDS))
-    n = len(coeffs) - 1
-    coords = st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)
-    return coeffs, draw(st.lists(coords, min_size=1, max_size=3)), draw(st.permutations(range(n)))
-
 # All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
 # |a_i| <= 3, keyed by (a0, a1, a2, a3, 1), with their automorphism counts.
 TOTALLY_REAL_QUARTICS_BOUND_3 = {
@@ -81,6 +72,61 @@ TOTALLY_REAL_QUARTICS_BOUND_3 = {
     (2, -3, -3, 2, 1): 1,
     (2, 3, -3, -2, 1): 1,
 }
+# Totally real fields whose signs and place intervals are checked: three
+# cubics (two of them cyclic), the sextic, and the degree-4 census above.
+SIGN_FIELDS = ((1, -3, -1, 1), (-1, -3, 0, 1), (1, -2, -1, 1), SEXTIC_COEFFS) + tuple(
+    TOTALLY_REAL_QUARTICS_BOUND_3
+)
+
+
+@st.composite
+def sign_cases(draw):
+    """A totally real field, up to three elements and an order of its places."""
+    coeffs = draw(st.sampled_from(SIGN_FIELDS))
+    n = len(coeffs) - 1
+    coords = st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)
+    return coeffs, draw(st.lists(coords, min_size=1, max_size=3)), draw(st.permutations(range(n)))
+
+
+@st.composite
+def sign_histories(draw):
+    """A totally real field, up to three elements, and a sequence of
+    (element, place) sign evaluations in any order, repeats allowed."""
+    coeffs, elements, _ = draw(sign_cases())
+    n = len(coeffs) - 1
+    calls = st.tuples(st.integers(0, len(elements) - 1), st.integers(0, n - 1))
+    return coeffs, elements, draw(st.lists(calls, max_size=12))
+
+
+def _oracle_place_intervals(coeffs):
+    """The Fraction oracle's isolating brackets, each halved until 0 lies
+    outside it."""
+    p = [Fraction(c) for c in coeffs]
+    out = []
+    for lo, hi in fraction_isolate_real_roots(p):
+        cell = [lo, hi]
+        while cell[0] <= 0 <= cell[1]:
+            _halve_toward_root(p, cell)
+        out.append(tuple(cell))
+    return out
+
+
+def _oracle_signs(coeffs, coords):
+    """Signs of one element at each real place: its Fraction enclosure over
+    the oracle's own copy of each bracket, halved until it excludes 0."""
+    p = [Fraction(c) for c in coeffs]
+    signs = []
+    for lo, hi in fraction_isolate_real_roots(p):
+        if not any(coords):
+            signs.append(0)
+            continue
+        cell = [lo, hi]
+        vlo, vhi = fraction_value_range(coords, *cell)
+        while vlo <= 0 <= vhi:
+            _halve_toward_root(p, cell)
+            vlo, vhi = fraction_value_range(coords, *cell)
+        signs.append(1 if vlo > 0 else -1)
+    return tuple(signs)
 
 
 class TestConstruction:
@@ -142,7 +188,9 @@ class TestRealPlaces:
         assert CUBIC.zero().signs() == (0, 0, 0)
 
     def test_intervals_after_signs_are_pinned(self):
-        # Certificates record the intervals as sign evaluations left them.
+        # Certificates record these canonical intervals: each isolating cell
+        # halved until 0 lies outside it, where the generator's sign is
+        # decided. Sign evaluations leave them as they are.
         field = NumberField(Polynomial((2, -3, -3, 2, 1)))
         assert field.generator().signs() == (-1, -1, 1, 1)
         assert [(iv.lo, iv.hi) for iv in field.real_place_intervals()] == [
@@ -157,11 +205,9 @@ class TestRealPlaces:
         coords = [Fraction(1, 3), Fraction(-1, 2), Fraction(0)]
         u = field.element(coords)
         assert u.signs() == (1, 1, -1)
+        assert u.signs() == _oracle_signs(field.min_poly.coeffs, coords)
         ivs = field.real_place_intervals()
-        assert [(iv.lo, iv.hi) for iv in ivs] == [(-2, -1), (0, Fraction(1, 2)), (2, 4)]
-        for sign, iv in zip(u.signs(), ivs):
-            lo, hi = fraction_value_range(coords, iv.lo, iv.hi)
-            assert (lo > 0) if sign > 0 else (hi < 0)
+        assert [(iv.lo, iv.hi) for iv in ivs] == [(-2, -1), (Fraction(1, 4), Fraction(1, 2)), (2, 4)]
 
     def test_degree_one_field_signs_come_from_the_point_cell(self):
         field = NumberField(Polynomial((-3, 1)))
@@ -179,21 +225,23 @@ class TestRealPlaces:
         for coords, expected in zip(elements, signs):
             y = shuffled.element(coords)
             assert [y.sign_at(j) for j in order] == [expected[j] for j in order]
-        p = ascending.min_poly
-        canonical = fraction_isolate_real_roots(list(p.coeffs))
-        for field in (ascending, shuffled):
-            ivs = field.real_place_intervals()
-            for iv, (lo, hi) in zip(ivs, canonical):
-                # halving kept the root: a sign change inside the canonical bracket
-                assert lo <= iv.lo < iv.hi <= hi
-                assert (p(iv.lo) > 0) != (p(iv.hi) > 0)
-            for coords, expected in zip(elements, signs):
-                for sign, iv in zip(expected, ivs):
-                    vlo, vhi = fraction_value_range(coords, iv.lo, iv.hi)
-                    if not any(coords):
-                        assert sign == 0
-                    else:
-                        assert vlo > 0 if sign > 0 else vhi < 0
+            assert expected == _oracle_signs(coeffs, coords)
+
+    @given(sign_histories())
+    @settings(max_examples=60, deadline=None)
+    def test_place_intervals_do_not_depend_on_sign_history(self, case):
+        coeffs, elements, calls = case
+        canonical = _oracle_place_intervals(coeffs)
+        read_first, signs_first = NumberField(Polynomial(coeffs)), NumberField(Polynomial(coeffs))
+        before = read_first.real_place_intervals()
+        for field in (read_first, signs_first):
+            for k, j in calls:
+                field.element(elements[k]).sign_at(j)
+        assert read_first.real_place_intervals() == before
+        for field in (read_first, signs_first):
+            assert [(iv.lo, iv.hi) for iv in field.real_place_intervals()] == canonical
+            assert all(type(cell) is tuple for cell in field._root_cells)
+            assert type(field._root_cells) is tuple
 
 
 class TestArithmetic:
@@ -365,11 +413,12 @@ class TestShiftedNorm:
         p = tuple(tail) + (1,)
         size = (len(p) - 1) ** 2
         x0 = {"below": -1, "last": size, "beyond": size + 1}[where]
-        moved = Polynomial(p[-1:])
+        moved = [Fraction(p[-1])]
         for c in reversed(p[:-1]):
-            moved = moved * Polynomial((x0, -s)) + Polynomial((c,))
-        expected = sylvester_resultant(list(Polynomial(p).coeffs), list(moved.coeffs))
-        assert Polynomial(_shifted_norm(p, s))(x0) == expected
+            moved = _mul(moved, [x0, -s])
+            moved[0] += c
+        expected = sylvester_resultant(list(map(Fraction, p)), moved)
+        assert _value(_shifted_norm(p, s), x0) == expected
 
 
 class TestCMExtension:
