@@ -124,15 +124,32 @@ def _check_header(payload) -> None:
         )
 
 
-def load_certificate(path: str) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _refuse_number(text: str):
+    raise CertificateFormatError(f"bare number {text} in certificate JSON; use exact()")
+
+
+def _parse_json(raw: bytes):
+    """Parse stored JSON, refusing every number, NaN and Infinity as it is
+    read.  What is left (objects with string keys, lists, strings, booleans
+    and null) is all that canonical_json lets through, so parsed input needs
+    no `_check_payload` walk."""
     try:
-        payload = json.loads(raw.decode("utf-8"))
+        return json.loads(
+            raw.decode("utf-8"),
+            parse_int=_refuse_number,
+            parse_float=_refuse_number,
+            parse_constant=_refuse_number,
+        )
+    except CertificateFormatError:
+        raise
     except ValueError as ex:  # UnicodeDecodeError or JSONDecodeError
         raise CertificateFormatError(f"not certificate JSON: {ex}") from ex
+
+
+def load_certificate(path: str) -> dict:
+    with open(path, "rb") as fh:
+        payload = _parse_json(fh.read())
     _check_header(payload)
-    _check_payload(payload, "")
     return payload
 
 
@@ -168,20 +185,26 @@ def _index_entry(name: str, cert: dict) -> dict:
     }
 
 
+_ENTRY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)
+
+
 def _index_bytes(entries: list) -> bytes:
-    return canonical_json({"certificates": entries}).encode("utf-8")
+    """The index text: one sorted-key ASCII entry per line.  Without indent
+    each entry goes through the C encoder, so rewriting the whole index per
+    write stays cheap."""
+    rows = ",\n".join(map(_ENTRY_ENCODER.encode, entries))
+    text = '{"certificates": [\n' + rows + "\n]}\n" if rows else '{"certificates": []}\n'
+    return text.encode("ascii")
 
 
 def _read_index(path: str) -> list | None:
     """The entries of an index file, or None if it is missing or malformed."""
     try:
         with open(path, "rb") as fh:
-            index = json.loads(fh.read().decode("utf-8"))
-        entries = index["certificates"]
-        _check_payload(entries, "")
+            entries = _parse_json(fh.read())["certificates"]
         if all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
             return entries
-    except (FileNotFoundError, ValueError, KeyError, TypeError, CertificateFormatError):
+    except (FileNotFoundError, KeyError, TypeError, CertificateFormatError):
         pass
     return None
 

@@ -32,7 +32,7 @@ from .hermitian import (
 from .local import factor_prime, local_norm_test
 from .number_field import CMExtension, NumberField
 from .polynomials import Polynomial
-from .runner import MISMATCH, OK, run_paper_example, verify_certificate
+from .runner import OK, run_paper_example, verify_certificate
 from .search import SearchConfig, search_seeds
 
 EXIT_PASS = 0

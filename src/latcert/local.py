@@ -325,11 +325,17 @@ def _dyadic_box(place: FinitePlace) -> tuple[int, int, int]:
 def _dyadic_square_test(place: FinitePlace, w: Fraction) -> bool:
     """Whether the odd rational w = n/d is a square in the dyadic completion.
 
-    d is odd, so v(y^2 - w) = v(d*y^2 - n), an integer element.
+    When e*f = [F_v : Q_2] is odd, w is a square in F_v exactly when it is
+    one in Q_2, that is when n*d = 1 mod 8 (d^2 = 1 mod 8).  By the tower
+    law: a root of w in F_v outside Q_2 would make Q_2(sqrt(w)) a quadratic
+    subfield of F_v, and 2 would divide e*f.  Only even e*f needs the box
+    scan, where d is odd, so v(y^2 - w) = v(d*y^2 - n), an integer element.
     """
+    n, d = w.numerator, w.denominator
+    if place.ramification * place.residue_degree % 2 == 1:
+        return n * d % 8 == 1
     target, t, width = _dyadic_box(place)
     p = place.field.int_poly
-    n, d = w.numerator, w.denominator
     for y in itertools.product(range(2**t), repeat=width):
         g = [d * c for c in _reduce_monic(_poly_mul(y, y), p)]
         g[0] -= n

@@ -34,7 +34,6 @@ from .hermitian import (
     _indefinite,
     global_invariant,
     seed_pair_check,
-    signature_pattern,
     twist_pattern,
 )
 from .local import (
@@ -205,7 +204,7 @@ def build_certificate(inputs: dict) -> dict:
         "disc_second": _coords(inv2.disc),
     }
 
-    pat1, pat2 = signature_pattern(h1), signature_pattern(h2)
+    pat1, pat2 = inv1.signatures, inv2.signatures
     signature_table = {"first": _pattern_rows(pat1), "second": _pattern_rows(pat2)}
 
     indef1, indef2 = _indefinite(pat1), _indefinite(pat2)
@@ -407,8 +406,9 @@ def verify_payload(recorded: dict) -> VerificationReport:
         raise CertificateFormatError(
             f"echoed input cannot be rebuilt: {type(ex).__name__}: {ex}"
         ) from ex
-    paths = tuple(diff_paths(recorded, recomputed))
-    return VerificationReport(OK if not paths else MISMATCH, paths)
+    if recorded == recomputed:
+        return VerificationReport(OK, ())
+    return VerificationReport(MISMATCH, tuple(diff_paths(recorded, recomputed)))
 
 
 def verify_certificate(path: str) -> VerificationReport:

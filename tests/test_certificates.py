@@ -23,6 +23,7 @@ from latcert.certificates import (
     rebuild_index,
     write_certificate,
 )
+from latcert.cli import main
 from latcert.errors import CertificateFormatError, CertificateVersionError
 
 
@@ -174,6 +175,10 @@ def _truncate(path, size: int = 10) -> None:
         fh.truncate(size)
 
 
+def _one_entry_index(disc: str) -> str:
+    return '{"certificates": [{"file": "cert_0123456789abcdef.json", %s}]}' % disc
+
+
 def _write_all(directory, tags, barrier) -> None:
     barrier.wait()
     for tag in tags:
@@ -229,8 +234,11 @@ class TestStoreRepair:
             _truncate,
             lambda p: Path(p).write_bytes(b"\xff\xfe"),
             lambda p: Path(p).write_text('{"certificates": [{"disc": "5"}]}', encoding="ascii"),
+            lambda p: Path(p).write_text(_one_entry_index('"disc": 5'), encoding="ascii"),
+            lambda p: Path(p).write_text(_one_entry_index('"disc": 5.0'), encoding="ascii"),
+            lambda p: Path(p).write_text(_one_entry_index('"disc": NaN'), encoding="ascii"),
         ],
-        ids=["deleted", "truncated", "not-utf8", "entry-without-file"],
+        ids=["deleted", "truncated", "not-utf8", "entry-without-file", "bare-int", "float", "nan"],
     )
     def test_damaged_index_rebuilt_by_next_write(self, tmp_path, damage):
         write_certificate(_minimal_cert("81"), str(tmp_path))
@@ -240,6 +248,33 @@ class TestStoreRepair:
         written = _index_file_bytes(tmp_path)
         assert len(json.loads(written)["certificates"]) == 3
         assert written == _rebuilt_index_bytes(tmp_path)
+
+    def test_previous_index_layout_takes_a_write(self, tmp_path):
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        write_certificate(_minimal_cert("148"), str(tmp_path))
+        entries = json.loads(_index_file_bytes(tmp_path))["certificates"]
+        # the indent=1 layout of canonical_json that earlier versions wrote
+        previous = json.dumps({"certificates": entries}, sort_keys=True, ensure_ascii=True, indent=1)
+        (tmp_path / "index.json").write_text(previous + "\n", encoding="ascii")
+        write_certificate(_minimal_cert("229"), str(tmp_path))
+        written = _index_file_bytes(tmp_path)
+        assert len(json.loads(written)["certificates"]) == 3
+        assert written == _rebuilt_index_bytes(tmp_path)
+
+    def test_index_bytes_pinned(self, tmp_path):
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        write_certificate(_minimal_cert("148"), str(tmp_path))
+        assert _index_file_bytes(tmp_path) == (
+            b'{"certificates": [\n'
+            b'{"disc": "148", "field": ["1", "0", "1"], "file": "cert_b2bda7f614b79cd8.json", '
+            b'"verdict": "PASS"},\n'
+            b'{"disc": "81", "field": ["1", "0", "1"], "file": "cert_dd25141365484950.json", '
+            b'"verdict": "PASS"}\n'
+            b"]}\n"
+        )
+        os.unlink(tmp_path / "cert_b2bda7f614b79cd8.json")
+        os.unlink(tmp_path / "cert_dd25141365484950.json")
+        assert _rebuilt_index_bytes(tmp_path) == b'{"certificates": []}\n'
 
     def test_lost_index_rebuilt_around_torn_file(self, tmp_path):
         torn = write_certificate(_minimal_cert("148"), str(tmp_path))
@@ -327,6 +362,26 @@ class TestLoadErrors:
         p.write_text('{"format_version": "1", "n": 5}', encoding="utf-8")
         with pytest.raises(CertificateFormatError):
             load_certificate(str(p))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format_version": "1", "field_block": {"min_poly": ["1", 0, "1"]}}',
+            '{"format_version": "1", "verdict": {"overall": "PASS", "score": 0.5}}',
+            '{"format_version": "1", "cm_block": {"delta": NaN}}',
+            '{"format_version": "1", "cm_block": [{"delta": Infinity}]}',
+        ],
+        ids=["nested-int", "float", "nan", "infinity"],
+    )
+    def test_nested_numbers_refused_by_load_and_verify(self, tmp_path, capsys, text):
+        p = tmp_path / "x.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(CertificateFormatError, match="bare number"):
+            load_certificate(str(p))
+        assert main(["verify", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("format error: bare number")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestDiffPaths:

@@ -346,9 +346,25 @@ class TestDyadicSquareTest:
     def test_matches_enumeration_oracle(self, field, index, shape):
         assert self.squares(field, index, shape, self.ODD)[:1] == [1]
 
-    @pytest.mark.parametrize("field, index, shape", [c for c in CASES if c[2] in ((1, 1), (2, 1))])
+    # n*d mod 8 runs over 1, 1, 3, 3, 5, 5, 7, 7
+    ODD_DENOMINATORS = [
+        Fraction(n, d) for n, d in ((-5, 3), (3, 11), (7, 5), (1, 3), (-1, 3), (-7, 5), (5, 3), (9, 7))
+    ]
+
+    @pytest.mark.parametrize(
+        "field, index, shape",
+        [c for c in CASES if c[2] in ((1, 1), (2, 1))] + [c for c in CASES if c[2] in ((1, 3), (3, 1))],
+    )
     def test_odd_denominators(self, field, index, shape):
-        self.squares(field, index, shape, [Fraction(-1, 3), Fraction(5, 3), Fraction(-7, 5)])
+        self.squares(field, index, shape, self.ODD_DENOMINATORS)
+
+    @pytest.mark.parametrize("field, index, shape", [c for c in CASES if c[2] in ((1, 1), (1, 3), (3, 1))])
+    def test_odd_degree_decided_without_valuations(self, field, index, shape, monkeypatch):
+        # the tower law decides odd e*f from n*d mod 8 alone, with no box scan
+        place = factor_prime(field, 2)[index]
+        monkeypatch.setattr(local, "_int_valuation", lambda *a: pytest.fail("box scan at odd e*f"))
+        for w in self.ODD + self.ODD_DENOMINATORS:
+            assert local._dyadic_square_test(place, w) == (w.numerator * w.denominator % 8 == 1)
 
     def test_ramified_place_sharing_two(self):
         # a shared (2, 1) place with squares beyond those of Q_2

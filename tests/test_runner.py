@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latcert.certificates import canonical_json, write_certificate
+from latcert.certificates import canonical_json, diff_paths, write_certificate
 from latcert.errors import CertificateFormatError
 from latcert.runner import (
     MISMATCH,
@@ -25,6 +27,20 @@ def cert():
 
 def tampered(cert: dict) -> dict:
     return json.loads(canonical_json(cert))
+
+
+def _sites(node, path=()):
+    """(path, change) for every dict key ("drop") and every leaf ("flip")
+    below node."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for step, child in children:
+        here = path + (step,)
+        if isinstance(node, dict):
+            yield here, "drop"
+        if isinstance(child, (dict, list)):
+            yield from _sites(child, here)
+        else:
+            yield here, "flip"
 
 
 class TestFixture:
@@ -197,6 +213,29 @@ class TestVerification:
         del bad["config_echo"]["input"]
         with pytest.raises(CertificateFormatError):
             verify_payload(bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_damage_reported_at_exactly_the_diff_paths(self, cert, data):
+        # damage to the input echo changes what is rebuilt, or stops the
+        # rebuild; the CLI format-error tests cover it
+        echo = ("config_echo", "input")
+        sites = [s for s in _sites(cert) if s[0][:2] != echo and s[0] != echo[:1]]
+        (*parents, last), change = data.draw(st.sampled_from(sites))
+        bad = tampered(cert)
+        node = bad
+        for step in parents:
+            node = node[step]
+        if change == "drop":
+            del node[last]
+        else:
+            leaf = node[last]
+            node[last] = not leaf if isinstance(leaf, bool) else f"{leaf}0"
+        report = verify_payload(bad)
+        assert report.status == MISMATCH
+        assert report.paths == tuple(diff_paths(bad, cert)) != ()
+        intact = verify_payload(tampered(cert))
+        assert (intact.status, intact.paths) == (OK, ())
 
     def test_build_is_a_pure_function_of_inputs(self, cert):
         rebuilt = build_certificate(load_example_fixture())
