@@ -40,7 +40,6 @@ from .hermitian import (
     HermitianForm,
     SeedVerdict,
     forms_equivalent,
-    global_invariant,
     group_isomorphism_verdict,
     indefinite_places,
     seed_pair_check,
@@ -113,7 +112,6 @@ __all__ = [
     "fingerprint",
     "fingerprints_equal",
     "forms_equivalent",
-    "global_invariant",
     "group_isomorphism_verdict",
     "group_order",
     "hilbert_product_check",

@@ -122,6 +122,10 @@ def _check_header(payload) -> None:
         raise CertificateVersionError(
             f"format_version {payload['format_version']!r}, expected {FORMAT_VERSION!r}"
         )
+    # the index reads its entry from these two blocks
+    for block in ("field_block", "verdict"):
+        if not isinstance(payload.get(block, {}), dict):
+            raise CertificateFormatError(f"{block} must be an object")
 
 
 def _refuse_number(text: str):

@@ -27,7 +27,6 @@ from .hermitian import (
     forms_equivalent,
     group_isomorphism_verdict,
     indefinite_places,
-    signature_pattern,
 )
 from .local import factor_prime, local_norm_test
 from .number_field import CMExtension, NumberField
@@ -41,14 +40,18 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-def _parse_element(field: NumberField, text: str):
-    parts = text.split(",")
+def _parse_rational(text: str) -> Fraction:
     try:
-        if len(parts) == 1:
-            return field.from_rational(Fraction(parts[0]))
-        return field.element(tuple(Fraction(c) for c in parts))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
-        raise InvalidInputError(f"bad element {text!r}") from ex
+        raise InvalidInputError(f"bad rational {text!r}") from ex
+
+
+def _parse_element(field: NumberField, text: str):
+    coords = tuple(_parse_rational(c) for c in text.split(","))
+    if len(coords) == 1:
+        return field.from_rational(coords[0])
+    return field.element(coords)
 
 
 def _parse_form(args) -> HermitianForm:
@@ -75,7 +78,7 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig(
         degree=args.degree,
         coefficient_bound=args.bound,
-        delta_candidates=tuple(Fraction(d) for d in args.delta) or (Fraction(-1),),
+        delta_candidates=tuple(_parse_rational(d) for d in args.delta) or (Fraction(-1),),
         rank=args.rank,
         enumeration_budget=args.budget,
         output_path=args.out,
@@ -114,9 +117,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify_form(args) -> int:
     h = _parse_form(args)
-    pattern = signature_pattern(h)
     print(f"rank: {h.rank}")
-    print("signatures: " + " ".join(f"({p},{q})" for p, q in pattern))
+    print("signatures: " + " ".join(f"({p},{q})" for p, q in h.signatures))
     print("indefinite places: " + (" ".join(str(j) for j in indefinite_places(h)) or "none"))
     if args.other is None:
         return EXIT_PASS

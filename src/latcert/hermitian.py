@@ -12,7 +12,8 @@ making the forms equivalent. Everything else stays UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InconclusiveError, InvalidInputError
@@ -28,10 +29,19 @@ SignaturePattern = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """diag(a_1, ..., a_n) with entries in the base field of ext."""
+    """diag(a_1, ..., a_n) with entries in the base field of ext.
+
+    Its invariants besides the rank are worked out once, on construction:
+    `signatures` is the (positives, negatives) pair at each real place, and
+    `disc` is the product of the diagonal entries, a representative of the
+    discriminant class in F*/N(E*). Neither can be passed in, and neither
+    takes part in equality or hashing: both follow from `ext` and `diag`.
+    """
 
     ext: CMExtension
     diag: tuple[FieldElement, ...]
+    signatures: SignaturePattern = field(init=False, compare=False)
+    disc: FieldElement = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.diag:
@@ -40,6 +50,8 @@ class HermitianForm:
         if any(a.is_zero() for a in diag):
             raise InvalidInputError("diagonal entries must be nonzero")
         object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "disc", math.prod(diag, start=self.ext.base.one()))
+        object.__setattr__(self, "signatures", signature_pattern(self))
 
     @property
     def rank(self) -> int:
@@ -59,7 +71,10 @@ class HermitianForm:
 
 
 def signature_pattern(h: HermitianForm) -> SignaturePattern:
-    """(positives, negatives) among the diagonal entries at each real place."""
+    """(positives, negatives) among the diagonal entries at each real place.
+
+    `HermitianForm` calls this once and keeps the result as `h.signatures`.
+    """
     pattern = []
     for place in h.ext.base.real_places():
         signs = [a.sign_at(place) for a in h.diag]
@@ -73,21 +88,7 @@ def _indefinite(pattern: SignaturePattern) -> tuple[int, ...]:
 
 
 def indefinite_places(h: HermitianForm) -> tuple[int, ...]:
-    return _indefinite(signature_pattern(h))
-
-
-@dataclass(frozen=True)
-class GlobalInvariant:
-    rank: int
-    disc: FieldElement  # product of the diagonal entries, a class rep in F*/N(E*)
-    signatures: SignaturePattern
-
-
-def global_invariant(h: HermitianForm) -> GlobalInvariant:
-    disc = h.ext.base.one()
-    for a in h.diag:
-        disc = disc * a
-    return GlobalInvariant(h.rank, disc, signature_pattern(h))
+    return _indefinite(h.signatures)
 
 
 def forms_equivalent(h1: HermitianForm, h2: HermitianForm) -> bool:
@@ -99,12 +100,9 @@ def forms_equivalent(h1: HermitianForm, h2: HermitianForm) -> bool:
     """
     if h1.ext != h2.ext:
         raise InvalidInputError("forms live over different CM extensions")
-    if h1.rank != h2.rank:
+    if h1.rank != h2.rank or h1.signatures != h2.signatures:
         return False
-    g1, g2 = global_invariant(h1), global_invariant(h2)
-    if g1.signatures != g2.signatures:
-        return False
-    return norm_class_equal(h1.ext, g1.disc, g2.disc)
+    return norm_class_equal(h1.ext, h1.disc, h2.disc)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def group_isomorphism_verdict(
     if h1.rank % 2 == 0:
         raise InvalidInputError("even rank is out of scope for group verdicts")
 
-    sig1, sig2 = signature_pattern(h1), signature_pattern(h2)
+    sig1, sig2 = h1.signatures, h2.signatures
     indef1, indef2 = _indefinite(sig1), _indefinite(sig2)
     for j, (pq1, pq2) in enumerate(zip(sig1, sig2)):
         if (j in indef1) != (j in indef2):
@@ -297,7 +295,7 @@ def seed_pair_check(
 
     components: list[ComponentCheck] = []
 
-    sig1, sig2 = signature_pattern(h1), signature_pattern(h2)
+    sig1, sig2 = h1.signatures, h2.signatures
     a1 = _standing_assumption(sig1, h1.rank)
     a2 = _standing_assumption(sig2, h2.rank)
     if a1.status == PASS and a2.status == PASS:

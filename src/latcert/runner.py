@@ -32,7 +32,6 @@ from .finite_groups import CongruenceLevel, congruence_index
 from .hermitian import (
     HermitianForm,
     _indefinite,
-    global_invariant,
     seed_pair_check,
     twist_pattern,
 )
@@ -195,16 +194,15 @@ def build_certificate(inputs: dict) -> dict:
     # the two forms
     h1 = HermitianForm(ext, tuple(_elem(field, c) for c in inputs["forms"]["first"]))
     h2 = HermitianForm(ext, tuple(_elem(field, c) for c in inputs["forms"]["second"]))
-    inv1, inv2 = global_invariant(h1), global_invariant(h2)
     forms_block = {
         "rank": exact(h1.rank),
         "first": [[exact(c) for c in e.coords] for e in h1.diag],
         "second": [[exact(c) for c in e.coords] for e in h2.diag],
-        "disc_first": _coords(inv1.disc),
-        "disc_second": _coords(inv2.disc),
+        "disc_first": _coords(h1.disc),
+        "disc_second": _coords(h2.disc),
     }
 
-    pat1, pat2 = inv1.signatures, inv2.signatures
+    pat1, pat2 = h1.signatures, h2.signatures
     signature_table = {"first": _pattern_rows(pat1), "second": _pattern_rows(pat2)}
 
     indef1, indef2 = _indefinite(pat1), _indefinite(pat2)

@@ -4,8 +4,9 @@ certifiable hypothesis.
 The driver walks monic integer polynomials in lexicographic coefficient
 order, keeps those with as many distinct real roots as their degree (a
 Sturm count on the integer coefficients), then the irreducible ones, then
-the fields with trivial automorphism group, and pairs up
-single-indefinite-place diagonal forms related by a place transposition.
+the fields with trivial automorphism group. In each field it takes one
+diagonal form per real place, indefinite there and definite elsewhere, and
+pairs the forms of two places up by the transposition of those places.
 Every PASS becomes a full certificate, so search output is verifiable by the
 same machinery as the shipped example.
 """
@@ -20,7 +21,7 @@ from typing import Iterator, Optional
 from .certificates import exact, write_certificate
 from .errors import BudgetExceededError, InvalidInputError
 from .finite_groups import DEFAULT_ENUMERATION_BUDGET
-from .hermitian import PASS, HermitianForm, _indefinite, global_invariant, signature_pattern
+from .hermitian import PASS, HermitianForm
 from .intfactor import is_prime
 from .local import hilbert_product_check
 from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
@@ -90,26 +91,17 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
         yield field
 
 
-def _entry_pool(field: NumberField) -> Iterator[FieldElement]:
-    """Small elements with coordinates in {-1, 0, 1}, positive at exactly
-    one real place; candidates for the repeated diagonal entry."""
+def _entry_pool(field: NumberField) -> Iterator[tuple[int, FieldElement]]:
+    """Small elements u with coordinates in {-1, 0, 1}, positive at exactly
+    one real place j; yields (j, u). These are the candidates for the
+    repeated diagonal entry: diag(u, ..., u, -1) is indefinite at j alone."""
     for coords in itertools.product((-1, 0, 1), repeat=field.degree):
         if all(c == 0 for c in coords):
             continue
         u = field.element(coords)
-        if sum(1 for s in u.signs() if s > 0) == 1:
-            yield u
-
-
-def _form_class_key(h: HermitianForm):
-    """Equivalence-class key: the signature pattern plus the conclusive
-    local symbols of the discriminant class. Forms with equal keys and a
-    fully conclusive symbol report are equivalent."""
-    report = hilbert_product_check(h.ext, global_invariant(h).disc)
-    if not report.conclusive:
-        return None
-    symbols = frozenset(e.label for e in report.entries if e.symbol == -1)
-    return signature_pattern(h), symbols
+        positive = [j for j, s in enumerate(u.signs()) if s > 0]
+        if len(positive) == 1:
+            yield positive[0], u
 
 
 def good_odd_primes(field: NumberField, delta: FieldElement, count: int) -> tuple[int, ...]:
@@ -174,10 +166,13 @@ def _seed_inputs(field, delta, h1, h2, tau, probe, congruence) -> dict:
 def search_seeds(cfg: SearchConfig) -> list[dict]:
     """Enumerate seed pairs and emit a certificate for every PASS.
 
-    Pairs cover all ordered place combinations i < j, so a field supporting
-    d single-indefinite-place classes yields the full pairwise family; a
-    d-tuple of pairwise-distinct lattices is certified by its d(d-1)/2 pair
-    certificates. Results are deterministic for a fixed config.
+    Real place j is represented by one form diag(u, ..., u, -1), which is
+    indefinite at j alone: the first u from `_entry_pool` positive at j
+    whose discriminant gets a conclusive local symbol report. Pairs cover
+    all place combinations i < j, so a field with d represented places
+    yields the full pairwise family; a d-tuple of pairwise-distinct
+    lattices is certified by its d(d-1)/2 pair certificates. Results are
+    deterministic for a fixed config.
     """
     certificates: list[dict] = []
     for field in field_candidates(cfg):
@@ -186,21 +181,13 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
             ext = CMExtension(field, delta)
             neg_one = field.from_rational(-1)
 
-            # one representative per (indefinite place, form class)
             reps: dict[int, HermitianForm] = {}
-            seen_keys = set()
-            for u in _entry_pool(field):
-                diag = (u,) * (cfg.rank - 1) + (neg_one,)
-                h = HermitianForm(ext, diag)
-                pattern = signature_pattern(h)
-                indefinite = _indefinite(pattern)
-                if len(indefinite) != 1:
+            for j, u in _entry_pool(field):
+                if j in reps:
                     continue
-                key = _form_class_key(h)
-                if key is None or key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                reps.setdefault(indefinite[0], h)
+                h = HermitianForm(ext, (u,) * (cfg.rank - 1) + (neg_one,))
+                if hilbert_product_check(ext, h.disc).conclusive:
+                    reps[j] = h
 
             places = sorted(reps)
             probe, *_ = congruence = good_odd_primes(field, delta, 2)

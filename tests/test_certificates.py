@@ -146,13 +146,17 @@ class TestStore:
         [
             ({"tool_version": TOOL_VERSION}, CertificateFormatError),
             ({**_minimal_cert("148"), "format_version": "99"}, CertificateVersionError),
+            ({**_minimal_cert("148"), "field_block": ["1", "0", "1"]}, CertificateFormatError),
+            ({**_minimal_cert("148"), "verdict": "PASS"}, CertificateFormatError),
         ],
-        ids=["no-version", "wrong-version"],
+        ids=["no-version", "wrong-version", "list-field-block", "string-verdict"],
     )
     def test_unloadable_certificate_not_written(self, tmp_path, cert, error):
         with pytest.raises(error):
             write_certificate(cert, str(tmp_path))
-        assert not any(n.startswith("cert_") for n in os.listdir(tmp_path))
+        assert not any(n.startswith("cert_") or n.endswith(".tmp") for n in os.listdir(tmp_path))
+        write_certificate(_minimal_cert("81"), str(tmp_path))
+        assert len(json.loads(_index_file_bytes(tmp_path))["certificates"]) == 1
 
 
 def _index_file_bytes(directory) -> bytes:
@@ -287,6 +291,20 @@ class TestStoreRepair:
         assert rebuild_index(str(tmp_path)) == str(tmp_path / "index.json")
         write_certificate(_minimal_cert("148"), str(tmp_path))
         assert len(json.loads(_index_file_bytes(tmp_path))["certificates"]) == 3
+
+    @pytest.mark.parametrize("block, value", [("field_block", "x"), ("verdict", ["PASS"])])
+    def test_lost_index_rebuilt_around_non_object_block(self, tmp_path, block, value):
+        kept = write_certificate(_minimal_cert("81"), str(tmp_path))
+        # parses and carries format "1", but the index cannot read it
+        bad = tmp_path / "cert_0123456789abcdef.json"
+        bad.write_text(canonical_json({**_minimal_cert("148"), block: value}), encoding="ascii")
+        with pytest.raises(CertificateFormatError):
+            load_certificate(str(bad))
+        os.unlink(tmp_path / "index.json")
+        path = write_certificate(_minimal_cert("229"), str(tmp_path))
+        listed = [e["file"] for e in json.loads(_index_file_bytes(tmp_path))["certificates"]]
+        assert listed == sorted(os.path.basename(p) for p in (kept, path))
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
     def test_no_temporary_files_left(self, tmp_path):
         cert = _minimal_cert("148")

@@ -179,6 +179,13 @@ class TestSearch:
         files = [n for n in os.listdir(tmp_path) if n.startswith("cert_")]
         assert len(files) == 6
 
+    @pytest.mark.parametrize("delta", ["abc", "1/0"])
+    def test_malformed_delta_is_usage_error(self, capsys, tmp_path, delta):
+        code, out, err = run(capsys, "search", f"--delta={delta}", "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in out + err
+        assert not os.listdir(tmp_path)
+
     def test_budget_exhaustion_reports_unknown(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

@@ -16,7 +16,6 @@ from latcert.hermitian import (
     UNKNOWN,
     HermitianForm,
     forms_equivalent,
-    global_invariant,
     group_isomorphism_verdict,
     indefinite_places,
     seed_pair_check,
@@ -96,18 +95,30 @@ class TestSignatures:
 
 class TestGlobalInvariant:
     def test_discriminant_of_first_form(self):
-        inv = global_invariant(H1)
-        assert inv.rank == 3
-        assert inv.disc == -(ALPHA * ALPHA)
+        assert H1.rank == 3
+        assert H1.disc == -(ALPHA * ALPHA)
 
     def test_definite_form_invariant(self):
-        inv = global_invariant(HermitianForm(EXT, (-1, -1, -1)))
-        assert inv.disc == F.from_rational(-1)
-        assert inv.signatures == ((0, 3), (0, 3), (0, 3))
+        h = HermitianForm(EXT, (-1, -1, -1))
+        assert h.disc == F.from_rational(-1)
+        assert h.signatures == ((0, 3), (0, 3), (0, 3))
 
     def test_scaling_multiplies_disc_by_lambda_cubed(self):
         lam = ALPHA + 2
-        assert global_invariant(H1.scale(lam)).disc == lam**3 * global_invariant(H1).disc
+        assert H1.scale(lam).disc == lam**3 * H1.disc
+
+    def test_invariants_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            HermitianForm(EXT, (1, 1, 1), signatures=((3, 0),) * 3)
+        with pytest.raises(TypeError):
+            HermitianForm(EXT, (1, 1, 1), disc=F.one())
+
+    def test_equality_and_hash_ignore_invariants(self):
+        twin = HermitianForm(EXT, H1.diag)
+        object.__setattr__(twin, "signatures", ())
+        object.__setattr__(twin, "disc", F.one())
+        assert twin == H1 and hash(twin) == hash(H1)
+        assert twin != HermitianForm(EXT, (1, 1, 1))
 
 
 class TestEquivalence:
@@ -150,7 +161,9 @@ class TestEquivalence:
         lam = Fraction(n * n, d * d)
         # odd rank: disc changes by lam^3 ~ lam mod squares, and a rational
         # square is a norm, so equivalence with the original must hold
-        assert forms_equivalent(H1.scale(lam), H1)
+        scaled = H1.scale(lam)
+        assert scaled.signatures == signature_pattern(scaled) == H1.signatures
+        assert forms_equivalent(scaled, H1)
 
 
 class TestVerdict:

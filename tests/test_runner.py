@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcert import hermitian
 from latcert.certificates import canonical_json, diff_paths, write_certificate
 from latcert.errors import CertificateFormatError
 from latcert.runner import (
@@ -182,6 +183,19 @@ class TestVerification:
         assert report.status == OK
         assert bool(report) is True
         assert report.paths == ()
+
+    def test_each_form_classified_once(self, cert, monkeypatch):
+        # two forms, each working out its signature pattern on construction
+        calls = []
+        original = hermitian.signature_pattern
+
+        def counting(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(hermitian, "signature_pattern", counting)
+        assert verify_payload(cert).status == OK
+        assert len(calls) == 2
 
     def test_file_round_trip_verifies(self, cert, tmp_path):
         path = write_certificate(cert, str(tmp_path))

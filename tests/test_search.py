@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcert import number_field
+from latcert import number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
@@ -26,8 +26,24 @@ DEGREE3 = SearchConfig(degree=3, coefficient_bound=3, delta_candidates=(Fraction
 
 
 @pytest.fixture(scope="module")
-def degree3_certs():
-    return search_seeds(DEGREE3)
+def degree3_run():
+    """search_seeds(DEGREE3) and the local symbol reports the search asked for."""
+    reports = []
+    original = search.hilbert_product_check
+
+    def counting(ext, u):
+        reports.append(u)
+        return original(ext, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "hilbert_product_check", counting)
+        certs = search_seeds(DEGREE3)
+    return certs, reports
+
+
+@pytest.fixture(scope="module")
+def degree3_certs(degree3_run):
+    return degree3_run[0]
 
 
 def _load_form(cert: dict, key: str) -> HermitianForm:
@@ -124,6 +140,14 @@ class TestFieldFilter:
 class TestSearchResults:
     def test_pass_certificate_count(self, degree3_certs):
         assert len(degree3_certs) == 66
+
+    def test_one_symbol_report_per_represented_place(self, degree3_run):
+        # 22 fields with 3 real places each; the first candidate at every
+        # place is conclusive, and a place with a form is not asked again
+        certs, reports = degree3_run
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 66 and len(reports) == 66
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("923380766f3bcdba")
 
     def test_pinned_certificate_bytes_at_bound_2(self):
         # the same reference as the benchmark's smoke cubic search
