@@ -17,10 +17,10 @@ totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
 discriminant. For degree >= 4 a sieve bounds the count from above by the
-number of roots of the defining polynomial modulo small unramified primes,
-and a bound of 1 settles it. Otherwise Trager's norm method counts the roots
-of the defining polynomial in the field by factoring one integer polynomial
-over Z.
+number of roots of the defining polynomial in F_l, found by evaluating it
+at 0, ..., l - 1, for small unramified primes l, and a bound of 1 settles
+it. Otherwise Trager's norm method counts the roots of the defining
+polynomial in the field by factoring one integer polynomial over Z.
 """
 
 from __future__ import annotations
@@ -31,18 +31,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from . import modular
 from .errors import InvalidInputError
 from .polynomials import (
     Interval,
     Polynomial,
     _bareiss_det,
+    _coerce,
     _enclosure,
     _halve,
     _isolating_cells,
     _multiplication_columns,
     _poly_mul,
     _reduce_monic,
+    _value,
     discriminant,
     is_irreducible,
     resultant_int,
@@ -176,7 +177,7 @@ class FieldElement:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(_coerce(c) for c in self.coords)
         if len(coords) != self.field.degree:
             raise InvalidInputError(
                 f"expected {self.field.degree} coordinates, got {len(coords)}"
@@ -342,9 +343,10 @@ def _automorphism_upper_bound(field: NumberField) -> int:
     """Exact upper bound on the automorphism count of a degree >= 2 field.
 
     For a prime l not dividing the discriminant, min_poly is squarefree mod
-    l and, by Hensel's lemma, each root mod l lifts to exactly one root in
-    Q_l. If there is such a root, F has a degree-1 place at l and embeds in
-    Q_l, which maps the roots of min_poly in F injectively to roots in Q_l.
+    l, so each of its roots mod l, found by evaluating it at 0, ..., l - 1,
+    is simple and, by Hensel's lemma, lifts to exactly one root in Q_l. If
+    there is such a root, F has a degree-1 place at l and embeds in Q_l,
+    which maps the roots of min_poly in F injectively to roots in Q_l.
     Their number, the automorphism count, is then at most the number of
     roots mod l. Primes without a root mod l say nothing and are skipped.
     """
@@ -354,7 +356,7 @@ def _automorphism_upper_bound(field: NumberField) -> int:
     for ell in _AUTOMORPHISM_SIEVE_PRIMES:
         if disc % ell == 0:
             continue
-        roots = modular.degree_pattern(modular.normalize(ints, ell), ell).count(1)
+        roots = sum(1 for x in range(ell) if _value(ints, x, 1) % ell == 0)
         if roots:
             bound = min(bound, roots)
             if bound == 1:

@@ -595,21 +595,18 @@ _ASCENDING = functools.cmp_to_key(_ascending)
 # ---------------------------------------------------------------------------
 # Factoring over Z and irreducibility over Q
 
-_FACTOR_PRIMES = 5  # usable primes compared before one is chosen
-
 
 def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Irreducible factors over Z of a monic integer polynomial, or None
     when it has a repeated factor.
 
-    Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5): among the first few
-    primes modulo which f stays squarefree, take the one where f has the
-    fewest irreducible factors; factor f there, Hensel-lift every factor to
-    a modulus above twice a Mignotte-type bound on the coefficients of any
-    factor over Z, and combine subsets of the lifted factors, keeping a
-    product only when it divides what is left of f exactly. Coefficient
-    tuples are constant term first; the factors are monic, sorted by
-    (degree, coefficients).
+    Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5): factor f modulo the
+    first prime that keeps it squarefree (a single factor there proves f
+    irreducible), Hensel-lift every factor to a modulus above twice a
+    Mignotte-type bound on the coefficients of any factor over Z, and
+    combine subsets of the lifted factors, keeping a product only when it
+    divides what is left of f exactly. Coefficient tuples are constant term
+    first; the factors are monic, sorted by (degree, coefficients).
 
     >>> squarefree_factors((-1, 0, 0, 0, 1))
     [(-1, 1), (1, 1), (1, 0, 1)]
@@ -625,35 +622,28 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     # A proper monic factor g of f has |g_j| <= C(deg g, j) M(g) <= 2^(n-1) |f|_2
     # (Mignotte; the Mahler measure M(g) is at most M(f) <= |f|_2).
     bound = 2 ** (n - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
-    best = None
-    ell, usable = 1, 0
+    ell = 1
     squarefree = False
-    while usable < _FACTOR_PRIMES:
+    while True:
         ell += 1
         if not is_prime(ell):
             continue
         fbar = modular.normalize(f, ell)
-        if modular.degree(modular.gcd_poly(fbar, modular.deriv(fbar, ell), ell)) > 0:
-            # Squarefree modulo one prime proves f squarefree over Q; until
-            # such a prime turns up, settle it once by an exact gcd.
-            if not squarefree:
-                if len(_gcd(f, _primitive(_derivative(f)))) > 1:
-                    return None
-                squarefree = True
-            continue
-        squarefree = True
-        count = len(modular.degree_pattern(fbar, ell))
-        if count == 1:
-            return [f]
-        usable += 1
-        if best is None or count < best[0]:
-            best = (count, ell)
-    ell = best[1]
+        if modular.degree(modular.gcd_poly(fbar, modular.deriv(fbar, ell), ell)) == 0:
+            break
+        # Squarefree modulo one prime proves f squarefree over Q; until
+        # such a prime turns up, settle it once by an exact gcd.
+        if not squarefree:
+            if len(_gcd(f, _primitive(_derivative(f)))) > 1:
+                return None
+            squarefree = True
+    blocks = [g for g, _ in modular.factor_monic(f, ell)]
+    if len(blocks) == 1:
+        return [f]
     precision = 1
     while ell**precision <= 2 * bound:
         precision += 1
     modulus = ell**precision
-    blocks = [g for g, _ in modular.factor_monic(f, ell)]
     lifted = modular.hensel_lift_blocks(f, blocks, ell, precision)
 
     factors = []

@@ -82,6 +82,13 @@ def _poly(coeff_strings) -> Polynomial:
     return Polynomial(tuple(parse_exact(c) for c in coeff_strings))
 
 
+def _integer(text: str) -> int:
+    value = parse_exact(text)
+    if value.denominator != 1:
+        raise InvalidInputError(f"expected an integer, got {text!r}")
+    return value.numerator
+
+
 def _elem(field: NumberField, coord_strings):
     return field.element(tuple(parse_exact(c) for c in coord_strings))
 
@@ -107,7 +114,7 @@ def build_certificate(inputs: dict) -> dict:
     aut = automorphism_count(field)
     signs = field.generator().signs()
     positive = sum(1 for s in signs if s > 0)
-    recorded_positive = int(parse_exact(inputs["field"]["recorded_generator_positive_count"]))
+    recorded_positive = _integer(inputs["field"]["recorded_generator_positive_count"])
     intervals = [[exact(iv.lo), exact(iv.hi)] for iv in field.real_place_intervals()]
     field_block = {
         "min_poly": list(inputs["field"]["min_poly"]),
@@ -137,7 +144,7 @@ def build_certificate(inputs: dict) -> dict:
                 "products still match under the place dictionary below",
             }
         )
-    if aut != int(parse_exact(inputs["field"]["recorded_automorphism_count"])):
+    if aut != _integer(inputs["field"]["recorded_automorphism_count"]):
         discrepancies.append(
             {
                 "at": "field_block/automorphism_count",
@@ -219,7 +226,7 @@ def build_certificate(inputs: dict) -> dict:
         }
 
     # twist
-    tau = tuple(int(parse_exact(t)) for t in inputs["twist"]["tau"])
+    tau = tuple(_integer(t) for t in inputs["twist"]["tau"])
     twisted = twist_pattern(pat1, tau)
     twist_block = {
         "tau": list(inputs["twist"]["tau"]),
@@ -241,7 +248,7 @@ def build_certificate(inputs: dict) -> dict:
     for coords in samples.get("norm_element_coords", []):
         u = _elem(field, coords)
         for p in samples.get("norm_primes", []):
-            for place in factor_prime(field, int(parse_exact(p))):
+            for place in factor_prime(field, _integer(p)):
                 res = local_norm_test(ext, u, place)
                 norm_tests.append(
                     {
@@ -281,7 +288,7 @@ def build_certificate(inputs: dict) -> dict:
     levels = []
     index_entries = []
     for p in inputs["congruence_primes"]:
-        ell = int(parse_exact(p))
+        ell = _integer(p)
         try:
             places = factor_prime(field, ell)
         except UnsupportedPlaceError as exc:
@@ -332,7 +339,7 @@ def build_certificate(inputs: dict) -> dict:
     }
 
     # overall verdict
-    probe_prime = int(parse_exact(inputs["probe_prime"]))
+    probe_prime = _integer(inputs["probe_prime"])
     probe_place = factor_prime(field, probe_prime)[0]
     gens = tuple(_elem(field, c) for c in units_in.get("lambda_generators", []))
     verdict = seed_pair_check(

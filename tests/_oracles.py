@@ -8,8 +8,9 @@ arithmetic, reading valuations off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
 oracle reads the Galois group off the resolvent cubic. The root isolation,
 interval enclosure and field product and inverse oracles are the package's
-former Fraction implementations, on plain coefficient lists. Slow and simple
-on purpose.
+former Fraction implementations, on plain coefficient lists, and the sieve
+root bound is its former root count by distinct-degree factorization mod l.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+from latcert import modular
 
 
 def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
@@ -251,6 +254,20 @@ def quartic_automorphism_count(a0: int, a1: int, a2: int, a3: int) -> int:
         return _is_rational_square(delta) or _is_rational_square(delta * disc)
 
     return 4 if splits(-r, d) and splits(a, b - r) else 2
+
+
+def sieve_root_bound(coeffs: tuple[int, ...], disc: int, primes) -> int:
+    """The automorphism sieve's bound for monic integer coeffs: the fewest
+    linear factors mod l over the primes l not dividing disc that give any,
+    read off the distinct-degree factorization's degree pattern, starting
+    from the degree."""
+    bound = len(coeffs) - 1
+    for ell in primes:
+        if disc % ell:
+            roots = modular.degree_pattern(modular.normalize(coeffs, ell), ell).count(1)
+            if roots:
+                bound = min(bound, roots)
+    return bound
 
 
 # -- the former Fraction real-root layer -------------------------------------

@@ -147,8 +147,25 @@ class TestVerifyFailures:
             lambda echo: echo["field"].pop("recorded_disc"),
             lambda echo: echo.update(forms="first"),
             lambda echo: echo["extension"].update(delta=["-1", "0"]),
+            # integer fields: truncating these would replay a valid PASS
+            lambda echo: echo.update(probe_prime="11/2"),
+            lambda echo: echo.update(congruence_primes=["7/2", "5"]),
+            lambda echo: echo["twist"].update(tau=["1.9", "0", "2"]),
+            lambda echo: echo["local_samples"].update(norm_primes=["3", "11/2"]),
+            lambda echo: echo["field"].update(recorded_automorphism_count="3/2"),
+            lambda echo: echo["field"].update(recorded_generator_positive_count="1.5"),
         ],
-        ids=["missing-key", "wrong-type", "wrong-coordinate-count"],
+        ids=[
+            "missing-key",
+            "wrong-type",
+            "wrong-coordinate-count",
+            "fractional-probe-prime",
+            "fractional-congruence-prime",
+            "fractional-tau",
+            "fractional-norm-prime",
+            "fractional-automorphism-count",
+            "fractional-positive-count",
+        ],
     )
     def test_malformed_echo_is_format_error(self, capsys, tmp_path, edit):
         path = self._emit(capsys, tmp_path)
@@ -157,9 +174,10 @@ class TestVerifyFailures:
         edit(payload["config_echo"]["input"])
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        code, out, _ = run(capsys, "verify", path)
+        code, out, err = run(capsys, "verify", path)
         assert code == 1
         assert "format error" in out
+        assert "Traceback" not in out + err
 
 
 class TestSearch:

@@ -23,6 +23,7 @@ from _oracles import (
     fraction_isolate_real_roots,
     fraction_value_range,
     quartic_automorphism_count,
+    sieve_root_bound,
     sylvester_resultant,
 )
 from latcert import number_field
@@ -154,6 +155,19 @@ class TestConstruction:
     def test_wrong_coordinate_length(self):
         with pytest.raises(InvalidInputError):
             CUBIC.element((1, 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CUBIC.element((0.1, 0, 0)),
+            lambda: CUBIC.element(("1/2", 0, 0)),
+            lambda: CUBIC.from_rational(0.5),
+        ],
+        ids=["float-coordinate", "string-coordinate", "float-rational"],
+    )
+    def test_rejects_inexact_coordinates(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
 
 
 class TestRealPlaces:
@@ -371,6 +385,12 @@ class TestAutomorphismCount:
     def test_galois_sextic(self):
         assert automorphism_count(NumberField(Polynomial(SEXTIC_COEFFS))) == 6
 
+    @pytest.mark.parametrize("coeffs", [(-1, 0, 0, -1, 0, 0, 1), (-1, 0, 0, 1, 0, 0, 1)])
+    def test_sextics_with_many_modular_factors(self, coeffs):
+        # x^6 -+ x^3 - 1: the first prime that keeps the shifted norm
+        # squarefree leaves many modular factors to recombine
+        assert automorphism_count(NumberField(Polynomial(coeffs))) == 2
+
     def test_totally_complex_quartic(self):
         # Q(zeta_8) has no real place and is Galois with group V4
         assert automorphism_count(NumberField(Polynomial((1, 0, 0, 0, 1)))) == 4
@@ -382,6 +402,22 @@ class TestAutomorphismCount:
         assume(is_irreducible(poly))
         field = NumberField(poly)
         assert 1 <= automorphism_count(field) <= _automorphism_upper_bound(field)
+
+    @given(st.integers(4, 6).flatmap(lambda n: st.tuples(*[st.integers(-6, 6)] * n)))
+    @settings(max_examples=40, deadline=None)
+    def test_sieve_counts_the_linear_factors_mod_l(self, tail):
+        poly = Polynomial(tail + (1,))
+        assume(is_irreducible(poly))
+        field = NumberField(poly)
+        disc = field.discriminant.numerator
+        primes = number_field._AUTOMORPHISM_SIEVE_PRIMES
+        assert _automorphism_upper_bound(field) == sieve_root_bound(field.int_poly, disc, primes)
+        # one prime at a time, so that every prime's root count is compared
+        for ell in primes:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(number_field, "_AUTOMORPHISM_SIEVE_PRIMES", (ell,))
+                bound = _automorphism_upper_bound(field)
+            assert bound == sieve_root_bound(field.int_poly, disc, (ell,))
 
     @given(
         st.one_of(

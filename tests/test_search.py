@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcert import number_field, search
+from latcert import modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
@@ -125,6 +125,22 @@ class TestFieldFilter:
         monkeypatch.setattr(number_field, "is_irreducible", counting)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
         assert len(calls) == 114
+        assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
+
+    def test_quartic_filter_takes_no_degree_patterns(self, monkeypatch):
+        # Irreducibility factors at the first good prime and the automorphism
+        # sieve counts roots by evaluation, so no distinct-degree pattern is
+        # taken anywhere in the filter.
+        calls = []
+        original = modular.degree_pattern
+
+        def counting(f, p):
+            calls.append((f, p))
+            return original(f, p)
+
+        monkeypatch.setattr(modular, "degree_pattern", counting)
+        fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
+        assert calls == []
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 
     @pytest.mark.parametrize(
