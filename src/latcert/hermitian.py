@@ -74,10 +74,12 @@ def signature_pattern(h: HermitianForm) -> SignaturePattern:
     """(positives, negatives) among the diagonal entries at each real place.
 
     `HermitianForm` calls this once and keeps the result as `h.signatures`.
+    Each distinct entry is evaluated once per place.
     """
     pattern = []
     for place in h.ext.base.real_places():
-        signs = [a.sign_at(place) for a in h.diag]
+        sign = {a: a.sign_at(place) for a in dict.fromkeys(h.diag)}
+        signs = [sign[a] for a in h.diag]
         pattern.append((signs.count(1), signs.count(-1)))
     return tuple(pattern)
 
@@ -124,14 +126,8 @@ def _lambda_candidates(
     Both signs of every product are produced; 1 and -1 always appear
     (the empty product).
     """
-    base = []
-    seen_coords = set()
-    for g in tuple(unit_gens) + h1.diag + h2.diag:
-        g = h1.ext.base._coerce(g)
-        if g.coords in seen_coords:
-            continue
-        seen_coords.add(g.coords)
-        base.append(g)
+    pool = tuple(unit_gens) + h1.diag + h2.diag
+    base = list(dict.fromkeys(h1.ext.base._coerce(g) for g in pool))
     emitted = set()
     for total in range(height + 1):
         for exps in _signed_exponent_vectors(len(base), total):
@@ -139,8 +135,8 @@ def _lambda_candidates(
             for g, e in zip(base, exps):
                 lam = lam * g**e
             for signed in (lam, -lam):
-                if signed.coords not in emitted:
-                    emitted.add(signed.coords)
+                if signed not in emitted:
+                    emitted.add(signed)
                     yield signed
 
 
@@ -307,7 +303,6 @@ def seed_pair_check(
         components.append(ComponentCheck("standing-assumption", FAIL, bad.detail))
 
     aut = automorphism_count(h1.ext.base)
-    verdict = group_isomorphism_verdict(h1, h2, unit_gens=unit_gens, height=height)
     if aut != 1:
         components.append(
             ComponentCheck(
@@ -316,12 +311,10 @@ def seed_pair_check(
                 f"{aut} field automorphisms; compositions not enumerated",
             )
         )
-    elif verdict.status == NOT_ISOMORPHIC:
-        components.append(ComponentCheck("non-isomorphism", PASS, verdict.detail))
-    elif verdict.status == ISOMORPHIC:
-        components.append(ComponentCheck("non-isomorphism", FAIL, verdict.detail))
     else:
-        components.append(ComponentCheck("non-isomorphism", UNKNOWN, verdict.detail))
+        verdict = group_isomorphism_verdict(h1, h2, unit_gens=unit_gens, height=height)
+        status = {NOT_ISOMORPHIC: PASS, ISOMORPHIC: FAIL}.get(verdict.status, UNKNOWN)
+        components.append(ComponentCheck("non-isomorphism", status, verdict.detail))
 
     twisted = twist_pattern(sig1, tau)
     if twisted == sig2:

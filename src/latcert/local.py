@@ -15,9 +15,9 @@ Every block is monic with integer coefficients, so Res(P_v, z) is the
 determinant of multiplication by z on Z[x]/(P_v), an integer matrix; it is
 resultant_int, borrowed with the other integer helpers from the integer core
 of polynomials, which takes it by fraction-free (Bareiss) elimination.
-Elements enter as the integer coordinates and common denominator of
-FieldElement.integral, and the field as its int_poly; no rational arithmetic
-sits between a place's representatives and their norm orders.
+Elements enter as their integer numerators and denominator (num, den), and
+the field as its int_poly; no rational arithmetic sits between a place's
+representatives and their norm orders.
 
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
@@ -189,8 +189,7 @@ def valuation(place: FinitePlace, elem: FieldElement) -> int:
         raise InvalidInputError("element belongs to a different field")
     if elem.is_zero():
         raise InvalidInputError("the zero element has no finite valuation")
-    z, m = elem.integral
-    return _int_valuation(place, z) - place.ramification * _ord_int(m, place.prime)
+    return _int_valuation(place, elem.num) - place.ramification * _ord_int(elem.den, place.prime)
 
 
 def _int_valuation(place: FinitePlace, z: tuple[int, ...]) -> int:
@@ -206,7 +205,7 @@ def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
     Requires coordinate denominators coprime to l (then the element is
     automatically integral at every place above l).
     """
-    z, m = elem.integral
+    z, m = elem.num, elem.den
     ell = place.prime
     if m % ell == 0:
         raise InvalidInputError(
@@ -278,8 +277,8 @@ def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int
     """
     ell = place.prime
     unit_mod = 8 if ell == 2 else ell
-    z, m = u.integral
-    o, r = _norm_ord_and_unit(place, z, unit_mod)
+    m = u.den
+    o, r = _norm_ord_and_unit(place, u.num, unit_mod)
     ef = place.ramification * place.residue_degree
     mo = _ord_int(m, ell)
     mm = m // ell**mo
@@ -378,7 +377,7 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 
     if ell != 2:
         if v_delta == 0:
-            if delta.integral[1] % ell != 0:
+            if delta.den % ell != 0:
                 square = _residue_square_test(place, delta)
                 return SplittingResult(
                     "split" if square else "inert", "residue square test"
@@ -502,11 +501,10 @@ def relevant_primes(ext: CMExtension, u: FieldElement) -> tuple[int, ...]:
     """
     out = {2}
     for elem in (ext.delta, u):
-        z, m = elem.integral
-        r = resultant_int(ext.base.int_poly, z)
+        r = resultant_int(ext.base.int_poly, elem.num)
         out |= set(prime_factors(r))
-        if m > 1:
-            out |= set(prime_factors(m))
+        if elem.den > 1:
+            out |= set(prime_factors(elem.den))
     return tuple(sorted(out))
 
 

@@ -1,19 +1,19 @@
 """Number fields presented by a monic irreducible integer polynomial.
 
-Elements are power-basis coordinate vectors, held as integers over a common
-denominator (integral) beside the field's integer polynomial (int_poly), so
-all arithmetic is exact on the integer core of polynomials: the norm is the
-determinant of the multiplication matrix (Cohen, GTM 138, 4.2) and the inverse
-solves it by Cramer's rule. The real places are the isolated real roots of
-the defining polynomial in ascending order, which fixes a canonical
-indexing from 0. Each is one immutable integer cell (a, b, d) = [a/d, b/d],
-a function of the polynomial alone: the isolating cell (Collins & Akritas
-1976), halved until 0 lies outside it. The sign of an element at a place
-is decided by an integer interval enclosure of its numerators over a
-private copy of that cell, halving the copy while the enclosure straddles
-zero; rational intervals are built only for `real_place_intervals`. A CM
-extension F(sqrt(delta)) is carried as its totally real base field and a
-totally negative delta in it.
+A field is its integer polynomial (int_poly) and an element its power-basis
+coordinates as integer numerators over one positive denominator in lowest
+terms (num, den), so all arithmetic is exact on the integer core of
+polynomials: the norm is the determinant of the multiplication matrix (Cohen,
+GTM 138, 4.2) and the inverse solves it by Cramer's rule. The real places are
+the isolated real roots of the defining polynomial in ascending order, which
+fixes a canonical indexing from 0. Each is one immutable integer cell
+(a, b, d) = [a/d, b/d], a function of the polynomial alone: the isolating
+cell (Collins & Akritas 1976), halved until 0 lies outside it. The sign of
+an element at a place is decided by an integer interval enclosure of its
+numerators over a private copy of that cell, halving the copy while the
+enclosure straddles zero; rational intervals are built only for
+`real_place_intervals`. A CM extension F(sqrt(delta)) is carried as its
+totally real base field and a totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
 discriminant. For degree >= 4 a sieve bounds the count from above by the
@@ -26,9 +26,8 @@ polynomial in the field by factoring one integer polynomial over Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 from .errors import InvalidInputError
@@ -49,8 +48,6 @@ from .polynomials import (
     resultant_int,
     squarefree_factors,
 )
-
-Scalar = Union[int, Fraction]
 
 # Primes tried by the automorphism sieve (Cohen, GTM 138, ch. 6); those
 # dividing the discriminant are skipped.
@@ -76,11 +73,34 @@ class RealPlace:
         return f"real place {self.index}"
 
 
+def _real_root_cells(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # One integer cell (a, b, d) = [a/d, b/d] per real root of the monic
+    # irreducible p, ascending (the canonical place indexing).
+    if len(p) == 2:
+        # p is x + c, whose one root -c is the point cell.
+        return ((-p[0], -p[0], 1),)
+    # Irreducible of degree >= 2: squarefree and without a rational root,
+    # so halving each isolating cell until 0 lies outside it terminates.
+    # That is where the generator's sign at the place is decided.
+    cells = _isolating_cells(p, [])
+    for cell in cells:
+        while cell[0] <= 0 <= cell[1]:
+            _halve(p, cell)
+    return tuple(tuple(cell) for cell in cells)
+
+
 @dataclass(frozen=True)
 class NumberField:
-    """Q[x]/(min_poly) for monic irreducible min_poly with integer coefficients."""
+    """Q[x]/(min_poly) for monic irreducible min_poly with integer coefficients.
 
-    min_poly: Polynomial
+    Equality and hashing read `int_poly`, min_poly as integers, constant term
+    first; the other fields follow from it and are set once, on construction.
+    """
+
+    min_poly: Polynomial = field(compare=False)
+    int_poly: tuple[int, ...] = field(init=False, repr=False)
+    discriminant: Fraction = field(init=False, repr=False, compare=False)
+    _root_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.min_poly
@@ -88,38 +108,16 @@ class NumberField:
             raise InvalidInputError("defining polynomial must have degree >= 1")
         if not p.is_monic():
             raise InvalidInputError("defining polynomial must be monic")
-        self.int_poly  # raises on fractional coefficients
+        ints = p.int_coeffs()  # raises on fractional coefficients
         if not is_irreducible(p):
             raise InvalidInputError("defining polynomial is reducible over Q")
+        object.__setattr__(self, "int_poly", ints)
+        object.__setattr__(self, "discriminant", discriminant(p))
+        object.__setattr__(self, "_root_cells", _real_root_cells(ints))
 
     @property
     def degree(self) -> int:
-        return self.min_poly.degree()
-
-    @cached_property
-    def int_poly(self) -> tuple[int, ...]:
-        """min_poly as integers, constant term first."""
-        return self.min_poly.int_coeffs()
-
-    @cached_property
-    def discriminant(self) -> Fraction:
-        return discriminant(self.min_poly)
-
-    @cached_property
-    def _root_cells(self) -> tuple[tuple[int, ...], ...]:
-        # One integer cell (a, b, d) = [a/d, b/d] per real place, ascending
-        # (the canonical place indexing), a function of min_poly alone.
-        if self.degree == 1:
-            # min_poly is x + c, whose one root -c is the point cell.
-            return ((-self.int_poly[0], -self.int_poly[0], 1),)
-        # Irreducible of degree >= 2: squarefree and without a rational root,
-        # so halving each isolating cell until 0 lies outside it terminates.
-        # That is where the generator's sign at the place is decided.
-        cells = _isolating_cells(self.int_poly, [])
-        for cell in cells:
-            while cell[0] <= 0 <= cell[1]:
-                _halve(self.int_poly, cell)
-        return tuple(tuple(cell) for cell in cells)
+        return len(self.int_poly) - 1
 
     @property
     def real_place_count(self) -> int:
@@ -139,9 +137,11 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
-        return FieldElement(self, tuple(coords))
+        coords = [_coerce(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in coords))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
-    def from_rational(self, c: Scalar) -> "FieldElement":
+    def from_rational(self, c: Union[int, Fraction]) -> "FieldElement":
         return self.element((c,) + (0,) * (self.degree - 1))
 
     def zero(self) -> "FieldElement":
@@ -162,7 +162,7 @@ class NumberField:
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
-            return self.from_rational(-self.min_poly.coeffs[0])
+            return self.from_rational(-self.int_poly[0])
         return self.element((0, 1) + (0,) * (self.degree - 2))
 
     def __str__(self) -> str:
@@ -171,38 +171,45 @@ class NumberField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of a NumberField in power-basis coordinates."""
+    """Element of a NumberField: power-basis coordinates num/den in lowest
+    terms with den > 0, the one form that equality and hashing read.
+    `NumberField.element` builds one from rational coordinates."""
 
     field: NumberField
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        coords = tuple(_coerce(c) for c in self.coords)
-        if len(coords) != self.field.degree:
-            raise InvalidInputError(
-                f"expected {self.field.degree} coordinates, got {len(coords)}"
-            )
-        object.__setattr__(self, "coords", coords)
+        num, den = self.num, self.den
+        if len(num) != self.field.degree:
+            raise InvalidInputError(f"expected {self.field.degree} coordinates, got {len(num)}")
+        if type(num) is not tuple or any(type(c) is not int for c in (den, *num)):
+            raise InvalidInputError("an element is a tuple of int numerators over an int")
+        if den <= 0 or math.gcd(den, *num) != 1:
+            raise InvalidInputError("an element needs den > 0 and gcd(den, *num) == 1")
 
-    # -- helpers -------------------------------------------------------------
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates num[i] / den as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
-    @cached_property
-    def integral(self) -> tuple[tuple[int, ...], int]:
-        """(z, m) with coords = z/m, m > 0 the lcm of the coordinate denominators."""
-        m = math.lcm(*(c.denominator for c in self.coords))
-        return tuple(c.numerator * (m // c.denominator) for c in self.coords), m
+    def _reduced(self, num, den: int) -> "FieldElement":
+        """num/den for den != 0, as an element of this field in lowest terms."""
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        return FieldElement(self.field, tuple(c // g for c in num), den // g)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other) -> "FieldElement":
         o = self.field._coerce(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        m, k = self.den, o.den
+        return self._reduced([a * k + b * m for a, b in zip(self.num, o.num)], m * k)
 
     __radd__ = __add__
 
@@ -213,29 +220,28 @@ class FieldElement:
         return self.field._coerce(other) - self
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-c for c in self.coords))
+        return FieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other) -> "FieldElement":
-        (z, m), (w, k) = self.integral, self.field._coerce(other).integral
-        prod = _reduce_monic(_poly_mul(z, w), self.field.int_poly)
-        return FieldElement(self.field, tuple(Fraction(c, m * k) for c in prod))
+        o = self.field._coerce(other)
+        prod = _reduce_monic(_poly_mul(self.num, o.num), self.field.int_poly)
+        return self._reduced(prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise InvalidInputError("inverting zero")
-        # Cramer's rule on M w = e_0 for the multiplication matrix M of z, so
-        # w = 1/z; _bareiss_det overwrites its rows, hence fresh copies.
-        z, m = self.integral
-        columns = _multiplication_columns(self.field.int_poly, z)
+        # Cramer's rule on M w = e_0 for the multiplication matrix M of num,
+        # so w = 1/num; _bareiss_det overwrites its rows, hence fresh copies.
+        columns = _multiplication_columns(self.field.int_poly, self.num)
         det = _bareiss_det([c[:] for c in columns])
-        coords = []
+        num = []
         for i in range(len(columns)):
             rows = [c[:] for c in columns]
             rows[i] = [1] + [0] * (len(columns) - 1)
-            coords.append(Fraction(m * _bareiss_det(rows), det))
-        return FieldElement(self.field, tuple(coords))
+            num.append(self.den * _bareiss_det(rows))
+        return self._reduced(num, det)
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self.field._coerce(other).inverse()
@@ -259,12 +265,11 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all conjugate values, exact."""
-        z, m = self.integral
-        return Fraction(resultant_int(self.field.int_poly, z), m**self.field.degree)
+        return Fraction(resultant_int(self.field.int_poly, self.num), self.den**self.field.degree)
 
     def is_unit(self) -> bool:
         """Unit of the polynomial order: integral coordinates, norm +-1."""
-        if self.integral[1] != 1:
+        if self.den != 1:
             raise InvalidInputError("unit test requires integral coordinates")
         return abs(self.norm()) == 1
 
@@ -273,9 +278,9 @@ class FieldElement:
         j = place.index if isinstance(place, RealPlace) else place
         if not 0 <= j < self.field.real_place_count:
             raise InvalidInputError(f"no real place with index {j}")
-        # The integral numerators z are a positive multiple of the element,
-        # so they have the same signs.
-        z = self.integral[0]
+        # The numerators are a positive multiple of the element, so they have
+        # the same signs.
+        z = self.num
         if not any(z):
             return 0
         # Over a point cell, the root of a degree-1 field, the enclosure is
@@ -437,7 +442,7 @@ class GaloisClosure:
         for e in self.embeddings:
             if e.field != self.closure:
                 raise InvalidInputError("embedding images must live in the closure field")
-        if len({e.coords for e in self.embeddings}) != len(self.embeddings):
+        if len(set(self.embeddings)) != len(self.embeddings):
             raise InvalidInputError("embedding images must be pairwise distinct")
 
     def verify_embedding(self, index: int) -> bool:

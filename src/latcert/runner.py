@@ -171,6 +171,8 @@ def build_certificate(inputs: dict) -> dict:
         closure = GaloisClosure(field, closure_field, images)
         closure_disc = Fraction(closure_field.discriminant)
         recorded_closure_disc = parse_exact(inputs["closure"]["recorded_disc"])
+        if recorded_closure_disc == 0:
+            raise InvalidInputError("closure.recorded_disc must be nonzero")
         ratio = closure_disc / recorded_closure_disc
         is_sq = is_rational_square(ratio)
         closure_block = {

@@ -38,8 +38,7 @@ def _squarefree_delta_coords(delta: FieldElement) -> tuple[int, ...]:
     dividing the integer content. The result has squarefree content, and no
     two distinct such tuples differ by a rational square.
     """
-    z, m = delta.integral
-    ints = [c * m for c in z]
+    ints = [c * delta.den for c in delta.num]
     content = gcd(*ints)
     side = 1
     for p, e in prime_factors(content).items():

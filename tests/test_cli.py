@@ -154,6 +154,8 @@ class TestVerifyFailures:
             lambda echo: echo["local_samples"].update(norm_primes=["3", "11/2"]),
             lambda echo: echo["field"].update(recorded_automorphism_count="3/2"),
             lambda echo: echo["field"].update(recorded_generator_positive_count="1.5"),
+            # the recomputed closure discriminant is divided by this one
+            lambda echo: echo["closure"].update(recorded_disc="0"),
         ],
         ids=[
             "missing-key",
@@ -165,6 +167,7 @@ class TestVerifyFailures:
             "fractional-norm-prime",
             "fractional-automorphism-count",
             "fractional-positive-count",
+            "zero-closure-disc",
         ],
     )
     def test_malformed_echo_is_format_error(self, capsys, tmp_path, edit):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcert import local
+from latcert import hermitian, local
 from latcert.errors import InvalidInputError
 from latcert.hermitian import (
     FAIL,
@@ -22,7 +22,7 @@ from latcert.hermitian import (
     signature_pattern,
     twist_pattern,
 )
-from latcert.number_field import CMExtension, NumberField
+from latcert.number_field import CMExtension, FieldElement, NumberField
 from latcert.polynomials import Polynomial
 
 F = NumberField(Polynomial((1, -3, -1, 1)))
@@ -74,6 +74,20 @@ class TestSignatures:
     def test_indefinite_places_differ(self):
         assert indefinite_places(H1) == (0,)
         assert indefinite_places(H2) == (1,)
+
+    def test_each_distinct_entry_is_evaluated_once_per_place(self, monkeypatch):
+        calls = []
+        sign_at = FieldElement.sign_at
+
+        def counted(self, place):
+            calls.append(place)
+            return sign_at(self, place)
+
+        monkeypatch.setattr(FieldElement, "sign_at", counted)
+        h = HermitianForm(EXT, (-ALPHA,) * 4 + (F.from_rational(-1),))
+        # two distinct entries at three places, not five entries at three
+        assert len(calls) == 6
+        assert h.signatures == ((4, 1), (0, 5), (0, 5))
 
     def test_pattern_entries_sum_to_rank(self):
         for h in (H1, H2):
@@ -252,6 +266,28 @@ class TestSeedPair:
             "twist-match",
             "local-rule",
         ]
+
+    def test_no_scaling_search_when_automorphisms_are_nontrivial(self, monkeypatch):
+        # x^3 - 3x + 1 is cyclic, so a verdict on the identity composition
+        # alone would not settle non-isomorphism.
+        cyclic = NumberField(Polynomial((1, -3, 0, 1)))
+        beta = cyclic.generator()
+        ext = CMExtension(cyclic, cyclic.from_rational(-1))
+        h1 = HermitianForm(ext, (beta, beta, -1))
+        h2 = HermitianForm(ext, (-beta, -beta, -1))
+        calls = []
+        verdict = hermitian.group_isomorphism_verdict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verdict(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "group_isomorphism_verdict", counted)
+        v = seed_pair_check(h1, h2, (0, 1, 2), unit_gens=(beta,))
+        assert calls == []
+        component = v.component("non-isomorphism")
+        assert component.status == UNKNOWN
+        assert component.detail == "3 field automorphisms; compositions not enumerated"
 
     def test_self_pair_fails_non_isomorphism(self):
         v = seed_pair_check(H1, H1, (0, 1, 2), unit_gens=UNIT_GENS)

@@ -5,6 +5,7 @@ independent facts (norm = resultant identities, classical Galois behavior of
 small fields, hand expansion of low-degree products).
 """
 
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from latcert import number_field
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
+    FieldElement,
     GaloisClosure,
     NumberField,
     RealPlace,
@@ -316,8 +318,8 @@ class TestArithmetic:
 
     def test_integral_form(self):
         e = CUBIC.element((Fraction(1, 2), Fraction(-2, 3), 5))
-        assert e.integral == ((3, -4, 30), 6)
-        assert CUBIC.zero().integral == ((0, 0, 0), 1)
+        assert (e.num, e.den) == ((3, -4, 30), 6)
+        assert (CUBIC.zero().num, CUBIC.zero().den) == ((0, 0, 0), 1)
 
     @given(
         st.sampled_from(ORACLE_FIELDS).flatmap(
@@ -333,10 +335,32 @@ class TestArithmetic:
         p = list(field.min_poly.coeffs)
         x, y = field.element(xs), field.element(ys)
         assert list((x * y).coords) == fraction_field_product(xs, ys, p)
+        # One canonical form per element, so equal values are equal and
+        # hash equal however they were reached.
+        same = [(x + y) - y, field.element(Fraction(3 * c, 3 * x.den) for c in x.num)]
+        if not y.is_zero():
+            same.append(x * y / y)
+        for z in same:
+            assert z == x and hash(z) == hash(x)
+        for z in same + [x, y, x * y, x + y, -x]:
+            assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+            assert z.coords == tuple(Fraction(c, z.den) for c in z.num)
+        twin = NumberField(Polynomial(p))
+        assert twin == field and hash(twin) == hash(field)
+        assert twin.element(xs) == x and hash(twin.element(xs)) == hash(x)
+        for num, den in (
+            (tuple(2 * c for c in x.num), 2 * x.den),
+            (tuple(-c for c in x.num), -x.den),
+            (tuple(Fraction(c) for c in x.num), x.den),
+        ):
+            with pytest.raises(InvalidInputError):
+                FieldElement(field, num, den)
         if x.is_zero():
             assert x.norm() == 0
             return
-        assert list(x.inverse().coords) == fraction_field_inverse(xs, p)
+        inverse = x.inverse()
+        assert inverse.den > 0 and math.gcd(inverse.den, *inverse.num) == 1
+        assert list(inverse.coords) == fraction_field_inverse(xs, p)
         trimmed = list(Polynomial(xs).coeffs)
         assert x.norm() == sylvester_resultant(p, trimmed)
 
