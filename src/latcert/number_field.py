@@ -16,11 +16,13 @@ enclosure straddles zero; rational intervals are built only for
 totally real base field and a totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
-discriminant. For degree >= 4 a sieve bounds the count from above by the
-number of roots of the defining polynomial in F_l, found by evaluating it
-at 0, ..., l - 1, for small unramified primes l, and a bound of 1 settles
-it. Otherwise Trager's norm method counts the roots of the defining
-polynomial in the field by factoring one integer polynomial over Z.
+discriminant, and degree 4 by the rational roots of the resolvent cubic and
+the discriminant (Kappe & Warren 1989). For degree >= 5 a sieve bounds the
+count from above by the number of roots of the defining polynomial in F_l,
+found by evaluating it at 0, ..., l - 1, for small unramified primes l, and
+a bound of 1 settles it. Otherwise Trager's norm method counts the roots of
+the defining polynomial in the field by factoring one integer polynomial
+over Z.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .polynomials import (
     _isolating_cells,
     _multiplication_columns,
     _poly_mul,
+    _rational_roots,
     _reduce_monic,
     _value,
     discriminant,
@@ -317,7 +320,14 @@ def automorphism_count(field: NumberField) -> int:
     """Number of field automorphisms, as roots of min_poly inside the field.
 
     Degrees 1-3 are decided exactly (an irreducible cubic is Galois exactly
-    when its discriminant is a rational square). For higher degrees the
+    when its discriminant is a rational square). Degree 4 is read off the
+    Galois group, which the resolvent cubic
+    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of
+    p = x^4 + a x^3 + b x^2 + c x + e decides (Kappe & Warren 1989); R is
+    squarefree, since disc R = disc p != 0. No rational root of R gives S4
+    or A4, where the count is 1; three give V4, count 4; exactly one, r,
+    gives C4 (count 4) when x^2 - r x + e and x^2 + a x + (b - r) both split
+    over Q(sqrt(disc p)), and D4 (count 2) otherwise. For higher degrees the
     exact mod-l sieve bounds the count from above, and a bound of 1 is
     returned at once. Otherwise the count comes from Trager's norm method
     (Trager 1976; Cohen, GTM 138, 3.6.2): when N_s(x) = Res_y(p(y), p(x - s*y))
@@ -333,6 +343,20 @@ def automorphism_count(field: NumberField) -> int:
         return 2
     if d == 3:
         return 3 if is_rational_square(field.discriminant) else 1
+    if d == 4:
+        e, c, b, a, _ = field.int_poly
+        roots = _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
+        if not roots:
+            return 1
+        if len(roots) == 3:
+            return 4
+        r = roots[0][0]
+
+        def splits(p: int, q: int) -> bool:  # x^2 + p x + q over Q(sqrt(disc))
+            delta = p * p - 4 * q
+            return is_rational_square(delta) or is_rational_square(delta * field.discriminant)
+
+        return 4 if splits(-r, e) and splits(a, b - r) else 2
     if _automorphism_upper_bound(field) == 1:
         return 1
     p = field.int_poly

@@ -51,6 +51,8 @@ class SearchConfig:
         for d in self.delta_candidates:
             if Fraction(d) >= 0:
                 raise InvalidInputError("delta candidates must be negative rationals")
+        if self.max_certificates is not None and self.max_certificates < 1:
+            raise InvalidInputError("max certificates must be at least 1")
 
 
 def candidate_polynomials(degree: int, bound: int) -> Iterator[Polynomial]:

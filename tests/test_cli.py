@@ -207,6 +207,23 @@ class TestSearch:
         assert err.startswith("error: ") and "Traceback" not in out + err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_max_certificates_below_one_is_usage_error(self, capsys, tmp_path, limit):
+        code, out, err = run(
+            capsys,
+            "search",
+            "--degree",
+            "3",
+            "--bound",
+            "2",
+            f"--max-certificates={limit}",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith("error: ") and "PASS certificate" not in out
+        assert not os.listdir(tmp_path)
+
     def test_budget_exhaustion_reports_unknown(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -40,7 +40,7 @@ from latcert.number_field import (
     automorphism_count,
     is_rational_square,
 )
-from latcert.polynomials import Polynomial, is_irreducible
+from latcert.polynomials import Polynomial, is_irreducible, squarefree_factors
 
 CUBIC = NumberField(Polynomial((1, -3, -1, 1)))  # x^3 - x^2 - 3x + 1
 ALPHA = CUBIC.generator()
@@ -55,6 +55,13 @@ ORACLE_FIELDS = (
     CUBIC,
     AUT2_QUARTIC,
     NumberField(Polynomial(SEXTIC_COEFFS)),
+)
+# Tails (a0, a1, a2, a3) of quartics x^4 + a3 x^3 + ... + a0, which each test
+# keeps only when irreducible; the family x^4 + b x^2 + d reaches the D4, C4
+# and V4 cases often.
+QUARTIC_TAILS = st.one_of(
+    st.tuples(*[st.integers(-6, 6)] * 4),
+    st.tuples(st.integers(-12, 12), st.just(0), st.integers(-12, 12), st.just(0)),
 )
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 # All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
@@ -99,6 +106,15 @@ def sign_histories(draw):
     n = len(coeffs) - 1
     calls = st.tuples(st.integers(0, len(elements) - 1), st.integers(0, n - 1))
     return coeffs, elements, draw(st.lists(calls, max_size=12))
+
+
+def _trager_count(p):
+    """Trager's count for monic integer p of degree n: the number of degree-n
+    factors over Q of the first squarefree shifted norm N_s, s >= 2."""
+    s = 2
+    while (factors := squarefree_factors(_shifted_norm(p, s))) is None:
+        s += 1
+    return sum(1 for g in factors if len(g) == len(p))
 
 
 def _oracle_place_intervals(coeffs):
@@ -389,13 +405,28 @@ class TestAutomorphismCount:
     def test_generic_quartic(self):
         assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
 
-    def test_generic_quartic_decided_without_numerics(self, monkeypatch):
-        # the mod-l sieve alone settles it; the norm method is never reached
+    def test_generic_quintic_decided_by_the_sieve(self, monkeypatch):
+        # x^5 - x - 1: the mod-l sieve alone settles it; the norm method is
+        # never reached
         def no_norm(*args, **kwargs):
             raise AssertionError("the sieve should decide this field")
 
+        field = NumberField(Polynomial((-1, -1, 0, 0, 0, 1)))
+        assert _automorphism_upper_bound(field) == 1
         monkeypatch.setattr(number_field, "_shifted_norm", no_norm)
-        assert automorphism_count(NumberField(Polynomial((1, 1, -4, 0, 1)))) == 1
+        monkeypatch.setattr(number_field, "squarefree_factors", no_norm)
+        assert automorphism_count(field) == 1
+
+    def test_quartics_never_reach_the_norm_method(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("the resolvent cubic should decide a quartic")
+
+        monkeypatch.setattr(number_field, "_shifted_norm", no_norm)
+        monkeypatch.setattr(number_field, "squarefree_factors", no_norm)
+        for coeffs, count in TOTALLY_REAL_QUARTICS_BOUND_3.items():
+            assert automorphism_count(NumberField(Polynomial(coeffs))) == count
+        # x^4 - 2 (D4): its resolvent x^3 + 8x has the one rational root 0
+        assert automorphism_count(NumberField(Polynomial((-2, 0, 0, 0, 1)))) == 2
 
     def test_quartic_with_one_nontrivial_automorphism(self):
         assert _automorphism_upper_bound(AUT2_QUARTIC) == 2
@@ -419,13 +450,17 @@ class TestAutomorphismCount:
         # Q(zeta_8) has no real place and is Galois with group V4
         assert automorphism_count(NumberField(Polynomial((1, 0, 0, 0, 1)))) == 4
 
-    @given(st.tuples(*[st.integers(-6, 6)] * 4))
+    @given(st.integers(4, 5).flatmap(lambda n: st.tuples(*[st.integers(-6, 6)] * n)))
+    # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1, cyclic: the sieve bound is 5
+    @example((1, 3, -3, -4, 1))
     @settings(max_examples=25, deadline=None)
     def test_sieve_bound_dominates_exact_count(self, tail):
         poly = Polynomial(tail + (1,))
         assume(is_irreducible(poly))
         field = NumberField(poly)
-        assert 1 <= automorphism_count(field) <= _automorphism_upper_bound(field)
+        count = _trager_count(field.int_poly)
+        assert 1 <= count <= _automorphism_upper_bound(field)
+        assert automorphism_count(field) == count
 
     @given(st.integers(4, 6).flatmap(lambda n: st.tuples(*[st.integers(-6, 6)] * n)))
     @settings(max_examples=40, deadline=None)
@@ -443,18 +478,24 @@ class TestAutomorphismCount:
                 bound = _automorphism_upper_bound(field)
             assert bound == sieve_root_bound(field.int_poly, disc, (ell,))
 
-    @given(
-        st.one_of(
-            st.tuples(*[st.integers(-6, 6)] * 4),
-            # x^4 + b x^2 + d reaches the D4, C4 and V4 cases often
-            st.tuples(st.integers(-12, 12), st.just(0), st.integers(-12, 12), st.just(0)),
-        )
-    )
+    @given(QUARTIC_TAILS)
     @settings(max_examples=40, deadline=None)
     def test_quartics_match_the_resolvent_cubic(self, tail):
         poly = Polynomial(tail + (1,))
         assume(is_irreducible(poly))
         assert automorphism_count(NumberField(poly)) == quartic_automorphism_count(*tail)
+
+    @given(QUARTIC_TAILS)
+    # C4, D4 with the resolvent root 0, and V4
+    @example((2, 0, -4, 0))
+    @example((-2, 0, 0, 0))
+    @example((1, 0, -10, 0))
+    @settings(max_examples=40, deadline=None)
+    def test_quartics_match_the_norm_method(self, tail):
+        poly = Polynomial(tail + (1,))
+        assume(is_irreducible(poly))
+        field = NumberField(poly)
+        assert automorphism_count(field) == _trager_count(field.int_poly)
 
 
 class TestShiftedNorm:

@@ -83,6 +83,12 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             SearchConfig(delta_candidates=(Fraction(1),))
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_certificates_below_one(self, limit):
+        # a limit the search could only honour by emitting nothing is refused
+        with pytest.raises(InvalidInputError):
+            SearchConfig(max_certificates=limit)
+
 
 class TestCandidates:
     def test_lexicographic_order(self):
