@@ -8,9 +8,10 @@ arithmetic, reading valuations off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
 oracle reads the Galois group off the resolvent cubic. The root isolation,
 interval enclosure and field product and inverse oracles are the package's
-former Fraction implementations, on plain coefficient lists, and the sieve
-root bound is its former root count by distinct-degree factorization mod l.
-Slow and simple on purpose.
+former Fraction implementations, on plain coefficient lists, the sieve
+root bound is its former root count by distinct-degree factorization mod l,
+and the totally real box is the search's former scan of the whole
+coefficient box. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from fractions import Fraction
 
 from latcert import modular
+from latcert.polynomials import distinct_real_root_count
 
 
 def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
@@ -254,6 +256,14 @@ def quartic_automorphism_count(a0: int, a1: int, a2: int, a3: int) -> int:
         return _is_rational_square(delta) or _is_rational_square(delta * disc)
 
     return 4 if splits(-r, d) and splits(a, b - r) else 2
+
+
+def totally_real_box(degree: int, bound: int) -> list[tuple[int, ...]]:
+    """Every monic integer polynomial of the degree with coefficients in
+    [-bound, bound] and `degree` distinct real roots, constant term first,
+    lexicographic in (a_0, ..., a_{degree-1}): one Sturm count per tuple."""
+    box = itertools.product(range(-bound, bound + 1), repeat=degree)
+    return [t + (1,) for t in box if distinct_real_root_count(t + (1,)) == degree]
 
 
 def sieve_root_bound(coeffs: tuple[int, ...], disc: int, primes) -> int:

@@ -6,7 +6,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import totally_real_box
 from latcert import modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
@@ -92,10 +95,46 @@ class TestConfig:
 
 class TestCandidates:
     def test_lexicographic_order(self):
-        polys = list(candidate_polynomials(2, 1))
-        assert len(polys) == 9
-        assert polys[0].coeffs == (Fraction(-1), Fraction(-1), Fraction(1))
-        assert polys[-1].coeffs == (Fraction(1), Fraction(1), Fraction(1))
+        # x^2 has a double root, and x^2 + a_1 x + 1 has no real root for
+        # |a_1| <= 1
+        assert candidate_polynomials(2, 1) == [
+            (-1, -1, 1),
+            (-1, 0, 1),
+            (-1, 1, 1),
+            (0, -1, 1),
+            (0, 1, 1),
+        ]
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, 2 if n == 5 else 3))
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_box_filter(self, case):
+        degree, bound = case
+        assert candidate_polynomials(degree, bound) == totally_real_box(degree, bound)
+
+    @pytest.mark.parametrize("degree, bound, counts", [(4, 3, 1015), (3, 4, 603)])
+    def test_sturm_counts_pruned_by_derivatives(self, monkeypatch, degree, bound, counts):
+        # the box takes 2401 and 729 counts; field_candidates adds none
+        calls = []
+        original = search.distinct_real_root_count
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(search, "distinct_real_root_count", counting)
+        list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
+        assert len(calls) == counts
+
+    def test_quintic_survivors_are_pinned(self):
+        # the pin was taken from the box filter, 161051 Sturm counts
+        polys = candidate_polynomials(5, 5)
+        text = "\n".join(",".join(str(c) for c in t) for t in polys)
+        assert len(polys) == 1200
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("1af8c7580f508c8e")
 
     def test_field_filter_keeps_example_field(self):
         coeff_tuples = {
