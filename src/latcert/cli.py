@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except LatcertError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FAIL
+    except OSError as ex:
+        print(f"error: cannot write {ex.filename}: {ex.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Everything here is exact and deterministic: resultants and discriminants
 are Bareiss determinants on the integer core, real roots are counted by
 Sturm's theorem at -inf and +inf and isolated with Sturm counts plus exact
 extraction of rational roots, and squarefree monic integer polynomials are
-factored over Z by Zassenhaus's algorithm (factor modulo a prime,
-Hensel-lift, recombine), which also decides irreducibility over Q. No
-floating point anywhere.
+factored over Z (integer roots by l-adic Newton lifting, then Zassenhaus's
+algorithm: factor modulo a prime, Hensel-lift, recombine), which also
+decides irreducibility over Q. No floating point anywhere.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -600,13 +600,17 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Irreducible factors over Z of a monic integer polynomial, or None
     when it has a repeated factor.
 
-    Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5): factor f modulo the
-    first prime that keeps it squarefree (a single factor there proves f
-    irreducible), Hensel-lift every factor to a modulus above twice a
-    Mignotte-type bound on the coefficients of any factor over Z, and
-    combine subsets of the lifted factors, keeping a product only when it
-    divides what is left of f exactly. Coefficient tuples are constant term
-    first; the factors are monic, sorted by (degree, coefficients).
+    Take the first prime ell that keeps f squarefree. The integer roots come
+    first (Loos 1983): each root mod ell is simple, so Newton's iteration
+    lifts it past twice the Cauchy bound 1 + max|a_i| on |root|, and its
+    symmetric residue is kept when it is a root over Z. A cofactor of degree
+    <= 3 is then irreducible. A larger one goes through Zassenhaus's
+    algorithm (1969; Cohen, GTM 138, 3.5) at the same ell: factor it mod
+    ell (a single factor proves it irreducible), Hensel-lift every factor
+    past twice a Mignotte-type bound on the coefficients of any factor over
+    Z, and combine subsets of the lifted factors, keeping a product only
+    when it divides what is left exactly. Coefficient tuples are constant
+    term first; the factors are monic, sorted by (degree, coefficients).
 
     >>> squarefree_factors((-1, 0, 0, 0, 1))
     [(-1, 1), (1, 1), (1, 0, 1)]
@@ -619,9 +623,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     f = tuple(f)
     if n == 1:
         return [f]
-    # A proper monic factor g of f has |g_j| <= C(deg g, j) M(g) <= 2^(n-1) |f|_2
-    # (Mignotte; the Mahler measure M(g) is at most M(f) <= |f|_2).
-    bound = 2 ** (n - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    cauchy = 1 + max(map(abs, f))
     ell = 1
     squarefree = False
     while True:
@@ -637,16 +639,33 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             if len(_gcd(f, _primitive(_derivative(f)))) > 1:
                 return None
             squarefree = True
-    blocks = [g for g, _ in modular.factor_monic(f, ell)]
+    factors = []
+    for r in range(ell):
+        if _value(f, r, 1) % ell:
+            continue
+        df, m = _derivative(f), ell
+        while m <= 2 * cauchy:
+            m *= m
+            r = (r - _value(f, r, 1) * pow(_value(df, r, 1), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if _value(f, r, 1) == 0:
+            factors.append((-r, 1))
+            f = _exact_div(f, (-r, 1))
+    n = len(f) - 1
+    # Without an integer root a monic cubic or quadratic is irreducible, and
+    # so is a cofactor that stays one block mod ell.
+    blocks = [f] if n <= 3 else [g for g, _ in modular.factor_monic(f, ell)]
     if len(blocks) == 1:
-        return [f]
+        return sorted(factors + [f] * (n > 0), key=lambda g: (len(g), g))
+    # A proper monic factor g of f has |g_j| <= C(deg g, j) M(g) <= 2^(n-1) |f|_2
+    # (Mignotte; the Mahler measure M(g) is at most M(f) <= |f|_2).
+    bound = 2 ** (n - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
     precision = 1
     while ell**precision <= 2 * bound:
         precision += 1
     modulus = ell**precision
     lifted = modular.hensel_lift_blocks(f, blocks, ell, precision)
 
-    factors = []
     size = 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):

@@ -94,6 +94,20 @@ class TestPaperExample:
         assert "OK" in out
 
 
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "command", [["paper-example"], ["search", "--degree", "3", "--bound", "2"]]
+    )
+    def test_out_naming_a_file_is_usage_error(self, capsys, tmp_path, command):
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        code, out, err = run(capsys, *command, "--out", str(afile))
+        assert code == 3
+        assert err == f"error: cannot write {afile}: File exists\n"
+        assert "Traceback" not in out + err
+        assert afile.read_text() == "x"
+
+
 class TestVerifyFailures:
     def _emit(self, capsys, tmp_path) -> str:
         run(capsys, "paper-example", "--out", str(tmp_path))

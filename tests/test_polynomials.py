@@ -496,6 +496,28 @@ class TestSquarefreeFactors:
             for d in range(1, (len(g) - 1) // 2 + 1):
                 assert kronecker_factor(list(g), d) is None
 
+    @given(st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=3), monic_tails)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_roots_are_split_off(self, roots, tail):
+        g = tuple(tail) + (1,)
+        linear = [(-r, 1) for r in roots]
+        factors = squarefree_factors(_product(linear + [g]).int_coeffs())
+        own = squarefree_factors(g)
+        if own is None or any(_value(list(g), r) == 0 for r in roots):
+            assert factors is None
+            return
+        assert _product(own) == Polynomial(g)
+        for h in own:
+            for d in range(1, (len(h) - 1) // 2 + 1):
+                assert kronecker_factor(list(h), d) is None
+        assert factors == sorted(linear + own, key=lambda h: (len(h), h))
+
+    def test_root_near_the_cauchy_bound(self):
+        # (x + 5)(x^2 + 1): Cauchy bound 6, first good prime 3, and the root
+        # -5 is seen only once the modulus passes 2 * 6
+        f = _product([(5, 1), (1, 0, 1)])
+        assert squarefree_factors(f.int_coeffs()) == [(5, 1), (1, 0, 1)]
+
     def test_frozen_factorization(self):
         # x^4 - 10x^2 + 1 splits modulo every prime, so recombination finds it
         f = _product([(-2, 0, 1), (-3, 0, 1), (1, 0, -10, 0, 1)])

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import totally_real_box
+from _oracles import _mul, _value, totally_real_box
 from latcert import modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
 from latcert.number_field import CMExtension, NumberField
-from latcert.polynomials import Polynomial
+from latcert.polynomials import Polynomial, squarefree_factors
 from latcert.runner import verify_payload
 from latcert.search import (
     SearchConfig,
@@ -186,6 +186,48 @@ class TestFieldFilter:
         monkeypatch.setattr(modular, "degree_pattern", counting)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
         assert calls == []
+        assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
+
+    def test_integer_roots_skip_the_factorization_mod_ell(self, monkeypatch):
+        # Every candidate cubic, and every candidate quartic with an integer
+        # root, is decided by Newton lifting and deflation alone.
+        def refuse(*args):
+            raise AssertionError("factored mod ell")
+
+        monkeypatch.setattr(modular, "factor_monic", refuse)
+        monkeypatch.setattr(modular, "hensel_lift_blocks", refuse)
+        quartics = [
+            f for f in candidate_polynomials(4, 3) if any(_value(f, r) == 0 for r in range(-4, 5))
+        ]
+        assert len(quartics) == 95
+        for f in candidate_polynomials(3, 4) + quartics:
+            product = [1]
+            for g in squarefree_factors(f):
+                product = _mul(product, list(g))
+            assert product == list(f)
+
+    def test_quartic_filter_factors_mod_ell_19_times(self, monkeypatch):
+        calls = {"factor_monic": 0, "hensel_lift_blocks": 0}
+        depth = [0]
+        factor_monic, hensel_lift_blocks = modular.factor_monic, modular.hensel_lift_blocks
+
+        def counting_factor(f, p):
+            calls["factor_monic"] += 1
+            return factor_monic(f, p)
+
+        def counting_lift(*args):
+            # the lift recurses through the module name; count the top calls
+            calls["hensel_lift_blocks"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return hensel_lift_blocks(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(modular, "factor_monic", counting_factor)
+        monkeypatch.setattr(modular, "hensel_lift_blocks", counting_lift)
+        fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
+        assert calls == {"factor_monic": 19, "hensel_lift_blocks": 7}
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 
     @pytest.mark.parametrize(
