@@ -1,12 +1,14 @@
 """Exact univariate polynomials over the rationals and their integer core.
 
 Everything here is exact and deterministic: resultants and discriminants
-are Bareiss determinants on the integer core, real roots are counted by
-Sturm's theorem at -inf and +inf and isolated with Sturm counts plus exact
-extraction of rational roots, and squarefree monic integer polynomials are
-factored over Z (integer roots by l-adic Newton lifting, then Zassenhaus's
-algorithm: factor modulo a prime, Hensel-lift, recombine), which also
-decides irreducibility over Q. No floating point anywhere.
+are Bareiss determinants on the integer core, a polynomial has only simple
+real roots when the leading minors of Hermite's form are positive, real
+roots are isolated with Sturm counts plus exact extraction of rational
+roots, and squarefree monic integer polynomials are factored over Z at the
+first prime not dividing the discriminant (integer roots by l-adic Newton
+lifting, then Zassenhaus's algorithm: factor modulo that prime,
+Hensel-lift, recombine), which also decides irreducibility over Q. No
+floating point anywhere.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -465,31 +467,48 @@ def _sign_variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
     return count
 
 
-def distinct_real_root_count(f: tuple[int, ...]) -> int:
-    """Number of distinct real roots of a nonconstant integer polynomial f,
-    constant term first.
+def has_only_simple_real_roots(f: tuple[int, ...]) -> bool:
+    """Whether the integer polynomial f of degree m >= 1, constant term
+    first, has m distinct real roots: it is then squarefree and totally real.
 
-    Sturm's theorem read at -inf and +inf (Cohen, GTM 138, 4.1): a chain
-    member has the sign of its leading coefficient at +inf, and that sign
-    times (-1)^degree at -inf, so the count needs no bisection. The chain
-    of f ends at gcd(f, f') up to a constant, which divides every member
-    and leaves the sign variations at both ends unchanged, so each repeated
-    root counts once. A degree-n polynomial with n distinct real roots is
-    therefore squarefree and totally real.
+    Hermite's criterion (1856; Basu, Pollack & Roy, ch. 4): this holds
+    exactly when the Hankel matrix (t_{i+j}) of the root power sums is
+    positive definite. The sums are taken for the monic transform, whose
+    roots are lc(f) times those of f, so they are integers (Newton's
+    identities) and the matrix is congruent to Hermite's. Fraction-free
+    elimination with no pivoting (Bareiss 1968) makes each pivot a leading
+    principal minor, and the test stops at the first one <= 0 (Sylvester's
+    criterion).
 
-    >>> distinct_real_root_count((-2, 4, -1, -2, 1))  # (x - 1)^2 (x^2 - 2)
-    3
-    >>> distinct_real_root_count((2, 1, 2, 1))  # (x + 2)(x^2 + 1)
-    1
+    >>> has_only_simple_real_roots((-2, 4, -1, -2, 1))  # (x - 1)^2 (x^2 - 2)
+    False
+    >>> has_only_simple_real_roots((2, 1, 2, 1))  # (x + 2)(x^2 + 1)
+    False
     """
-    if len(f) < 2:
-        raise InvalidInputError("counting real roots needs a nonconstant polynomial")
-    chain = _sturm_chain(f)
-    at_plus = [g[-1] > 0 for g in chain]
-    at_minus = [s == (len(g) % 2 == 1) for s, g in zip(at_plus, chain)]
-    return sum(a != b for a, b in zip(at_minus, at_minus[1:])) - sum(
-        a != b for a, b in zip(at_plus, at_plus[1:])
-    )
+    m = len(f) - 1
+    if m < 1:
+        raise InvalidInputError("the real-root test needs a nonconstant polynomial")
+    g = _monic_transform(f)
+    t = [m]
+    for k in range(1, 2 * m - 1):
+        s = -k * g[m - k] if k <= m else 0
+        for i in range(1, min(k, m + 1)):
+            s -= g[m - i] * t[k - i]
+        t.append(s)
+    rows = [t[i:i + m] for i in range(m)]
+    previous = 1
+    for k in range(m):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        # The matrix stays symmetric, so only its upper triangle is kept.
+        for i in range(k + 1, m):
+            row, lead = rows[i], pivot_row[i]
+            for j in range(i, m):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return True
 
 
 def _bisect_cells(chain: list[tuple[int, ...]], lo: int, hi: int, den: int) -> list[list[int]]:
@@ -600,7 +619,9 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Irreducible factors over Z of a monic integer polynomial, or None
     when it has a repeated factor.
 
-    Take the first prime ell that keeps f squarefree. The integer roots come
+    f has a repeated factor exactly when Res(f, f') = 0. Otherwise ell is
+    the first prime that does not divide Res(f, f'), which for monic f is
+    the first prime that keeps f squarefree mod ell. The integer roots come
     first (Loos 1983): each root mod ell is simple, so Newton's iteration
     lifts it past twice the Cauchy bound 1 + max|a_i| on |root|, and its
     symmetric residue is kept when it is a root over Z. A cofactor of degree
@@ -623,22 +644,11 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     f = tuple(f)
     if n == 1:
         return [f]
+    disc = resultant_int(f, _derivative(f))
+    if disc == 0:
+        return None
+    ell = next(p for p in itertools.count(2) if disc % p and is_prime(p))
     cauchy = 1 + max(map(abs, f))
-    ell = 1
-    squarefree = False
-    while True:
-        ell += 1
-        if not is_prime(ell):
-            continue
-        fbar = modular.normalize(f, ell)
-        if modular.degree(modular.gcd_poly(fbar, modular.deriv(fbar, ell), ell)) == 0:
-            break
-        # Squarefree modulo one prime proves f squarefree over Q; until
-        # such a prime turns up, settle it once by an exact gcd.
-        if not squarefree:
-            if len(_gcd(f, _primitive(_derivative(f)))) > 1:
-                return None
-            squarefree = True
     factors = []
     for r in range(ell):
         if _value(f, r, 1) % ell:

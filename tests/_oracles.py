@@ -11,7 +11,8 @@ interval enclosure and field product and inverse oracles are the package's
 former Fraction implementations, on plain coefficient lists, the sieve
 root bound is its former root count by distinct-degree factorization mod l,
 and the totally real box is the search's former scan of the whole
-coefficient box. Slow and simple on purpose.
+coefficient box, one Sturm count per polynomial with the package's former
+count at -inf and +inf. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 from fractions import Fraction
 
 from latcert import modular
-from latcert.polynomials import distinct_real_root_count
+from latcert.errors import InvalidInputError
+from latcert.polynomials import _sturm_chain as _integer_sturm_chain
 
 
 def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
@@ -256,6 +258,27 @@ def quartic_automorphism_count(a0: int, a1: int, a2: int, a3: int) -> int:
         return _is_rational_square(delta) or _is_rational_square(delta * disc)
 
     return 4 if splits(-r, d) and splits(a, b - r) else 2
+
+
+def distinct_real_root_count(f: tuple[int, ...]) -> int:
+    """Number of distinct real roots of a nonconstant integer polynomial f,
+    constant term first.
+
+    Sturm's theorem read at -inf and +inf (Cohen, GTM 138, 4.1): a chain
+    member has the sign of its leading coefficient at +inf, and that sign
+    times (-1)^degree at -inf, so the count needs no bisection. The chain
+    of f ends at gcd(f, f') up to a constant, which divides every member
+    and leaves the sign variations at both ends unchanged, so each repeated
+    root counts once.
+    """
+    if len(f) < 2:
+        raise InvalidInputError("counting real roots needs a nonconstant polynomial")
+    chain = _integer_sturm_chain(f)
+    at_plus = [g[-1] > 0 for g in chain]
+    at_minus = [s == (len(g) % 2 == 1) for s, g in zip(at_plus, chain)]
+    return sum(a != b for a, b in zip(at_minus, at_minus[1:])) - sum(
+        a != b for a, b in zip(at_plus, at_plus[1:])
+    )
 
 
 def totally_real_box(degree: int, bound: int) -> list[tuple[int, ...]]:

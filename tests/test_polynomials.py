@@ -5,6 +5,8 @@ oracles in _oracles.py (Sylvester determinants and rational sign scans),
 never with the code under test.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from _oracles import (
     _mul,
     _value,
+    distinct_real_root_count,
     fraction_isolate_real_roots,
     fraction_rational_roots,
     fraction_value_range,
@@ -21,7 +24,9 @@ from _oracles import (
     sign_scan_roots,
     sylvester_resultant,
 )
+from latcert import modular
 from latcert.errors import InvalidInputError
+from latcert.intfactor import is_prime
 from latcert.polynomials import (
     Interval,
     Polynomial,
@@ -32,7 +37,7 @@ from latcert.polynomials import (
     _squarefree,
     _sturm_chain,
     discriminant,
-    distinct_real_root_count,
+    has_only_simple_real_roots,
     interval_value_range,
     is_irreducible,
     isolate_real_roots,
@@ -310,7 +315,36 @@ def integer_products(draw):
     return p
 
 
+def _derivative_level(f, k):
+    """f^(k)/k! for integer coefficients f, constant term first: its
+    coefficient of x^i is C(k + i, k) f_{k+i}."""
+    return tuple(math.comb(k + i, k) * c for i, c in enumerate(f[k:]))
+
+
+class TestHermiteCriterion:
+    @given(integer_products(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle_isolation(self, p, data):
+        f = p.int_coeffs()
+        k = data.draw(st.integers(0, len(f) - 2), label="derivative order")
+        g = _derivative_level(f, k)
+        expected = len(fraction_isolate_real_roots([Fraction(c) for c in g])) == len(g) - 1
+        assert has_only_simple_real_roots(g) == expected
+
+    def test_frozen_cases(self):
+        # a double root, a complex pair, and the sextic with six real roots
+        assert not has_only_simple_real_roots(_product([(-1, 1)] * 2 + [(-2, 0, 1)]).int_coeffs())
+        assert not has_only_simple_real_roots(_product([(2, 1), (1, 0, 1)]).int_coeffs())
+        assert has_only_simple_real_roots(Q_SEXTIC.int_coeffs())
+
+    def test_rejects_constants(self):
+        with pytest.raises(InvalidInputError):
+            has_only_simple_real_roots((3,))
+
+
 class TestDistinctRealRootCount:
+    # The Sturm count at -inf and +inf, kept as the oracle of the box filter.
+
     @given(integer_products())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_oracle_isolation(self, p):
@@ -472,6 +506,15 @@ class TestIrreducibility:
 monic_tails = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
 
 
+def _first_squarefree_prime(f):
+    """The first prime l with gcd(f mod l, f' mod l) = 1."""
+    for ell in itertools.count(2):
+        if is_prime(ell):
+            fbar = modular.normalize(f, ell)
+            if modular.degree(modular.gcd_poly(fbar, modular.deriv(fbar, ell), ell)) == 0:
+                return ell
+
+
 class TestSquarefreeFactors:
     @given(st.one_of(
         st.lists(st.integers(-6, 6), min_size=1, max_size=6),
@@ -522,6 +565,32 @@ class TestSquarefreeFactors:
         # x^4 - 10x^2 + 1 splits modulo every prime, so recombination finds it
         f = _product([(-2, 0, 1), (-3, 0, 1), (1, 0, -10, 0, 1)])
         assert squarefree_factors(f.int_coeffs()) == [(-3, 0, 1), (-2, 0, 1), (1, 0, -10, 0, 1)]
+
+    @pytest.mark.parametrize(
+        "factors, ell",
+        [
+            ([(1, 1, 1, 1, 1)], 2),  # discriminant 5^3
+            ([(1, 0, 0, 0, 1)], 3),  # 2^8
+            ([(1, 0, -10, 0, 1)], 5),  # 2^14 3^2
+            ([(1, 0, -1, 0, 1)], 5),  # 2^4 3^2, the 12th cyclotomic polynomial
+            ([(-3, 1), (1, 0, -10, 0, 1)], 5),  # an integer root is split off first
+            ([(-2, 0, 1), (-3, 0, 1), (1, 0, -10, 0, 1)], 7),
+        ],
+    )
+    def test_prime_is_the_first_that_keeps_f_squarefree(self, monkeypatch, factors, ell):
+        # the prime read off the discriminant is the one a gcd mod l picks
+        f = _product(factors).int_coeffs()
+        assert _first_squarefree_prime(f) == ell
+        primes = []
+        original = modular.factor_monic
+
+        def recording(g, p):
+            primes.append(p)
+            return original(g, p)
+
+        monkeypatch.setattr(modular, "factor_monic", recording)
+        assert _product(squarefree_factors(f)) == Polynomial(f)
+        assert primes == [ell]
 
     def test_repeated_factor_gives_none(self):
         assert squarefree_factors(_product([(1, 1), (1, 1), (2, 0, 1)]).int_coeffs()) is None

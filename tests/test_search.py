@@ -86,6 +86,33 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             SearchConfig(delta_candidates=(Fraction(1),))
 
+    @pytest.mark.parametrize("delta", [-0.5, "-1/3", True, None])
+    def test_inexact_delta(self, delta):
+        # "no floating point anywhere": a float or a string never reaches a
+        # certificate, and neither does a bool posing as an int
+        with pytest.raises(InvalidInputError):
+            SearchConfig(delta_candidates=(delta,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("degree", 3.0),
+            ("coefficient_bound", 2.5),
+            ("coefficient_bound", True),
+            ("rank", 3.0),
+            ("enumeration_budget", 1e6),
+            ("max_certificates", 2.0),
+            ("max_certificates", "2"),
+        ],
+    )
+    def test_non_integer_sizes(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SearchConfig(**{field: value})
+
+    def test_exact_values_accepted(self):
+        cfg = SearchConfig(delta_candidates=(-1, Fraction(-1, 3)), max_certificates=None)
+        assert cfg.delta_candidates == (-1, Fraction(-1, 3))
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_max_certificates_below_one(self, limit):
         # a limit the search could only honour by emitting nothing is refused
@@ -115,17 +142,18 @@ class TestCandidates:
         degree, bound = case
         assert candidate_polynomials(degree, bound) == totally_real_box(degree, bound)
 
-    @pytest.mark.parametrize("degree, bound, counts", [(4, 3, 1015), (3, 4, 603)])
-    def test_sturm_counts_pruned_by_derivatives(self, monkeypatch, degree, bound, counts):
-        # the box takes 2401 and 729 counts; field_candidates adds none
+    @pytest.mark.parametrize("degree, bound, counts", [(4, 3, 878), (3, 4, 492)])
+    def test_prefix_tests_pruned_by_derivatives(self, monkeypatch, degree, bound, counts):
+        # the box takes 2401 and 729 tests, the derivative prune alone 1015
+        # and 603, and the run stop leaves these; field_candidates adds none
         calls = []
-        original = search.distinct_real_root_count
+        original = search.has_only_simple_real_roots
 
         def counting(f):
             calls.append(f)
             return original(f)
 
-        monkeypatch.setattr(search, "distinct_real_root_count", counting)
+        monkeypatch.setattr(search, "has_only_simple_real_roots", counting)
         list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
         assert len(calls) == counts
 
