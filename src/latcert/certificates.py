@@ -7,11 +7,14 @@ re-emission is a meaningful determinism test and diffs stay readable.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import fcntl
 import hashlib
 import json
+import operator
 import os
+import re
 from fractions import Fraction
 
 from .errors import CertificateFormatError, CertificateVersionError
@@ -36,37 +39,121 @@ def exact(value) -> str:
     raise CertificateFormatError(f"not an exact number: {value!r}")
 
 
+# an ASCII decimal integer: the form exact() gives most numbers, read
+# without Fraction's string grammar
+_DECIMAL_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_exact(text: str) -> Fraction:
     """Inverse of exact(); accepts "n" and "n/d"."""
     try:
+        if text.__class__ is str and _DECIMAL_INTEGER.fullmatch(text):
+            return Fraction(int(text))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
         raise CertificateFormatError(f"bad exact number {text!r}") from ex
 
 
-def _check_payload(node, path: str) -> None:
-    # strings, booleans, and None are the only leaves allowed
-    if node is None or isinstance(node, (str, bool)):
-        return
-    if isinstance(node, (int, float)):
-        raise CertificateFormatError(f"bare number at {path or '<root>'}; use exact()")
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if not isinstance(key, str):
-                raise CertificateFormatError(f"non-string key at {path or '<root>'}")
-            _check_payload(value, f"{path}/{key}")
-        return
-    if isinstance(node, (list, tuple)):
-        for i, value in enumerate(node):
-            _check_payload(value, f"{path}/{i}")
-        return
-    raise CertificateFormatError(f"unsupported value at {path or '<root>'}: {type(node).__name__}")
-
-
 def canonical_json(payload: dict) -> str:
-    """Single canonical text form: sorted keys, ASCII, newline-terminated."""
-    _check_payload(payload, "")
-    return json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=1) + "\n"
+    """Single canonical text form: sorted keys, ASCII, newline-terminated.
+
+    The text is exactly `json.dumps(payload, sort_keys=True,
+    ensure_ascii=True, indent=1)` plus a newline, written in one walk that
+    also refuses what a certificate may not hold: a number (use exact()), a
+    non-string key, or any value but a dict, list, tuple, str, bool or None.
+
+    >>> print(canonical_json({"b": ["1", True], "a": {"c": None}, "d": []}), end="")
+    {
+     "a": {
+      "c": null
+     },
+     "b": [
+      "1",
+      true
+     ],
+     "d": []
+    }
+    """
+    out = []
+    try:
+        _emit(payload, "\n", out.append)
+    except _Refused as ex:
+        raise CertificateFormatError(f"{ex.what} at {ex.path or '<root>'}{ex.tail}") from None
+    out.append("\n")
+    return "".join(out)
+
+
+class _Refused(Exception):
+    """A value canonical_json does not write.  Each level of the walk puts its
+    key in front of `path` as the exception passes up, so a payload that is
+    accepted never builds a path."""
+
+    def __init__(self, what: str, tail: str = ""):
+        super().__init__(what)
+        self.what, self.tail, self.path = what, tail, ""
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _emit(node, pad: str, emit) -> None:
+    """Write node as json.dumps(sort_keys=True, ensure_ascii=True, indent=1)
+    would, through emit; pad is a newline and the node's indent.  String
+    members are written inline, which saves a call per leaf."""
+    if isinstance(node, dict):
+        if not node:
+            emit("{}")
+            return
+        inner = pad + " "
+        try:
+            items = sorted(node.items())
+        except TypeError:  # keys of different types
+            raise _Refused("non-string key") from None
+        sep, comma = "{" + inner, "," + inner
+        for key, value in items:
+            if not isinstance(key, str):
+                raise _Refused("non-string key")
+            if isinstance(value, str):
+                emit(f"{sep}{_encode_string(key)}: {_encode_string(value)}")
+            else:
+                emit(f"{sep}{_encode_string(key)}: ")
+                try:
+                    _emit(value, inner, emit)
+                except _Refused as ex:
+                    ex.path = f"/{key}{ex.path}"
+                    raise
+            sep = comma
+        emit(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            emit("[]")
+            return
+        inner = pad + " "
+        sep, comma = "[" + inner, "," + inner
+        try:
+            for i, value in enumerate(node):
+                if isinstance(value, str):
+                    emit(sep + _encode_string(value))
+                else:
+                    emit(sep)
+                    _emit(value, inner, emit)
+                sep = comma
+        except _Refused as ex:
+            ex.path = f"/{i}{ex.path}"
+            raise
+        emit(pad + "]")
+    elif isinstance(node, str):
+        emit(_encode_string(node))
+    elif node is None:
+        emit("null")
+    elif node is True:
+        emit("true")
+    elif node is False:
+        emit("false")
+    elif isinstance(node, (int, float)):
+        raise _Refused("bare number", "; use exact()")
+    else:
+        raise _Refused("unsupported value", f": {type(node).__name__}")
 
 
 def content_hash(text: str) -> str:
@@ -83,7 +170,9 @@ def write_certificate(payload: dict, directory: str) -> str:
     The file name is the content hash, so the store is append-only: a file
     that already holds the right bytes is left alone, and one that holds
     other bytes (a torn write) is replaced.  Files are published atomically
-    (`_publish`), and the index gains one entry under the store lock; only a
+    (`_publish`), and the index gains one entry under the store lock: an
+    index in the layout `_index_bytes` writes gets the new row spliced in at
+    its sorted place, another readable one is rewritten whole, and only a
     missing or unreadable index is regenerated with `rebuild_index`.
     """
     _check_header(payload)
@@ -101,12 +190,12 @@ def write_certificate(payload: dict, directory: str) -> str:
         _publish(path, data)
     index_path = os.path.join(directory, INDEX_NAME)
     with _store_lock(directory):
-        entries = _read_index(index_path)
-        if entries is not None and all(entry["file"] != name for entry in entries):
-            entries.append(_index_entry(name, payload))
-            entries.sort(key=lambda entry: entry["file"])
-            _publish(index_path, _index_bytes(entries))
-    if entries is None:
+        index = _read_index(index_path)
+        if index is not None:
+            raw, entries = index
+            if all(entry["file"] != name for entry in entries):
+                _publish(index_path, _index_with(raw, entries, _index_entry(name, payload)))
+    if index is None:
         # after the lock is released: rebuild_index takes it on a descriptor
         # of its own, which would wait for this one forever
         rebuild_index(directory)
@@ -136,7 +225,7 @@ def _parse_json(raw: bytes):
     """Parse stored JSON, refusing every number, NaN and Infinity as it is
     read.  What is left (objects with string keys, lists, strings, booleans
     and null) is all that canonical_json lets through, so parsed input needs
-    no `_check_payload` walk."""
+    no second walk."""
     try:
         return json.loads(
             raw.decode("utf-8"),
@@ -174,7 +263,7 @@ def rebuild_index(directory: str) -> str:
                     continue
                 entries.append(_index_entry(name, cert))
         path = os.path.join(directory, INDEX_NAME)
-        _publish(path, _index_bytes(entries))
+        _publish(path, _index_bytes([_index_row(e) for e in entries]))
     return path
 
 
@@ -190,24 +279,52 @@ def _index_entry(name: str, cert: dict) -> dict:
 
 
 _ENTRY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)
+_INDEX_HEAD = b'{"certificates": [\n'
+_INDEX_TAIL = b"\n]}\n"
+_EMPTY_INDEX = b'{"certificates": []}\n'
 
 
-def _index_bytes(entries: list) -> bytes:
-    """The index text: one sorted-key ASCII entry per line.  Without indent
-    each entry goes through the C encoder, so rewriting the whole index per
-    write stays cheap."""
-    rows = ",\n".join(map(_ENTRY_ENCODER.encode, entries))
-    text = '{"certificates": [\n' + rows + "\n]}\n" if rows else '{"certificates": []}\n'
-    return text.encode("ascii")
+def _index_row(entry: dict) -> bytes:
+    """One index entry as sorted-key ASCII JSON: the C encoder's output,
+    which holds no newline."""
+    return _ENTRY_ENCODER.encode(entry).encode("ascii")
 
 
-def _read_index(path: str) -> list | None:
-    """The entries of an index file, or None if it is missing or malformed."""
+def _index_bytes(rows: list) -> bytes:
+    """The index file: a header line, one encoded row per line, a footer."""
+    return _INDEX_HEAD + b",\n".join(rows) + _INDEX_TAIL if rows else _EMPTY_INDEX
+
+
+def _index_with(raw: bytes, entries: list, entry: dict) -> bytes:
+    """The index `raw`, which parses to `entries`, with `entry` added.  When
+    raw has the layout `_index_bytes` writes, one row per line and sorted by
+    file, the new row alone is encoded and goes in at its sorted place among
+    the old bytes; any other layout is rewritten whole."""
+    files = [e["file"] for e in entries]
+    body = raw[len(_INDEX_HEAD):-len(_INDEX_TAIL)]
+    rows = body.split(b",\n")
+    if (
+        raw.startswith(_INDEX_HEAD)
+        and raw.endswith(_INDEX_TAIL)
+        and len(rows) == len(files)
+        and body.count(b"\n") == len(files) - 1
+        and all(map(operator.lt, files, files[1:]))
+    ):
+        rows.insert(bisect.bisect(files, entry["file"]), _index_row(entry))
+    else:
+        rows = [_index_row(e) for e in sorted([*entries, entry], key=lambda e: e["file"])]
+    return _index_bytes(rows)
+
+
+def _read_index(path: str) -> tuple[bytes, list] | None:
+    """The bytes and entries of an index file, or None if it is missing or
+    malformed."""
     try:
         with open(path, "rb") as fh:
-            entries = _parse_json(fh.read())["certificates"]
+            raw = fh.read()
+        entries = _parse_json(raw)["certificates"]
         if all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
-            return entries
+            return raw, entries
     except (FileNotFoundError, KeyError, TypeError, CertificateFormatError):
         pass
     return None

@@ -161,7 +161,17 @@ def discriminant(p: Polynomial) -> Fraction:
     if n < 1:
         raise InvalidInputError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    if p.is_monic() and all(c.denominator == 1 for c in p.coeffs):
+        return Fraction(sign * _derivative_resultant(p.int_coeffs()))
     return sign * resultant(p, p.derivative()) / p.leading_coefficient()
+
+
+@functools.lru_cache(maxsize=1)
+def _derivative_resultant(f: tuple[int, ...]) -> int:
+    """Res(f, f') for a monic integer f.  A field is built by factoring p
+    (squarefree_factors) and then taking its discriminant, and both need
+    this resultant, so the last one is kept."""
+    return resultant_int(f, _derivative(f))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +301,11 @@ def _derivative(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def _monic_transform(f: tuple[int, ...]) -> tuple[int, ...]:
     """a^(n-1) f(x/a) for f of degree n >= 1 and leading coefficient a: a
-    monic integer polynomial whose roots are a times those of f."""
+    monic integer polynomial whose roots are a times those of f; a monic f
+    is returned as it is."""
     lead, n = f[-1], len(f) - 1
+    if lead == 1:
+        return f
     return tuple(c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])) + (1,)
 
 
@@ -644,7 +657,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     f = tuple(f)
     if n == 1:
         return [f]
-    disc = resultant_int(f, _derivative(f))
+    disc = _derivative_resultant(f)
     if disc == 0:
         return None
     ell = next(p for p in itertools.count(2) if disc % p and is_prime(p))

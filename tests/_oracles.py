@@ -12,18 +12,21 @@ former Fraction implementations, on plain coefficient lists, the sieve
 root bound is its former root count by distinct-degree factorization mod l,
 and the totally real box is the search's former scan of the whole
 coefficient box, one Sturm count per polynomial with the package's former
-count at -inf and +inf. Slow and simple on purpose.
+count at -inf and +inf. The canonical certificate text is the standard
+library's json.dumps, and the payload check its former walk in insertion
+order. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
 from latcert import modular
-from latcert.errors import InvalidInputError
+from latcert.errors import CertificateFormatError, InvalidInputError
 from latcert.polynomials import _sturm_chain as _integer_sturm_chain
 
 
@@ -470,3 +473,33 @@ def fraction_value_range(p: list[Fraction], lo: Fraction, hi: Fraction) -> tuple
         products = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(products) + c, max(products) + c
     return vlo, vhi
+
+
+# -- certificate text -----------------------------------------------------------
+
+
+def stdlib_canonical_json(payload) -> str:
+    """The canonical certificate text: the standard library's encoder with
+    sorted keys, ASCII escapes and indent=1, then a newline."""
+    return json.dumps(payload, sort_keys=True, ensure_ascii=True, indent=1) + "\n"
+
+
+def check_payload(node, path: str = "") -> None:
+    """Refuse what a certificate may not hold, walking dicts in insertion
+    order: strings, booleans and None are the only leaves, keys are strings,
+    and tuples count as lists."""
+    if node is None or isinstance(node, (str, bool)):
+        return
+    if isinstance(node, (int, float)):
+        raise CertificateFormatError(f"bare number at {path or '<root>'}; use exact()")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise CertificateFormatError(f"non-string key at {path or '<root>'}")
+            check_payload(value, f"{path}/{key}")
+        return
+    if isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            check_payload(value, f"{path}/{i}")
+        return
+    raise CertificateFormatError(f"unsupported value at {path or '<root>'}: {type(node).__name__}")

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import check_payload, stdlib_canonical_json
+from latcert import certificates
 from latcert.certificates import (
     FORMAT_VERSION,
     TOOL_VERSION,
@@ -420,3 +422,196 @@ class TestDiffPaths:
 
     def test_type_change(self):
         assert diff_paths({"a": "1"}, {"a": ["1"]}) == ["a"]
+
+
+# -- the one-walk writer against the standard library ---------------------------
+
+# every kind of character the writer escapes: quotes, backslashes, control
+# characters, non-ASCII, astral and lone surrogate code points
+json_strings = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\té\u2028\U0001f600\ud800'),
+    max_size=6,
+)
+payload_trees = st.recursive(
+    st.none() | st.booleans() | json_strings,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+FAULTS = [7, -1, 1.5, float("nan"), {1: "x"}, {"a": "ok", None: "y"}, {("k",): "z"}, {"s"}, b"x"]
+
+
+@st.composite
+def one_fault_trees(draw):
+    """A payload tree holding exactly one value canonical_json refuses, at a
+    random depth among valid siblings."""
+    tree = draw(st.sampled_from(FAULTS))
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(payload_trees, max_size=2))
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if kind == "dict":
+            keys = draw(st.lists(json_strings, min_size=len(siblings), max_size=len(siblings)))
+            node = dict(zip(keys, siblings))
+            node[draw(json_strings)] = tree
+        else:
+            siblings.insert(draw(st.integers(0, len(siblings))), tree)
+            node = siblings if kind == "list" else tuple(siblings)
+        tree = node
+    return tree
+
+
+class TestOneWalkWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(payload_trees)
+    def test_bytes_equal_the_standard_library(self, tree):
+        assert canonical_json(tree) == stdlib_canonical_json(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_fault_trees())
+    def test_refusals_match_the_former_walk(self, tree):
+        with pytest.raises(CertificateFormatError) as expected:
+            check_payload(tree)
+        with pytest.raises(CertificateFormatError) as refused:
+            canonical_json(tree)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+
+    def test_refusal_path(self):
+        with pytest.raises(CertificateFormatError) as refused:
+            canonical_json({"deep": ["ok", ({"x": "1", "y": 5},)]})
+        assert str(refused.value) == "bare number at /deep/1/0/y; use exact()"
+
+
+# -- spliced index rows ---------------------------------------------------------
+
+TAGS = ["5", "49", "81", "148", "229", "257", "321", "361"]
+
+
+def _entries(directory) -> list:
+    return json.loads(_index_file_bytes(directory))["certificates"]
+
+
+def _indent_one(path) -> None:
+    entries = json.loads(Path(path).read_bytes())["certificates"]
+    text = json.dumps({"certificates": entries}, sort_keys=True, ensure_ascii=True, indent=1)
+    Path(path).write_text(text + "\n", encoding="ascii")
+
+
+def _unsorted_rows(path) -> None:
+    lines = Path(path).read_bytes().split(b"\n")
+    rows = [line.rstrip(b",") for line in lines[1:-2]][::-1]
+    Path(path).write_bytes(lines[0] + b"\n" + b",\n".join(rows) + b"\n" + lines[-2] + b"\n")
+
+
+def _row_over_two_lines(path) -> None:
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw.replace(b'"field": [', b'"field":\n[', 1))
+
+
+def _rows_moved_between_lines(path) -> None:
+    # as many lines as before, but two rows share one and another spans two
+    _row_over_two_lines(path)
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw.replace(b"},\n{", b"}, {", 1))
+
+
+INDEX_DAMAGE = {
+    "indent-1": _indent_one,
+    "unsorted-rows": _unsorted_rows,
+    "row-over-two-lines": _row_over_two_lines,
+    "rows-moved-between-lines": _rows_moved_between_lines,
+    "deleted": os.unlink,
+    "truncated": _truncate,
+    "not-utf8": lambda p: Path(p).write_bytes(b"\xff\xfe"),
+    "entry-without-file": lambda p: Path(p).write_text('{"certificates": [{"disc": "5"}]}', encoding="ascii"),
+    "bare-int": lambda p: Path(p).write_text(_one_entry_index('"disc": 5'), encoding="ascii"),
+    "float": lambda p: Path(p).write_text(_one_entry_index('"disc": 5.0'), encoding="ascii"),
+    "nan": lambda p: Path(p).write_text(_one_entry_index('"disc": NaN'), encoding="ascii"),
+}
+
+
+class _CountingEncoder(json.JSONEncoder):
+    """The index's row encoder, counting its calls."""
+
+    def __init__(self):
+        super().__init__(sort_keys=True, ensure_ascii=True)
+        self.calls = 0
+
+    def encode(self, o):
+        self.calls += 1
+        return super().encode(o)
+
+
+class TestSplicedIndex:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(TAGS), min_size=1, max_size=10))
+    def test_every_write_leaves_the_rebuilt_index(self, tags):
+        with tempfile.TemporaryDirectory() as store:
+            for tag in tags:
+                write_certificate(_minimal_cert(tag), store)
+                written = _index_file_bytes(store)
+                assert written == _rebuilt_index_bytes(store)
+
+    @pytest.mark.parametrize("damage", sorted(INDEX_DAMAGE))
+    @settings(max_examples=5, deadline=None)
+    @given(
+        st.lists(st.sampled_from(TAGS), min_size=2, max_size=6),
+        st.lists(st.sampled_from(TAGS), max_size=4),
+    )
+    def test_damaged_or_other_layout_rewritten(self, damage, before, after):
+        with tempfile.TemporaryDirectory() as store:
+            for tag in before:
+                write_certificate(_minimal_cert(tag), store)
+            INDEX_DAMAGE[damage](os.path.join(store, "index.json"))
+            # "999" is not in the index yet, so its write rewrites it
+            for tag in ["999", *after]:
+                write_certificate(_minimal_cert(tag), store)
+                assert _index_file_bytes(store) == _rebuilt_index_bytes(store)
+            assert len(_entries(store)) == len({"999", *before, *after})
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_a_write_encodes_one_row(self, tmp_path, monkeypatch, n):
+        for tag in TAGS[:n]:
+            write_certificate(_minimal_cert(tag), str(tmp_path))
+        counting = _CountingEncoder()
+        monkeypatch.setattr(certificates, "_ENTRY_ENCODER", counting)
+        write_certificate(_minimal_cert("999"), str(tmp_path))
+        assert counting.calls == 1
+        relayout = _unsorted_rows if n > 1 else _indent_one
+        relayout(tmp_path / "index.json")
+        counting.calls = 0
+        write_certificate(_minimal_cert("1000"), str(tmp_path))
+        assert counting.calls == n + 2  # rewritten whole
+        assert _index_file_bytes(tmp_path) == _rebuilt_index_bytes(tmp_path)
+
+
+# -- parse_exact's grammar is Fraction's ----------------------------------------
+
+PARSE_SAMPLES = [
+    "0", "-0", "007", "-007", " 7", "7 ", "7\n", "+7", "--7", "1_0", "1.5", "1e2", "٣", "-٣",
+    "-", "", "/", "1/2", "-3/4", "1/0", "0/5", "0x10", "1 /2", "١٢/٣", "9" * 40,
+]
+
+
+def _assert_parses_as_fraction(text: str) -> None:
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(CertificateFormatError):
+            parse_exact(text)
+    else:
+        value = parse_exact(text)
+        assert type(value) is Fraction and value == expected
+
+
+class TestParseExactGrammar:
+    @pytest.mark.parametrize("text", PARSE_SAMPLES)
+    def test_samples(self, text):
+        _assert_parses_as_fraction(text)
+
+    @given(st.text(st.sampled_from("0123456789-+/._e \n٣"), max_size=6))
+    def test_random_strings(self, text):
+        _assert_parses_as_fraction(text)

@@ -27,7 +27,7 @@ from _oracles import (
     sieve_root_bound,
     sylvester_resultant,
 )
-from latcert import number_field
+from latcert import number_field, polynomials
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
@@ -164,6 +164,26 @@ class TestConstruction:
     def test_rejects_constant(self):
         with pytest.raises(InvalidInputError):
             NumberField(Polynomial((3,)))
+
+    @pytest.mark.parametrize(
+        "coeffs, disc",
+        [((7, 1), 1), ((-2, 0, 1), 8), ((1, -3, -1, 1), 148), ((2, -3, -3, 2, 1), 2777),
+         ((-1, -1, 0, 0, 0, 1), 2869)],
+        ids=["linear", "quadratic", "cubic", "quartic", "quintic"],
+    )
+    def test_one_resultant_per_field(self, monkeypatch, coeffs, disc):
+        # factoring p and taking its discriminant share one Res(p, p')
+        calls = []
+        original = polynomials.resultant_int
+
+        def counting(p, z):
+            calls.append(p)
+            return original(p, z)
+
+        monkeypatch.setattr(polynomials, "resultant_int", counting)
+        polynomials._derivative_resultant.cache_clear()
+        assert NumberField(Polynomial(coeffs)).discriminant == disc
+        assert calls == [coeffs]
 
     def test_degree_and_discriminant(self):
         assert CUBIC.degree == 3

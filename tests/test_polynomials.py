@@ -32,6 +32,7 @@ from latcert.polynomials import (
     Polynomial,
     _gcd,
     _integer_associate,
+    _monic_transform,
     _rational_roots,
     _sign_variations,
     _squarefree,
@@ -453,6 +454,15 @@ class TestHelpers:
         for k in range(-4, 9):
             x = Fraction(k, 4)
             assert lo <= _value(P_CUBIC.coeffs, x) <= hi
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+    def test_monic_transform_returns_a_monic_input(self, tail):
+        f = tuple(tail) + (1,)
+        assert _monic_transform(f) is f
+
+    def test_monic_transform_scales_the_roots(self):
+        # 2x^2 - 3x + 1 has roots 1/2 and 1; x^2 - 3x + 2 has roots 1 and 2
+        assert _monic_transform((1, -3, 2)) == (2, -3, 1)
 
     def test_interval_validation(self):
         with pytest.raises(InvalidInputError):
