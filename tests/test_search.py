@@ -267,6 +267,16 @@ class TestFieldFilter:
         assert len(fields) == count
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
 
+    @pytest.mark.parametrize(
+        "degree, bound, count, prefix",
+        [(4, 4, 50, "725d4d0b1c21e339"), (5, 5, 132, "1f9485d5d5445d4d")],
+    )
+    def test_higher_degree_fields_are_pinned(self, degree, bound, count, prefix):
+        fields = list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
+        text = "\n".join(f.min_poly.to_string() for f in fields)
+        assert len(fields) == count
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
+
 
 class TestSearchResults:
     def test_pass_certificate_count(self, degree3_certs):
