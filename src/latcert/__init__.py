@@ -57,7 +57,13 @@ from .local import (
     splitting_in_E,
 )
 from .number_field import FieldElement, GaloisClosure, NumberField, automorphism_count
-from .polynomials import Polynomial, discriminant, is_irreducible, isolate_real_roots
+from .polynomials import (
+    Polynomial,
+    discriminant,
+    has_only_simple_real_roots,
+    is_irreducible,
+    isolate_real_roots,
+)
 from .runner import (
     build_certificate,
     load_example_fixture,
@@ -114,6 +120,7 @@ __all__ = [
     "forms_equivalent",
     "group_isomorphism_verdict",
     "group_order",
+    "has_only_simple_real_roots",
     "hilbert_product_check",
     "indefinite_places",
     "is_irreducible",

@@ -10,6 +10,12 @@ lifting, then Zassenhaus's algorithm: factor modulo that prime,
 Hensel-lift, recombine), which also decides irreducibility over Q. No
 floating point anywhere.
 
+Hermite's test is two steps, the Newton power sums (`_power_sums`) and
+the pivot loop over their Hankel matrix (`_hankel_is_positive_definite`).
+The sums it reads are affine in the constant term, so a scan over that
+term, as in `search.candidate_polynomials`, takes them twice per scan and
+runs only the pivot loop per value.
+
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
 come from the primitive remainder sequence over Z (Collins 1967; Brown &
@@ -501,13 +507,29 @@ def has_only_simple_real_roots(f: tuple[int, ...]) -> bool:
     m = len(f) - 1
     if m < 1:
         raise InvalidInputError("the real-root test needs a nonconstant polynomial")
-    g = _monic_transform(f)
+    return _hankel_is_positive_definite(_power_sums(_monic_transform(f)))
+
+
+def _power_sums(g: tuple[int, ...]) -> list[int]:
+    """The power sums t_0 ... t_{2m-2} of the roots of the monic integer
+    polynomial g of degree m >= 1, by Newton's identities. The constant term
+    g_0 first enters at t_m, and only linearly: each product g_0 t_j with
+    j <= m - 2 stays clear of g_0, so every t_k is affine in g_0."""
+    m = len(g) - 1
     t = [m]
     for k in range(1, 2 * m - 1):
         s = -k * g[m - k] if k <= m else 0
         for i in range(1, min(k, m + 1)):
             s -= g[m - i] * t[k - i]
         t.append(s)
+    return t
+
+
+def _hankel_is_positive_definite(t: list[int]) -> bool:
+    """Whether the m x m Hankel matrix (t_{i+j}) of t_0 ... t_{2m-2} is
+    positive definite: Bareiss elimination with no pivoting, stopped at the
+    first leading principal minor <= 0."""
+    m = (len(t) + 1) // 2
     rows = [t[i:i + m] for i in range(m)]
     previous = 1
     for k in range(m):

@@ -5,12 +5,13 @@ The driver lists the monic integer polynomials with as many distinct real
 roots as their degree, in lexicographic coefficient order. It chooses the
 coefficients from the top down and drops a prefix as soon as a derivative
 has too few distinct real roots (Rolle's theorem; each test is Hermite's
-criterion on the integer coefficients). It keeps the irreducible ones,
-then the fields with trivial automorphism group. In each field it takes one
-diagonal form per real place, indefinite there and definite elsewhere, and
-pairs the forms of two places up by the transposition of those places.
-Every PASS becomes a full certificate, so search output is verifiable by the
-same machinery as the shipped example.
+criterion on the integer coefficients). It drops the polynomials with a
+rational root, keeps the irreducible ones, then the fields with trivial
+automorphism group. In each field it takes one diagonal form per real
+place, indefinite there and definite elsewhere, and pairs the forms of two
+places up by the transposition of those places. Every PASS becomes a full
+certificate, so search output is verifiable by the same machinery as the
+shipped example.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from .hermitian import PASS, HermitianForm
 from .intfactor import is_prime
 from .local import hilbert_product_check
 from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
-from .polynomials import Polynomial, has_only_simple_real_roots
+from .polynomials import (
+    Polynomial,
+    _hankel_is_positive_definite,
+    _monic_transform,
+    _power_sums,
+    _rational_roots,
+)
 from .runner import build_certificate
 
 
@@ -74,9 +81,11 @@ def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:
     of x^i is C(k + i, k) a_{k+i}, passes Hermite's test for n - k
     distinct real roots (Hunter 1957; Pohst 1982). The linear level
     k = n - 1 always does; the last level, k = 0, is the test for f
-    itself. The values of a_k that pass one tail form a run, so the scan
-    stops at its end: 878 tests at degree 4, bound 3, 492 at (3, 4) and
-    20188 at (5, 5).
+    itself. The power sums of a prefix are affine in a_k, so each tail
+    takes them twice (`_carried_power_sums`) and each value of a_k costs
+    one line of sums and the pivot loop. The values of a_k that pass one
+    tail form a run, so the scan stops at its end: 878 tests at degree 4,
+    bound 3, 492 at (3, 4) and 20188 at (5, 5).
 
     >>> candidate_polynomials(2, 1)
     [(-1, -1, 1), (-1, 0, 1), (-1, 1, 1), (0, -1, 1), (0, 1, 1)]
@@ -87,20 +96,37 @@ def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:
         weights = [math.comb(k + i, k) for i in range(degree - k + 1)]
         kept = []
         for tail in prefixes:
+            base, slope = _carried_power_sums(weights, tail)
             # The tail passed, so h = f^(k)/k! - a has a derivative with
             # n - k - 1 simple real roots. Then h + a is real-rooted exactly
             # when -a lies strictly between h's critical values, and those
             # values of a form one run.
             run = False
             for a in rng:
-                prefix = (a,) + tail
-                if has_only_simple_real_roots(tuple(w * c for w, c in zip(weights, prefix))):
-                    kept.append(prefix)
+                if _hankel_is_positive_definite([b + a * s for b, s in zip(base, slope)]):
+                    kept.append((a,) + tail)
                     run = True
                 elif run:
                     break
         prefixes = kept
     return sorted(prefixes)
+
+
+def _carried_power_sums(weights: list[int], tail: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(base, slope) such that base + a * slope are the power sums
+    t_0 ... t_{2m-2} of the monic transform of the degree-m prefix whose
+    coefficient of x^i is weights[i] * ((a,) + tail)[i]; as in the
+    enumerator, weights[0] is 1 and the tail ends in 1.
+
+    The transform's constant term is a * lead^(m-1), with lead =
+    weights[m], and the sums are affine in it (`polynomials._power_sums`).
+    So base is taken with constant term 0, and slope as the change when it
+    is lead^(m-1).
+    """
+    g = _monic_transform((0,) + tuple(w * c for w, c in zip(weights[1:], tail)))
+    base = _power_sums(g)
+    unit = _power_sums((weights[-1] ** (len(tail) - 1),) + g[1:])
+    return base, [u - b for u, b in zip(unit, base)]
 
 
 def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
@@ -111,12 +137,13 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     over it is refused before any test. `candidate_polynomials` then
     keeps exactly the polynomials with n distinct real roots: they are
     squarefree with every root real, so the field each defines (if any) is
-    totally real. Only those are factored over Z, by `NumberField`'s
-    irreducibility test, and only the fields that pass have their
-    automorphisms counted. At degree 4, bound 3, 878 real-root tests
-    replace the box's 2401, and 114 candidates are factored. 95 of them
-    have an integer root, which `squarefree_factors` finds by Newton
-    lifting, so only 19 reach the factorization mod a prime.
+    totally real. A candidate with a rational root has a linear factor, and
+    n >= 2, so it is dropped before any field is built. Only the rest are
+    factored over Z, by `NumberField`'s irreducibility test, and only the
+    fields that pass have their automorphisms counted. At degree 4, bound 3,
+    878 real-root tests replace the box's 2401 and leave 114 candidates.
+    95 of them have an integer root and are dropped, so 19 irreducibility
+    tests remain, and all 19 reach the factorization mod a prime.
     """
     total = (2 * cfg.coefficient_bound + 1) ** cfg.degree
     if total > cfg.enumeration_budget:
@@ -124,6 +151,8 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
             f"scanning {total} polynomials exceeds the budget of {cfg.enumeration_budget}"
         )
     for coeffs in candidate_polynomials(cfg.degree, cfg.coefficient_bound):
+        if _rational_roots(coeffs):
+            continue
         try:
             # The candidates are monic and integral of degree >= 2, so a
             # reducible polynomial is the only one refused here.

@@ -284,6 +284,27 @@ def distinct_real_root_count(f: tuple[int, ...]) -> int:
     )
 
 
+def companion_power_sums(g: tuple[int, ...], count: int) -> list[int]:
+    """trace(C^k) for k = 0 ... count - 1, C the companion matrix of the
+    monic integer polynomial g (constant term first): the power sums of
+    g's roots, taken without Newton's identities."""
+    m = len(g) - 1
+    companion = [[0] * m for _ in range(m)]
+    for i in range(1, m):
+        companion[i][i - 1] = 1
+    for i in range(m):
+        companion[i][m - 1] = -g[i]
+    power = [[int(i == j) for j in range(m)] for i in range(m)]
+    sums = []
+    for _ in range(count):
+        sums.append(sum(power[i][i] for i in range(m)))
+        power = [
+            [sum(power[i][r] * companion[r][j] for r in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+    return sums
+
+
 def totally_real_box(degree: int, bound: int) -> list[tuple[int, ...]]:
     """Every monic integer polynomial of the degree with coefficients in
     [-bound, bound] and `degree` distinct real roots, constant term first,

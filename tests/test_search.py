@@ -2,20 +2,33 @@
 
 import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import _mul, _value, totally_real_box
+from _oracles import (
+    _mul,
+    _value,
+    companion_power_sums,
+    distinct_real_root_count,
+    totally_real_box,
+)
 from latcert import modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
 from latcert.number_field import CMExtension, NumberField
-from latcert.polynomials import Polynomial, squarefree_factors
+from latcert.polynomials import (
+    Polynomial,
+    _hankel_is_positive_definite,
+    _monic_transform,
+    has_only_simple_real_roots,
+    squarefree_factors,
+)
 from latcert.runner import verify_payload
 from latcert.search import (
     SearchConfig,
@@ -147,13 +160,13 @@ class TestCandidates:
         # the box takes 2401 and 729 tests, the derivative prune alone 1015
         # and 603, and the run stop leaves these; field_candidates adds none
         calls = []
-        original = search.has_only_simple_real_roots
+        original = search._hankel_is_positive_definite
 
-        def counting(f):
-            calls.append(f)
-            return original(f)
+        def counting(t):
+            calls.append(t)
+            return original(t)
 
-        monkeypatch.setattr(search, "has_only_simple_real_roots", counting)
+        monkeypatch.setattr(search, "_hankel_is_positive_definite", counting)
         list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
         assert len(calls) == counts
 
@@ -185,20 +198,83 @@ class TestCandidates:
         assert 37 not in good_odd_primes(field, delta, 10)
 
 
+@st.composite
+def scanned_prefixes(draw):
+    """(weights, tail, a) as candidate_polynomials scans them: the prefix
+    f^(k)/k! has degree m in 2..6 and weights C(k + i, k). Either the tail's
+    coefficients and a lie in [-B, B], or the tail is that of a product of
+    m + k distinct linear factors and a is within 2 of its a_k, so the
+    prefix is real-rooted or near the end of its run."""
+    m = draw(st.integers(2, 6), label="prefix degree")
+    k = draw(st.integers(0, 4), label="derivative order")
+    weights = [math.comb(k + i, k) for i in range(m + 1)]
+    if draw(st.booleans(), label="from a real-rooted polynomial"):
+        roots = draw(st.lists(st.integers(-5, 5), min_size=m + k, max_size=m + k, unique=True))
+        f = [1]
+        for r in roots:
+            f = [int(c) for c in _mul(f, [-r, 1])]
+        return weights, tuple(f[k + 1:]), f[k] + draw(st.integers(-2, 2))
+    bound = draw(st.integers(0, 5), label="coefficient bound")
+    coefficient = st.integers(-bound, bound)
+    tail = tuple(draw(st.lists(coefficient, min_size=m - 1, max_size=m - 1))) + (1,)
+    return weights, tail, draw(coefficient)
+
+
+class TestCarriedPowerSums:
+    @given(scanned_prefixes())
+    @example(([1, 1, 1], (0, 1), 0))  # x^2
+    @example(([1, 2, 3], (3, 1), 3))  # 3 (x + 1)^2
+    @example(([1, 1, 1, 1], (-3, 0, 1), 2))  # (x - 1)^2 (x + 2)
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_sums_from_scratch(self, case):
+        weights, tail, a = case
+        m = len(tail)
+        prefix = tuple(w * c for w, c in zip(weights, (a,) + tail))
+        base, slope = search._carried_power_sums(weights, tail)
+        sums = [b + a * s for b, s in zip(base, slope)]
+        assert sums == companion_power_sums(_monic_transform(prefix), 2 * m - 1)
+        verdict = _hankel_is_positive_definite(sums)
+        assert verdict == has_only_simple_real_roots(prefix)
+        assert verdict == (distinct_real_root_count(prefix) == m)
+
+
 class TestFieldFilter:
     def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
-        # 114 of the 2401 quartics at bound 3 have four distinct real roots
-        calls = []
-        original = number_field.is_irreducible
+        # 114 of the 2401 quartics at bound 3 have four distinct real roots;
+        # 95 of them have an integer root and are dropped unfactored
+        calls, roots = [], []
+        original, rational_roots = number_field.is_irreducible, search._rational_roots
 
         def counting(p):
             calls.append(p)
             return original(p)
 
+        def recording(f):
+            roots.append(rational_roots(f))
+            return roots[-1]
+
         monkeypatch.setattr(number_field, "is_irreducible", counting)
+        monkeypatch.setattr(search, "_rational_roots", recording)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
-        assert len(calls) == 114
+        assert len(roots) == 114 and sum(map(bool, roots)) == 95
+        assert len(calls) == 19
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
+
+    @pytest.mark.parametrize("degree, bound, dropped", [(3, 4, 114), (4, 3, 95), (5, 5, 1006)])
+    def test_dropped_candidates_have_a_linear_factor(self, monkeypatch, degree, bound, dropped):
+        built = set()
+        original = search.NumberField
+
+        def recording(p):
+            built.add(p.int_coeffs())
+            return original(p)
+
+        monkeypatch.setattr(search, "NumberField", recording)
+        list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
+        candidates = candidate_polynomials(degree, bound)
+        linear = [f for f in candidates if any(len(g) == 2 for g in squarefree_factors(f))]
+        assert [f for f in candidates if f not in built] == linear
+        assert len(linear) == dropped
 
     def test_quartic_filter_takes_no_degree_patterns(self, monkeypatch):
         # Irreducibility factors at the first good prime and the automorphism
