@@ -51,7 +51,6 @@ from .local import (
     FinitePlace,
     factor_prime,
     hilbert_product_check,
-    local_group_isomorphic,
     local_norm_test,
     relevant_primes,
     splitting_in_E,
@@ -75,7 +74,6 @@ from .search import SearchConfig, candidate_polynomials, field_candidates, searc
 from .volume_fingerprint import (
     VolumeFingerprint,
     fingerprint,
-    fingerprints_equal,
     level_id_for,
     relative_extension_id,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "factor_prime",
     "field_candidates",
     "fingerprint",
-    "fingerprints_equal",
     "forms_equivalent",
     "group_isomorphism_verdict",
     "group_order",
@@ -129,7 +126,6 @@ __all__ = [
     "level_id_for",
     "load_certificate",
     "load_example_fixture",
-    "local_group_isomorphic",
     "local_norm_test",
     "parse_exact",
     "rebuild_index",

@@ -172,8 +172,8 @@ def write_certificate(payload: dict, directory: str) -> str:
     other bytes (a torn write) is replaced.  Files are published atomically
     (`_publish`), and the index gains one entry under the store lock: an
     index in the layout `_index_bytes` writes gets the new row spliced in at
-    its sorted place, another readable one is rewritten whole, and only a
-    missing or unreadable index is regenerated with `rebuild_index`.
+    its sorted place, and any other index (missing, unreadable or laid out
+    otherwise) is regenerated with `rebuild_index`.
     """
     _check_header(payload)
     text = canonical_json(payload)
@@ -192,9 +192,9 @@ def write_certificate(payload: dict, directory: str) -> str:
     with _store_lock(directory):
         index = _read_index(index_path)
         if index is not None:
-            raw, entries = index
-            if all(entry["file"] != name for entry in entries):
-                _publish(index_path, _index_with(raw, entries, _index_entry(name, payload)))
+            rows, files = index
+            if name not in files:
+                _publish(index_path, _index_with(rows, files, _index_entry(name, payload)))
     if index is None:
         # after the lock is released: rebuild_index takes it on a descriptor
         # of its own, which would wait for this one forever
@@ -295,12 +295,26 @@ def _index_bytes(rows: list) -> bytes:
     return _INDEX_HEAD + b",\n".join(rows) + _INDEX_TAIL if rows else _EMPTY_INDEX
 
 
-def _index_with(raw: bytes, entries: list, entry: dict) -> bytes:
-    """The index `raw`, which parses to `entries`, with `entry` added.  When
-    raw has the layout `_index_bytes` writes, one row per line and sorted by
-    file, the new row alone is encoded and goes in at its sorted place among
-    the old bytes; any other layout is rewritten whole."""
-    files = [e["file"] for e in entries]
+def _index_with(rows: list, files: list, entry: dict) -> bytes:
+    """The index with `rows`, sorted by `files`, and `entry` added: the new
+    row alone is encoded and goes in at its sorted place among the old
+    bytes."""
+    rows.insert(bisect.bisect(files, entry["file"]), _index_row(entry))
+    return _index_bytes(rows)
+
+
+def _read_index(path: str) -> tuple[list, list] | None:
+    """The rows and file names of an index in the layout `_index_bytes`
+    writes, one row per line and sorted by file, or None if it is missing,
+    malformed or laid out in any other way."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        files = [e["file"] for e in _parse_json(raw)["certificates"]]
+    except (FileNotFoundError, KeyError, TypeError, CertificateFormatError):
+        return None
+    if raw == _EMPTY_INDEX:
+        return [], []
     body = raw[len(_INDEX_HEAD):-len(_INDEX_TAIL)]
     rows = body.split(b",\n")
     if (
@@ -308,25 +322,10 @@ def _index_with(raw: bytes, entries: list, entry: dict) -> bytes:
         and raw.endswith(_INDEX_TAIL)
         and len(rows) == len(files)
         and body.count(b"\n") == len(files) - 1
+        and all(isinstance(f, str) for f in files)
         and all(map(operator.lt, files, files[1:]))
     ):
-        rows.insert(bisect.bisect(files, entry["file"]), _index_row(entry))
-    else:
-        rows = [_index_row(e) for e in sorted([*entries, entry], key=lambda e: e["file"])]
-    return _index_bytes(rows)
-
-
-def _read_index(path: str) -> tuple[bytes, list] | None:
-    """The bytes and entries of an index file, or None if it is missing or
-    malformed."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        entries = _parse_json(raw)["certificates"]
-        if all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
-            return raw, entries
-    except (FileNotFoundError, KeyError, TypeError, CertificateFormatError):
-        pass
+        return rows, files
     return None
 
 

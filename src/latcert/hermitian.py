@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InconclusiveError, InvalidInputError
-from .local import local_group_isomorphic, norm_class_equal
+from .local import norm_class_equal, splitting_in_E
 from .number_field import CMExtension, FieldElement, automorphism_count
 
 ISOMORPHIC = "ISOMORPHIC"
@@ -279,7 +279,10 @@ def seed_pair_check(
         makes complete: with no nontrivial field automorphism the only
         composition to rule out is the identity one;
     (c) tau carries the signature pattern of h1 to that of h2;
-    (d) the odd-rank local rule applies at the probe place (when given).
+    (d) the odd-rank local rule at the probe place (when given): in odd
+        rank every form gives the same special unitary group at a finite
+        place, so this records how the place splits in E and is UNKNOWN
+        only when that splitting is undecided.
     """
     if h1.ext != h2.ext:
         raise InvalidInputError("forms live over different CM extensions")
@@ -330,9 +333,9 @@ def seed_pair_check(
 
     if probe_place is not None:
         try:
-            local = local_group_isomorphic(h1.ext, probe_place, h1.rank)
-            status = PASS if local.isomorphic else FAIL
-            components.append(ComponentCheck("local-rule", status, local.detail))
+            split = splitting_in_E(h1.ext, probe_place)
+            detail = f"place is {split.kind} ({split.method}), rank {h1.rank} odd"
+            components.append(ComponentCheck("local-rule", PASS, detail))
         except InconclusiveError as exc:
             components.append(ComponentCheck("local-rule", UNKNOWN, str(exc)))
 

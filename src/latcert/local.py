@@ -566,38 +566,3 @@ def norm_class_equal(ext: CMExtension, a: FieldElement, b: FieldElement) -> bool
             "norm class comparison undecided at: " + ", ".join(report.unknown_labels)
         )
     return report.minus_count == 0
-
-
-# ---------------------------------------------------------------------------
-# Local group comparison
-
-
-@dataclass(frozen=True)
-class LocalGroupResult:
-    isomorphic: bool
-    family: str  # "SL" at split places, "SU" otherwise
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.isomorphic
-
-
-def local_group_isomorphic(ext: CMExtension, place: FinitePlace, rank: int) -> LocalGroupResult:
-    """At a finite place, unitary groups of equal odd rank agree.
-
-    Split places give the special linear family; non-split places give the
-    quasi-split special unitary family. Either way the local isomorphism
-    class does not depend on the diagonal form, which is what makes odd rank
-    special; even rank is out of scope and rejected.
-    """
-    if rank < 1:
-        raise InvalidInputError("rank must be positive")
-    if rank % 2 == 0:
-        raise InvalidInputError(
-            "even rank is unsupported: local classes then depend on the form"
-        )
-    split = splitting_in_E(ext, place)
-    family = "SL" if split.kind == "split" else "SU"
-    return LocalGroupResult(
-        True, family, f"place is {split.kind} ({split.method}), rank {rank} odd"
-    )

@@ -461,6 +461,8 @@ class GaloisClosure:
     embeddings: tuple[FieldElement, ...]
 
     def __post_init__(self):
+        # a tuple, so the images checked below cannot change afterwards
+        object.__setattr__(self, "embeddings", tuple(self.embeddings))
         if not self.embeddings:
             raise InvalidInputError("at least one embedding image is required")
         for e in self.embeddings:

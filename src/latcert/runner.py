@@ -49,7 +49,7 @@ from .number_field import (
     is_rational_square,
 )
 from .polynomials import Polynomial
-from .volume_fingerprint import fingerprint, fingerprints_equal, level_id_for
+from .volume_fingerprint import ITEM_NAMES, fingerprint, level_id_for
 
 LAMBDA_HEIGHT = 2
 
@@ -319,7 +319,7 @@ def build_certificate(inputs: dict) -> dict:
     level_id = level_id_for(levels)
     fp1 = fingerprint(h1, level_id)
     fp2 = fingerprint(h2, level_id)
-    comparison = fingerprints_equal(fp1, fp2)
+    mismatched = [n for n in ITEM_NAMES if getattr(fp1, n) != getattr(fp2, n)]
 
     def fp_record(fp):
         return {
@@ -336,8 +336,8 @@ def build_certificate(inputs: dict) -> dict:
         "level_id": level_id,
         "first": fp_record(fp1),
         "second": fp_record(fp2),
-        "equal": comparison.equal,
-        "mismatched": list(comparison.mismatched),
+        "equal": not mismatched,
+        "mismatched": mismatched,
     }
 
     # overall verdict

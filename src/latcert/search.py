@@ -60,6 +60,8 @@ class SearchConfig:
             raise InvalidInputError("rank must be an odd integer >= 3")
         if self.coefficient_bound < 0:
             raise InvalidInputError("coefficient bound must be nonnegative")
+        # a tuple, so the list checked below cannot change afterwards
+        object.__setattr__(self, "delta_candidates", tuple(self.delta_candidates))
         if not self.delta_candidates:
             raise InvalidInputError("at least one delta candidate is required")
         for d in self.delta_candidates:

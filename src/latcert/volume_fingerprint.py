@@ -2,8 +2,9 @@
 
 Every factor in the covolume of the lattices we compare is determined by the
 base field, the quadratic extension, the group's dimension and exponents, its
-Tamagawa number, and the chosen level. Recording that dependency list lets us
-certify "same covolume" by pure equality checking, with no volume evaluated.
+Tamagawa number, and the chosen level. This module records that tuple, in
+`ITEM_NAMES` order; the runner compares the two forms' tuples item by item,
+so "same covolume" is certified by equality alone, with no volume evaluated.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class VolumeFingerprint:
         if self.tamagawa != 1:
             raise InvalidInputError("Tamagawa number is always 1 here")
 
-    def items(self) -> tuple[tuple[str, object], ...]:
-        return tuple((name, getattr(self, name)) for name in ITEM_NAMES)
-
 
 def fingerprint(h: HermitianForm, level_id: str) -> VolumeFingerprint:
     """Assemble the covolume fingerprint of the special unitary group of h.
@@ -113,39 +111,3 @@ def fingerprint(h: HermitianForm, level_id: str) -> VolumeFingerprint:
         tamagawa=1,
         level_id=str(level_id),
     )
-
-
-@dataclass(frozen=True)
-class ItemComparison:
-    name: str
-    left: object
-    right: object
-
-    @property
-    def equal(self) -> bool:
-        return self.left == self.right
-
-
-@dataclass(frozen=True)
-class FingerprintComparison:
-    """Per-item equality report over all seven fingerprint components."""
-
-    items: tuple[ItemComparison, ...]
-
-    @property
-    def equal(self) -> bool:
-        return all(item.equal for item in self.items)
-
-    @property
-    def mismatched(self) -> tuple[str, ...]:
-        return tuple(item.name for item in self.items if not item.equal)
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def fingerprints_equal(a: VolumeFingerprint, b: VolumeFingerprint) -> FingerprintComparison:
-    items = tuple(
-        ItemComparison(name, getattr(a, name), getattr(b, name)) for name in ITEM_NAMES
-    )
-    return FingerprintComparison(items)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert import hermitian, local
-from latcert.errors import InvalidInputError
+from latcert.errors import InconclusiveError, InvalidInputError
 from latcert.hermitian import (
     FAIL,
     ISOMORPHIC,
@@ -288,6 +288,31 @@ class TestSeedPair:
         component = v.component("non-isomorphism")
         assert component.status == UNKNOWN
         assert component.detail == "3 field automorphisms; compositions not enumerated"
+
+    @pytest.mark.parametrize(
+        "prime, detail",
+        [
+            (5, "place is split (residue square test), rank 3 odd"),
+            (3, "place is inert (residue square test), rank 3 odd"),
+            (2, "place is ramified (unit symbol scan), rank 3 odd"),
+        ],
+    )
+    def test_local_rule_names_the_splitting(self, prime, detail):
+        place = local.factor_prime(F, prime)[0]
+        v = seed_pair_check(H1, H2, TAU, probe_place=place, unit_gens=UNIT_GENS)
+        assert v.component("local-rule").status == PASS
+        assert v.component("local-rule").detail == detail
+        assert v.status == PASS
+
+    def test_undecided_splitting_leaves_local_rule_unknown(self, monkeypatch):
+        def undecided(ext, place):
+            raise InconclusiveError("splitting undecided at 5#0")
+
+        monkeypatch.setattr(hermitian, "splitting_in_E", undecided)
+        v = seed_pair_check(H1, H2, TAU, probe_place=self.probe(), unit_gens=UNIT_GENS)
+        assert v.component("local-rule").status == UNKNOWN
+        assert v.component("local-rule").detail == "splitting undecided at 5#0"
+        assert v.status == UNKNOWN
 
     def test_self_pair_fails_non_isomorphism(self):
         v = seed_pair_check(H1, H1, (0, 1, 2), unit_gens=UNIT_GENS)

@@ -20,7 +20,6 @@ from latcert.local import (
     factor_prime,
     hilbert_product_check,
     hilbert_symbol_qq,
-    local_group_isomorphic,
     local_norm_test,
     residue_field,
     residue_image,
@@ -493,26 +492,3 @@ class TestHilbertProductCheck:
                 continue
             report = hilbert_product_check(EXT, u)
             assert report.conclusive and report.minus_count % 2 == 0
-
-
-class TestLocalGroup:
-    def test_split_place_gives_linear_family(self):
-        r = local_group_isomorphic(EXT, place_above(F, 5), 3)
-        assert r.isomorphic and r.family == "SL"
-
-    def test_inert_place_gives_unitary_family(self):
-        r = local_group_isomorphic(EXT, place_above(F, 3), 3)
-        assert r.isomorphic and r.family == "SU"
-
-    def test_ramified_place_gives_unitary_family(self):
-        r = local_group_isomorphic(EXT, place_above(F, 2), 3)
-        assert r.isomorphic and r.family == "SU"
-        assert bool(r)
-
-    def test_even_rank_rejected(self):
-        with pytest.raises(InvalidInputError):
-            local_group_isomorphic(EXT, place_above(F, 5), 2)
-
-    def test_nonpositive_rank_rejected(self):
-        with pytest.raises(InvalidInputError):
-            local_group_isomorphic(EXT, place_above(F, 5), 0)

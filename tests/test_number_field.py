@@ -589,6 +589,15 @@ class TestGaloisClosure:
         with pytest.raises(InvalidInputError):
             GaloisClosure(CUBIC, self.CLOSURE_FIELD, (images[0], images[0], images[2]))
 
+    def test_a_list_of_images_is_kept_as_a_tuple(self):
+        # the caller's list cannot slip a repeated image past the check
+        images = [self.CLOSURE_FIELD.element(c) for c in self.EMBEDDINGS]
+        closure = GaloisClosure(CUBIC, self.CLOSURE_FIELD, images)
+        images.append(images[0])
+        assert closure.embeddings == tuple(images[:3])
+        assert closure.verify_all() == (True, True, True)
+        hash(closure)
+
     def test_closure_is_galois_over_q(self):
         assert automorphism_count(self.CLOSURE_FIELD) == 6
 

@@ -1,13 +1,15 @@
 """The example pipeline end to end: certificate content, determinism, verification."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcert import hermitian
+from latcert import hermitian, runner
 from latcert.certificates import canonical_json, diff_paths, write_certificate
 from latcert.errors import CertificateFormatError
 from latcert.runner import (
@@ -19,6 +21,7 @@ from latcert.runner import (
     verify_certificate,
     verify_payload,
 )
+from latcert.volume_fingerprint import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +135,33 @@ class TestCertificateContent:
         assert block["first"]["group_dim"] == "8"
         assert block["first"]["exponents"] == ["1", "2"]
         assert block["first"]["tamagawa"] == "1"
+
+    @pytest.mark.parametrize(
+        "changes, mismatched",
+        [
+            ({"level_id": "elsewhere"}, ["level_id"]),
+            (
+                {"level_id": "elsewhere", "base_field_disc": Fraction(81)},
+                ["base_field_disc", "level_id"],
+            ),
+        ],
+    )
+    def test_fingerprint_mismatch_named_in_item_order(self, monkeypatch, changes, mismatched):
+        # both forms share every item by construction, so the second form's
+        # fingerprint is altered to reach a mismatch
+        calls = []
+
+        def altered(h, level_id):
+            calls.append(h)
+            fp = fingerprint(h, level_id)
+            return dataclasses.replace(fp, **changes) if len(calls) == 2 else fp
+
+        monkeypatch.setattr(runner, "fingerprint", altered)
+        block = build_certificate(load_example_fixture())["fingerprint_block"]
+        assert len(calls) == 2
+        assert block["equal"] is False
+        assert block["mismatched"] == mismatched
+        assert block["first"] != block["second"]
 
     def test_verdict_pass_on_all_components(self, cert):
         verdict = cert["verdict"]

@@ -126,6 +126,14 @@ class TestConfig:
         cfg = SearchConfig(delta_candidates=(-1, Fraction(-1, 3)), max_certificates=None)
         assert cfg.delta_candidates == (-1, Fraction(-1, 3))
 
+    def test_a_list_of_deltas_is_kept_as_a_tuple(self):
+        # the caller's list cannot slip a positive delta past the check
+        deltas = [-1]
+        cfg = SearchConfig(delta_candidates=deltas)
+        deltas.append(5)
+        assert cfg.delta_candidates == (-1,)
+        hash(cfg)
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_max_certificates_below_one(self, limit):
         # a limit the search could only honour by emitting nothing is refused
