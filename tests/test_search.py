@@ -388,6 +388,16 @@ class TestSearchResults:
         assert len(certs) == 6
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("2156916496e85916")
 
+    @pytest.mark.parametrize(
+        "degree, bound, count, prefix", [(4, 4, 234, "2bee56e2a5097bd0")]
+    )
+    def test_pinned_search_bytes_through_places_over_two(self, degree, bound, count, prefix):
+        # these searches decide places over 2 with e*f = 4
+        certs = search_seeds(SearchConfig(degree=degree, coefficient_bound=bound))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == count
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
+
     def test_every_result_is_a_pass(self, degree3_certs):
         assert all(c["verdict"]["overall"] == "PASS" for c in degree3_certs)
 
