@@ -34,7 +34,6 @@ from .finite_groups import (
     congruence_index,
     enumerate_group,
     group_order,
-    joint_congruence_index,
 )
 from .hermitian import (
     HermitianForm,
@@ -122,7 +121,6 @@ __all__ = [
     "indefinite_places",
     "is_irreducible",
     "isolate_real_roots",
-    "joint_congruence_index",
     "level_id_for",
     "load_certificate",
     "load_example_fixture",

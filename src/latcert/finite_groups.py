@@ -214,21 +214,3 @@ def congruence_index(level: CongruenceLevel) -> int:
         return group_order(FiniteGroupSpec("SU", form.rank, q))
     raise UnsupportedPlaceError("ramified place: bad reduction")
 
-
-def joint_congruence_index(levels: tuple[CongruenceLevel, ...]) -> int:
-    """Index for simultaneous congruence conditions at distinct places.
-
-    The empty level imposes no condition (index 1); by the Chinese
-    remainder theorem the reductions at distinct places are independent, so
-    the joint index is the product.
-    """
-    seen = set()
-    for level in levels:
-        key = (level.place.prime, level.place.index)
-        if key in seen:
-            raise InvalidInputError("joint levels must use distinct places")
-        seen.add(key)
-    index = 1
-    for level in levels:
-        index *= congruence_index(level)
-    return index

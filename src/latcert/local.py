@@ -21,7 +21,9 @@ representatives and their norm orders.
 
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
-projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. The few
+projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. At a
+place over 2, how rational delta of even 2-order splits is read off one
+digit-by-digit lift of a square root of its odd part. The few
 corners this leaves open (non-rational delta at a ramified place with a
 non-unit argument, and similar dyadic cases) raise InconclusiveError rather
 than guessing; callers report them as UNKNOWN.
@@ -306,54 +308,40 @@ def _residue_square_test(place: FinitePlace, elem: FieldElement) -> bool:
     return k.is_square(residue_image(place, elem))
 
 
-def _dyadic_box(place: FinitePlace) -> tuple[int, int, int]:
-    # Representatives of O_v/pi^(2e+1) as integer polynomials of degree
-    # < e*f with coefficients mod 2^t, t*e >= 2e+1. Congruence mod pi^(2e+1)
-    # determines unit square classes (Hensel bound for x^2 - w).
-    e, f = place.ramification, place.residue_degree
-    target = 2 * e + 1
-    t = -(-target // e)
-    count = (2**t) ** (e * f)
-    if count > _DYADIC_ENUMERATION_CAP:
-        raise InconclusiveError(
-            f"dyadic residue enumeration of size {count} exceeds the cap"
-        )
-    return target, t, e * f
+def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
+    """Whether some y in O_v has v(y^2 - w) >= k, for an odd rational w = n/d.
 
-
-def _dyadic_square_test(place: FinitePlace, w: Fraction) -> bool:
-    """Whether the odd rational w = n/d is a square in the dyadic completion.
-
-    When e*f = [F_v : Q_2] is odd, w is a square in F_v exactly when it is
-    one in Q_2, that is when n*d = 1 mod 8 (d^2 = 1 mod 8).  By the tower
-    law: a root of w in F_v outside Q_2 would make Q_2(sqrt(w)) a quadratic
-    subfield of F_v, and 2 would divide e*f.  Only even e*f needs the box
-    scan, where d is odd, so v(y^2 - w) = v(d*y^2 - n), an integer element.
+    The coordinates of y over 1, alpha, ..., alpha^(e*f - 1) are found one
+    binary digit at a time.  Two y that agree mod 2^s differ by an element of
+    2^s O_v = pi^(e*s) O_v, so the truncation mod 2^s of a solution has
+    v(d*y^2 - n) >= min(k, e*s) (d is odd, so this is v(y^2 - w)); only such
+    nodes are extended, and the first node that reaches k is a solution.
+    Every node counts against the enumeration cap.
     """
     n, d = w.numerator, w.denominator
-    if place.ramification * place.residue_degree % 2 == 1:
-        return n * d % 8 == 1
-    target, t, width = _dyadic_box(place)
+    e, width = place.ramification, place.ramification * place.residue_degree
     p = place.field.int_poly
-    for y in itertools.product(range(2**t), repeat=width):
-        g = [d * c for c in _reduce_monic(_poly_mul(y, y), p)]
-        g[0] -= n
-        if not any(g) or _int_valuation(place, tuple(g)) >= target:
-            return True
-    return False
-
-
-def _dyadic_exists_unit_non_norm(place: FinitePlace, w: Fraction) -> bool:
-    # E_w/F_v is unramified exactly when every unit is a norm; units are
-    # covered modulo squares by the representative box.  A unit's norm has
-    # 2-order 0, so its square class in Q_2 is its residue mod 8.
-    _, t, width = _dyadic_box(place)
-    for y in itertools.product(range(2**t), repeat=width):
-        if not any(y):
-            continue
-        o, r = _norm_ord_and_unit(place, y, 8)
-        if o == 0 and hilbert_symbol_qq(w, r, 2) == -1:
-            return True
+    nodes = 0
+    stack = [((0,) * width, 0)]
+    while stack:
+        y, s = stack.pop()
+        for bits in itertools.product((0, 1), repeat=width):
+            nodes += 1
+            if nodes > _DYADIC_ENUMERATION_CAP:
+                raise InconclusiveError(
+                    f"dyadic square lift at {place} exceeds the cap of "
+                    f"{_DYADIC_ENUMERATION_CAP} nodes"
+                )
+            child = tuple(c + (b << s) for c, b in zip(y, bits))
+            g = [d * c for c in _reduce_monic(_poly_mul(child, child), p)]
+            g[0] -= n
+            if not any(g):
+                return True
+            o = _int_valuation(place, tuple(g))
+            if o >= k:
+                return True
+            if o >= e * (s + 1):
+                stack.append((child, s + 1))
     return False
 
 
@@ -363,9 +351,12 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 
     Decides split/inert/ramified exactly wherever the engine reaches:
     odd valuation of delta is always ramified; unit delta at odd places is a
-    residue-field square test; dyadic places with rational delta are settled
-    by exhaustive unit-square and unit-symbol scans at the Hensel precision
-    bound. The remaining corners raise InconclusiveError.
+    residue-field square test; at a place over 2, rational delta of even
+    2-order with odd part w splits when some y has v(y^2 - w) >= 2e + 1, is
+    inert when, failing that, some y has v(y^2 - w) >= 2e, and is ramified
+    otherwise, each found by one digit-by-digit lift. The method strings
+    "unit square enumeration" and "unit symbol scan" name these two lifts in
+    format "1". The remaining corners raise InconclusiveError.
     """
     delta = ext.delta
     if place.field != ext.base:
@@ -399,16 +390,19 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
             f"cannot classify delta's square class at {place} without a uniformizer"
         )
 
-    # Dyadic places: rational delta with even 2-order is settled exactly.
+    # Dyadic places: for rational delta of even 2-order with odd part w, E_v
+    # is F_v(sqrt(w)); w is a square exactly when it is a square mod
+    # 4*pi = pi^(2e+1), and F_v(sqrt(w)) is unramified exactly when w is a
+    # square mod 4 = pi^(2e) (the quadratic defect; O'Meara, section 63).
     if delta.is_rational():
-        c = delta.coords[0]
-        k_ord, unit_part = _split_prime_part(c, 2)
+        k_ord, unit_part = _split_prime_part(delta.coords[0], 2)
         if k_ord % 2 == 0:
-            if _dyadic_square_test(place, unit_part):
+            e = place.ramification
+            if _dyadic_approximable(place, unit_part, 2 * e + 1):
                 return SplittingResult("split", "unit square enumeration")
-            if _dyadic_exists_unit_non_norm(place, unit_part):
-                return SplittingResult("ramified", "unit symbol scan")
-            return SplittingResult("inert", "unit symbol scan")
+            if _dyadic_approximable(place, unit_part, 2 * e):
+                return SplittingResult("inert", "unit symbol scan")
+            return SplittingResult("ramified", "unit symbol scan")
     raise InconclusiveError(
         f"dyadic splitting with non-rational delta is out of reach at {place}"
     )

@@ -462,7 +462,10 @@ class GaloisClosure:
 
     def __post_init__(self):
         # a tuple, so the images checked below cannot change afterwards
-        object.__setattr__(self, "embeddings", tuple(self.embeddings))
+        try:
+            object.__setattr__(self, "embeddings", tuple(self.embeddings))
+        except TypeError:
+            raise InvalidInputError("embedding images must be a sequence") from None
         if not self.embeddings:
             raise InvalidInputError("at least one embedding image is required")
         for e in self.embeddings:

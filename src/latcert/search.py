@@ -61,7 +61,10 @@ class SearchConfig:
         if self.coefficient_bound < 0:
             raise InvalidInputError("coefficient bound must be nonnegative")
         # a tuple, so the list checked below cannot change afterwards
-        object.__setattr__(self, "delta_candidates", tuple(self.delta_candidates))
+        try:
+            object.__setattr__(self, "delta_candidates", tuple(self.delta_candidates))
+        except TypeError:
+            raise InvalidInputError("delta candidates must be a sequence") from None
         if not self.delta_candidates:
             raise InvalidInputError("at least one delta candidate is required")
         for d in self.delta_candidates:

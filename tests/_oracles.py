@@ -3,8 +3,8 @@
 These deliberately avoid the package's own algorithms: the resultant oracle
 expands a Sylvester determinant, the root oracle scans signs on a fine grid,
 the group-order oracle enumerates matrices directly over Z/m, the dyadic
-square oracle tries every residue in the Hensel box with FieldElement
-arithmetic, reading valuations off the Sylvester determinant, the factor
+square and unit-norm oracles try every residue in a box of coordinates mod
+4, reading valuations and norms off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
 oracle reads the Galois group off the resolvent cubic. The root isolation,
 interval enclosure and field product and inverse oracles are the package's
@@ -33,7 +33,8 @@ from latcert.polynomials import _sturm_chain as _integer_sturm_chain
 def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
     """Resultant via Laplace expansion of the Sylvester matrix.
 
-    Coefficient lists are constant-term first, nonzero leading coefficient.
+    Coefficient lists are constant-term first, nonzero leading coefficient;
+    integer lists keep the whole expansion in integers.
     """
     m = len(a) - 1
     n = len(b) - 1
@@ -46,9 +47,9 @@ def sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
     arev = list(reversed(a))  # leading first for the classical layout
     brev = list(reversed(b))
     for i in range(n):
-        rows.append([Fraction(0)] * i + arev + [Fraction(0)] * (size - m - 1 - i))
+        rows.append([0] * i + arev + [0] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([Fraction(0)] * i + brev + [Fraction(0)] * (size - n - 1 - i))
+        rows.append([0] * i + brev + [0] * (size - n - 1 - i))
 
     @functools.lru_cache(maxsize=None)
     def det(cols: tuple[int, ...]) -> Fraction:
@@ -130,16 +131,17 @@ def dyadic_square_scan(field, block: list[int], e: int, f: int, w: Fraction) -> 
     factor of the defining polynomial over Z_2, constant term first (the
     polynomial itself when the place is alone above 2, otherwise a lift
     correct mod 2^64).  Every y in the box of integer coordinates of degree
-    < e*f with coefficients mod 2^t, t*e >= 2e+1, is tried: w is a square
-    exactly when some y^2 - w has valuation at least 2e+1 (Hensel's bound
-    for x^2 - w).  Arithmetic is FieldElement multiplication, and the
-    valuation is ord_2 of the Sylvester resultant against the block over f.
+    < e*f with coefficients mod 4 is tried: w is a square exactly when some
+    y^2 - w has valuation at least 2e+1 (Hensel's bound for x^2 - w), and
+    the box is enough: y' = y mod 4 gives y'^2 - y^2 = (y' - y)(y' + y) in
+    4 * 2 * O_v = pi^(3e) * O_v, and 3e >= 2e+1.  Arithmetic is FieldElement
+    multiplication, and the valuation is ord_2 of the Sylvester resultant
+    against the block over f.
     """
     target = 2 * e + 1
-    t = -(-target // e)
     pad = field.degree - e * f
     w_elem = field.from_rational(w)
-    for coeffs in itertools.product(range(2**t), repeat=e * f):
+    for coeffs in itertools.product(range(4), repeat=e * f):
         y = field.element(tuple(Fraction(c) for c in coeffs) + (Fraction(0),) * pad)
         g = y * y - w_elem
         if g.is_zero():
@@ -153,6 +155,35 @@ def dyadic_square_scan(field, block: list[int], e: int, f: int, w: Fraction) -> 
         if order // f >= target:
             return True
     return False
+
+
+def dyadic_unit_non_norm_scan(block: tuple[int, ...], w: Fraction) -> bool:
+    """Whether some unit of a place above 2 is not a norm from F_v(sqrt w).
+
+    For an odd rational w that is not a square at the place, F_v(sqrt w) is
+    unramified exactly when every unit is a norm.  `block` is the place's
+    factor over Z_2 as in dyadic_square_scan, of degree e*f.  A unit
+    u is a norm exactly when (w, N(u))_{Q_2} = 1 (the projection formula),
+    and for odd w and N(u) that symbol is -1 exactly when both are 3 mod 4.
+    """
+    return w.numerator * w.denominator % 4 == 3 and 3 in _unit_norms_mod4(block)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_norms_mod4(block: tuple[int, ...]) -> frozenset[int]:
+    # Every y in the box of integer coordinates of degree < e*f with
+    # coefficients mod 4; y is a unit exactly when N(y) = Res(block, y) is
+    # odd, and N(y + 4z) = N(y) * det(1 + 4 z/y) = N(y) mod 4 covers the rest.
+    out = set()
+    for coeffs in itertools.product(range(4), repeat=len(block) - 1):
+        coords = list(coeffs)
+        while coords and coords[-1] == 0:
+            coords.pop()
+        if coords:
+            norm = sylvester_resultant(list(block), coords).numerator
+            if norm % 2:
+                out.add(norm % 4)
+    return frozenset(out)
 
 
 def _ord2(n: int) -> int:

@@ -9,7 +9,6 @@ from latcert.finite_groups import (
     congruence_index,
     enumerate_group,
     group_order,
-    joint_congruence_index,
 )
 from latcert.hermitian import HermitianForm
 from latcert.local import factor_prime
@@ -146,19 +145,6 @@ class TestCongruenceIndex:
         form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
         level = CongruenceLevel(factor_prime(field, 37)[idx], form)
         assert congruence_index(level) == 3509844434208
-
-    def test_joint_index_multiplies(self):
-        field = reference_field()
-        ext = gaussian_extension(field)
-        alpha = field.generator()
-        form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
-        lvl5 = CongruenceLevel(factor_prime(field, 5)[0], form)
-        lvl3 = CongruenceLevel(factor_prime(field, 3)[0], form)
-        joint = joint_congruence_index((lvl5, lvl3))
-        assert joint == congruence_index(lvl5) * congruence_index(lvl3)
-
-    def test_empty_joint_index_is_one(self):
-        assert joint_congruence_index(()) == 1
 
     def test_even_residue_characteristic_refused(self):
         field = reference_field()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import _mul, dyadic_square_scan, sylvester_resultant
+from _oracles import _mul, dyadic_square_scan, dyadic_unit_non_norm_scan, sylvester_resultant
 from latcert import local, modular
 from latcert.errors import InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
@@ -28,6 +28,7 @@ from latcert.local import (
 )
 from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import Polynomial
+from latcert.search import candidate_polynomials
 
 F = NumberField(Polynomial((1, -3, -1, 1)))
 ALPHA = F.generator()
@@ -308,6 +309,19 @@ class TestSplitting:
             splitting_in_E(EXT, place_above(RATIONALS, 2))
 
 
+def dyadic_block(field, index):
+    """The factor over Z_2 of the field's polynomial at place 2#index,
+    constant term first, correct mod 2^64."""
+    places = factor_prime(field, 2)
+    raw = []
+    for v in places:
+        b = (1,)
+        for _ in range(v.ramification):
+            b = modular.mul(b, v.factor, 2)
+        raw.append(b)
+    return tuple(modular.hensel_lift_blocks(field.int_poly, raw, 2, 64)[index])
+
+
 class TestDyadicSquareTest:
     # (field, place index, (e, f)) for every shape of a place above 2 in
     # degree <= 3; the lines marked "shared" have another place above 2
@@ -327,17 +341,11 @@ class TestDyadicSquareTest:
     def squares(field, index, shape, candidates):
         """The candidates that are squares at the place, checked against the
         enumeration oracle."""
-        places = factor_prime(field, 2)
-        place = places[index]
-        assert (place.ramification, place.residue_degree) == shape
-        raw = []
-        for v in places:
-            b = (1,)
-            for _ in range(v.ramification):
-                b = modular.mul(b, v.factor, 2)
-            raw.append(b)
-        block = modular.hensel_lift_blocks(field.min_poly.int_coeffs(), raw, 2, 64)[index]
-        found = [w for w in candidates if local._dyadic_square_test(place, w)]
+        place = factor_prime(field, 2)[index]
+        e = place.ramification
+        assert (e, place.residue_degree) == shape
+        block = dyadic_block(field, index)
+        found = [w for w in candidates if local._dyadic_approximable(place, w, 2 * e + 1)]
         assert found == [w for w in candidates if dyadic_square_scan(field, list(block), *shape, w)]
         return found
 
@@ -358,17 +366,104 @@ class TestDyadicSquareTest:
         self.squares(field, index, shape, self.ODD_DENOMINATORS)
 
     @pytest.mark.parametrize("field, index, shape", [c for c in CASES if c[2] in ((1, 1), (1, 3), (3, 1))])
-    def test_odd_degree_decided_without_valuations(self, field, index, shape, monkeypatch):
-        # the tower law decides odd e*f from n*d mod 8 alone, with no box scan
+    def test_odd_degree_squares_are_those_of_q2(self, field, index, shape):
+        # by the tower law, a square root of w in F_v outside Q_2 would make
+        # Q_2(sqrt w) a quadratic subfield, so 2 would divide e*f
         place = factor_prime(field, 2)[index]
-        monkeypatch.setattr(local, "_int_valuation", lambda *a: pytest.fail("box scan at odd e*f"))
         for w in self.ODD + self.ODD_DENOMINATORS:
-            assert local._dyadic_square_test(place, w) == (w.numerator * w.denominator % 8 == 1)
+            expected = w.numerator * w.denominator % 8 == 1
+            assert local._dyadic_approximable(place, w, 2 * place.ramification + 1) == expected
 
     def test_ramified_place_sharing_two(self):
         # a shared (2, 1) place with squares beyond those of Q_2
         field = NumberField(Polynomial((-2, -3, -2, 1)))
         assert self.squares(field, 1, (2, 1), self.ODD) == [1, 3, -5, -7]
+
+
+def census_fields(degree, bound):
+    """The totally real fields of candidate_polynomials(degree, bound) in
+    which 2 does not divide the index of the polynomial order."""
+    out = []
+    for coeffs in candidate_polynomials(degree, bound):
+        try:
+            field = NumberField(Polynomial(coeffs))
+            factor_prime(field, 2)
+        except (InvalidInputError, UnsupportedPlaceError):
+            continue
+        out.append(field)
+    return out
+
+
+class TestDyadicSplitting:
+    # delta of even 2-order whose odd part n/d has n*d mod 8 = 7, 5, 1 and 3
+    # with d = 1, then 3, 1, 7 and 5 with d = 3
+    DELTAS = [Fraction(-1), Fraction(-3), Fraction(-7), Fraction(-20),
+              Fraction(-7, 3), Fraction(-5, 3), Fraction(-11, 3), Fraction(-4, 3)]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(lambda: census_fields(1, 3) + census_fields(2, 3), id="degree-1-2"),
+            pytest.param(lambda: census_fields(3, 3), id="degree-3"),
+            # x^4 - 4x^2 + 2 is Eisenstein, so 2 is totally ramified: e = 4
+            pytest.param(
+                lambda: census_fields(4, 3) + [NumberField(Polynomial((2, 0, -4, 0, 1)))],
+                id="degree-4",
+            ),
+        ],
+    )
+    def test_every_place_over_two_matches_both_oracles(self, fields):
+        shapes = set()
+        for field in fields():
+            for place in factor_prime(field, 2):
+                e, f = place.ramification, place.residue_degree
+                shapes.add((e, f))
+                block = dyadic_block(field, place.index)
+                for delta in self.DELTAS:
+                    w = delta
+                    while w.numerator % 4 == 0:
+                        w /= 4
+                    if dyadic_square_scan(field, list(block), e, f, w):
+                        expected = "split"
+                    elif dyadic_unit_non_norm_scan(block, w):
+                        expected = "ramified"
+                    else:
+                        expected = "inert"
+                    ext = CMExtension(field, field.from_rational(delta))
+                    assert splitting_in_E(ext, place).kind == expected, (field, place, delta)
+        assert max(e * f for e, f in shapes) <= 4
+
+    def test_a_place_of_degree_seven_is_decided(self):
+        # all 8^7 coordinate vectors mod 8 would pass the cap; the lift needs
+        # few nodes, and with e = 1 and f = 7 odd the answers are those of
+        # Q_2: w = 1 mod 8 splits, w = 3 or 7 mod 8 ramifies
+        field = NumberField(Polynomial((-1, -2, 5, 7, -7, -6, 2, 1)))
+        (place,) = factor_prime(field, 2)
+        assert (place.ramification, place.residue_degree) == (1, 7)
+        kinds = [
+            splitting_in_E(CMExtension(field, field.from_rational(d)), place).kind
+            for d in (-7, -5, -1)
+        ]
+        assert kinds == ["split", "ramified", "ramified"]
+
+    @pytest.mark.parametrize("cap", [1, 23, 24])
+    def test_every_node_counts_against_the_cap(self, monkeypatch, cap):
+        # at the paper's place over 2 (e = 3), delta = -1 is ramified: each
+        # of the two lifts tries the 8 first digits and the 8 children of
+        # each of the 2 with v(y^2 + 1) >= 3, so 24 nodes decide the place,
+        # and with one fewer the product check reports it as unknown
+        splitting_in_E.cache_clear()
+        monkeypatch.setattr(local, "_DYADIC_ENUMERATION_CAP", cap)
+        try:
+            report = hilbert_product_check(EXT, ALPHA)
+        finally:
+            splitting_in_E.cache_clear()
+        (entry,) = [e for e in report.entries if e.label == "2#0"]
+        if cap < 24:
+            assert entry.symbol is None and "exceeds the cap" in entry.method
+            assert report.unknown_labels == ("2#0",) and report.minus_count_even is None
+        else:
+            assert report.conclusive and entry.symbol == -1
 
 
 class TestLocalNormTest:

@@ -598,6 +598,11 @@ class TestGaloisClosure:
         assert closure.verify_all() == (True, True, True)
         hash(closure)
 
+    @pytest.mark.parametrize("images", [5, None])
+    def test_non_iterable_images_are_refused(self, images):
+        with pytest.raises(InvalidInputError):
+            GaloisClosure(CUBIC, CUBIC, images)
+
     def test_closure_is_galois_over_q(self):
         assert automorphism_count(self.CLOSURE_FIELD) == 6
 

@@ -134,6 +134,11 @@ class TestConfig:
         assert cfg.delta_candidates == (-1,)
         hash(cfg)
 
+    @pytest.mark.parametrize("deltas", [-1, Fraction(-1), None])
+    def test_non_iterable_deltas_are_refused(self, deltas):
+        with pytest.raises(InvalidInputError):
+            SearchConfig(delta_candidates=deltas)
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_max_certificates_below_one(self, limit):
         # a limit the search could only honour by emitting nothing is refused
@@ -389,10 +394,11 @@ class TestSearchResults:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("2156916496e85916")
 
     @pytest.mark.parametrize(
-        "degree, bound, count, prefix", [(4, 4, 234, "2bee56e2a5097bd0")]
+        "degree, bound, count, prefix",
+        [(4, 4, 234, "2bee56e2a5097bd0"), (6, 5, 40, "aeb46b3cccee3b27")],
     )
     def test_pinned_search_bytes_through_places_over_two(self, degree, bound, count, prefix):
-        # these searches decide places over 2 with e*f = 4
+        # these searches decide places over 2 with e*f = 4 and 6
         certs = search_seeds(SearchConfig(degree=degree, coefficient_bound=bound))
         text = "".join(canonical_json(c) for c in certs)
         assert len(certs) == count
