@@ -124,7 +124,7 @@ def _det_mod(mat: list[list[int]], m: int) -> int:
     return total % m
 
 
-def dyadic_square_scan(field, block: list[int], e: int, f: int, w: Fraction) -> bool:
+def dyadic_square_scan(field, block: tuple[int, ...], e: int, f: int, w: Fraction) -> bool:
     """Whether the odd rational w is a square at a place of the field above 2.
 
     The place has ramification e and residue degree f, and `block` is its

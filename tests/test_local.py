@@ -346,7 +346,7 @@ class TestDyadicSquareTest:
         assert (e, place.residue_degree) == shape
         block = dyadic_block(field, index)
         found = [w for w in candidates if local._dyadic_approximable(place, w, 2 * e + 1)]
-        assert found == [w for w in candidates if dyadic_square_scan(field, list(block), *shape, w)]
+        assert found == [w for w in candidates if dyadic_square_scan(field, block, *shape, w)]
         return found
 
     @pytest.mark.parametrize("field, index, shape", CASES)
@@ -423,7 +423,7 @@ class TestDyadicSplitting:
                     w = delta
                     while w.numerator % 4 == 0:
                         w /= 4
-                    if dyadic_square_scan(field, list(block), e, f, w):
+                    if dyadic_square_scan(field, block, e, f, w):
                         expected = "split"
                     elif dyadic_unit_non_norm_scan(block, w):
                         expected = "ramified"
