@@ -358,7 +358,11 @@ class TestFieldFilter:
 
     @pytest.mark.parametrize(
         "degree, bound, count, prefix",
-        [(4, 4, 50, "725d4d0b1c21e339"), (5, 5, 132, "1f9485d5d5445d4d")],
+        [
+            (4, 4, 50, "725d4d0b1c21e339"),
+            (4, 5, 284, "812f957adfd9ad53"),
+            (5, 5, 132, "1f9485d5d5445d4d"),
+        ],
     )
     def test_higher_degree_fields_are_pinned(self, degree, bound, count, prefix):
         fields = list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
