@@ -27,8 +27,8 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
+        if p * p > n:
+            return True  # no smaller prime divides n
         if n % p == 0:
             return False
     d = n - 1
@@ -92,6 +92,8 @@ def prime_factors(n: int) -> dict[int, int]:
         raise InvalidInputError("cannot factor zero")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:
+            break  # what is left of n is 1 or a prime
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

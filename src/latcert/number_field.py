@@ -321,13 +321,14 @@ def automorphism_count(field: NumberField) -> int:
 
     Degrees 1-3 are decided exactly (an irreducible cubic is Galois exactly
     when its discriminant is a rational square). Degree 4 is read off the
-    Galois group, which the resolvent cubic
-    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of
-    p = x^4 + a x^3 + b x^2 + c x + e decides (Kappe & Warren 1989); R is
-    squarefree, since disc R = disc p != 0. No rational root of R gives S4
-    or A4, where the count is 1; three give V4, count 4; exactly one, r,
-    gives C4 (count 4) when x^2 - r x + e and x^2 + a x + (b - r) both split
-    over Q(sqrt(disc p)), and D4 (count 2) otherwise. For higher degrees the
+    Galois group, which the resolvent cubic R of
+    p = x^4 + a x^3 + b x^2 + c x + e decides (`_resolvent_roots`; Kappe &
+    Warren 1989); R is squarefree, since disc R = disc p != 0. No rational
+    root of R gives S4 or A4, where the count is 1; three give V4, count 4;
+    exactly one, r, gives C4 (count 4) when x^2 - r x + e and
+    x^2 + a x + (b - r) both split over Q(sqrt(disc p)), and D4 (count 2)
+    otherwise. So the count is 1 exactly when R has no rational root, and
+    `search.field_candidates` asks R before NumberField. For higher degrees the
     exact mod-l sieve bounds the count from above, and a bound of 1 is
     returned at once. Otherwise the count comes from Trager's norm method
     (Trager 1976; Cohen, GTM 138, 3.6.2): when N_s(x) = Res_y(p(y), p(x - s*y))
@@ -344,8 +345,8 @@ def automorphism_count(field: NumberField) -> int:
     if d == 3:
         return 3 if is_rational_square(field.discriminant) else 1
     if d == 4:
-        e, c, b, a, _ = field.int_poly
-        roots = _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
+        e, _, b, a, _ = field.int_poly
+        roots = _resolvent_roots(field.int_poly)
         if not roots:
             return 1
         if len(roots) == 3:
@@ -366,6 +367,17 @@ def automorphism_count(field: NumberField) -> int:
     while (factors := squarefree_factors(_shifted_norm(p, s))) is None:
         s += 1
     return sum(1 for g in factors if len(g) == d + 1)
+
+
+def _resolvent_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Rational roots (r, 1) of the resolvent cubic
+    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of the squarefree
+    monic integer quartic p = x^4 + a x^3 + b x^2 + c x + e, constant term
+    first. The roots of R are a1 a2 + a3 a4, a1 a3 + a2 a4 and a1 a4 + a2 a3
+    over the roots a_i of p; R is monic, so a rational root is an integer.
+    """
+    e, c, b, a, _ = p
+    return _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
 
 
 def _automorphism_upper_bound(field: NumberField) -> int:

@@ -6,12 +6,12 @@ roots as their degree, in lexicographic coefficient order. It chooses the
 coefficients from the top down and drops a prefix as soon as a derivative
 has too few distinct real roots (Rolle's theorem; each test is Hermite's
 criterion on the integer coefficients). It drops the polynomials with a
-rational root, keeps the irreducible ones, then the fields with trivial
-automorphism group. In each field it takes one diagonal form per real
-place, indefinite there and definite elsewhere, and pairs the forms of two
-places up by the transposition of those places. Every PASS becomes a full
-certificate, so search output is verifiable by the same machinery as the
-shipped example.
+rational root and the quartics whose resolvent cubic has one, keeps the
+irreducible ones, then the fields with trivial automorphism group. In each
+field it takes one diagonal form per real place, indefinite there and
+definite elsewhere, and pairs the forms of two places up by the
+transposition of those places. Every PASS becomes a full certificate, so
+search output is verifiable by the same machinery as the shipped example.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from .finite_groups import DEFAULT_ENUMERATION_BUDGET
 from .hermitian import PASS, HermitianForm
 from .intfactor import is_prime
 from .local import hilbert_product_check
-from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
+from .number_field import (
+    CMExtension,
+    FieldElement,
+    NumberField,
+    _resolvent_roots,
+    automorphism_count,
+)
 from .polynomials import (
     Polynomial,
     _hankel_is_positive_definite,
@@ -143,12 +149,22 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     keeps exactly the polynomials with n distinct real roots: they are
     squarefree with every root real, so the field each defines (if any) is
     totally real. A candidate with a rational root has a linear factor, and
-    n >= 2, so it is dropped before any field is built. Only the rest are
-    factored over Z, by `NumberField`'s irreducibility test, and only the
-    fields that pass have their automorphisms counted. At degree 4, bound 3,
-    878 real-root tests replace the box's 2401 and leave 114 candidates.
-    95 of them have an integer root and are dropped, so 19 irreducibility
-    tests remain, and all 19 reach the factorization mod a prime.
+    n >= 2, so it is dropped before any field is built.
+
+    A quartic without one is dropped as well when its resolvent cubic R
+    (`number_field._resolvent_roots`) has a rational root. If f = g h with
+    g and h quadratic, then a1 a2 + a3 a4 = g(0) + h(0) is a rational root
+    of R. If f is irreducible with no nontrivial automorphism, its Galois
+    group is S4 or A4 (D4, C4 and V4 give 2, 4 and 4 automorphisms), so R
+    is irreducible (Kappe & Warren 1989). So for a quartic without a
+    rational root, a rational root of R means reducible or #Aut != 1, and
+    either one drops it below: the drop only comes sooner.
+
+    Only the rest are factored over Z, by `NumberField`'s irreducibility
+    test, and only the fields that pass have their automorphisms counted.
+    At degree 4, bound 3, 878 real-root tests replace the box's 2401 and
+    leave 114 candidates. 95 of them have an integer root and 17 a rational
+    root of R, so 2 fields are built, both by the factorization mod a prime.
     """
     total = (2 * cfg.coefficient_bound + 1) ** cfg.degree
     if total > cfg.enumeration_budget:
@@ -156,7 +172,7 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
             f"scanning {total} polynomials exceeds the budget of {cfg.enumeration_budget}"
         )
     for coeffs in candidate_polynomials(cfg.degree, cfg.coefficient_bound):
-        if _rational_roots(coeffs):
+        if _rational_roots(coeffs) or (cfg.degree == 4 and _resolvent_roots(coeffs)):
             continue
         try:
             # The candidates are monic and integral of degree >= 2, so a

@@ -6,7 +6,8 @@ the group-order oracle enumerates matrices directly over Z/m, the dyadic
 square and unit-norm oracles try every residue in a box of coordinates mod
 4, reading valuations and norms off the Sylvester determinant, the factor
 oracle is Kronecker's interpolation search, and the quartic automorphism
-oracle reads the Galois group off the resolvent cubic. The root isolation,
+oracle reads the Galois group off the resolvent cubic, and the integer
+factor oracle divides by every d with d^2 <= n. The root isolation,
 interval enclosure and field product and inverse oracles are the package's
 former Fraction implementations, on plain coefficient lists, the sieve
 root bound is its former root count by distinct-degree factorization mod l,
@@ -200,6 +201,21 @@ def _value(coeffs, x):
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def trial_division_factors(n: int) -> dict[int, int]:
+    """{prime: multiplicity} of n >= 1, dividing by every d from 2 up while
+    d^2 <= n; what is left above 1 is prime."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _divides(g: list[Fraction], f: list[int]) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import trial_division_factors
 from latcert import modular
 from latcert.errors import InvalidInputError
 from latcert.intfactor import divisors, is_prime, prime_factors
@@ -25,6 +26,28 @@ class TestIntFactor:
         assert prime_factors(3319595008) == {2: 16, 37: 3}
         assert prime_factors(810448) == {2: 4, 37: 3}
         assert prime_factors(-12) == {2: 2, 3: 1}
+
+    def test_small_integers_match_trial_division(self):
+        # trial division stops once p^2 > n, so every n here is settled
+        # before the small primes run out
+        for n in range(1, 50_000):
+            factors = trial_division_factors(n)
+            assert prime_factors(n) == factors, n
+            assert is_prime(n) == (factors == {n: 1}), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            197 * 199, 199**2, 199 * 211, 211**2, 211 * 223, 199**3, 2 * 199**2,
+            197 * 211**2, 199 * 211 * 223, 211, 223, 199**2 - 2, 211**2 - 2, 211**2 + 2,
+        ],
+    )
+    def test_integers_around_the_last_small_prime(self, n):
+        # 199 is the last trial divisor; past 199^2 the Miller-Rabin test and
+        # Pollard rho take over
+        factors = trial_division_factors(n)
+        assert prime_factors(n) == factors
+        assert is_prime(n) == (factors == {n: 1})
 
     def test_divisors(self):
         assert divisors(148) == [1, 2, 4, 37, 74, 148]

@@ -36,6 +36,7 @@ from latcert.number_field import (
     NumberField,
     RealPlace,
     _automorphism_upper_bound,
+    _resolvent_roots,
     _shifted_norm,
     automorphism_count,
     is_rational_square,
@@ -62,6 +63,12 @@ ORACLE_FIELDS = (
 QUARTIC_TAILS = st.one_of(
     st.tuples(*[st.integers(-6, 6)] * 4),
     st.tuples(st.integers(-12, 12), st.just(0), st.integers(-12, 12), st.just(0)),
+)
+# Tails of (x^2 + p x + q)(x^2 + r x + s), the quartics with two quadratic
+# factors
+QUADRATIC_PRODUCT_TAILS = st.builds(
+    lambda p, q, r, s: (q * s, p * s + q * r, q + s + p * r, p + r),
+    *[st.integers(-6, 6)] * 4,
 )
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 # All irreducible totally real quartics x^4 + a3 x^3 + ... + a0 with
@@ -516,6 +523,38 @@ class TestAutomorphismCount:
         assume(is_irreducible(poly))
         field = NumberField(poly)
         assert automorphism_count(field) == _trager_count(field.int_poly)
+
+
+class TestResolventRoots:
+    @pytest.mark.parametrize(
+        "tail, roots",
+        [
+            ((6, 0, -5, 0), [(-5, 1)]),  # (x^2 - 2)(x^2 - 3): g(0) + h(0) = -5
+            ((1, 1, 0, 0), []),  # x^4 + x + 1, S4
+            ((12, 8, 0, 0), []),  # x^4 + 8x + 12, A4
+            ((-2, 0, 0, 0), [(0, 1)]),  # x^4 - 2, D4
+            ((2, 0, -4, 0), [(-4, 1)]),  # C4
+            ((1, 0, -10, 0), [(-10, 1), (-2, 1), (2, 1)]),  # V4
+        ],
+    )
+    def test_frozen(self, tail, roots):
+        assert sorted(_resolvent_roots(tail + (1,))) == sorted(roots)
+
+    @given(st.one_of(QUARTIC_TAILS, QUADRATIC_PRODUCT_TAILS))
+    @example((6, 0, -5, 0))
+    @example((1, 1, 0, 0))
+    @example((12, 8, 0, 0))
+    @example((-2, 0, 0, 0))
+    @example((2, 0, -4, 0))
+    @example((1, 0, -10, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_root_means_reducible_or_automorphisms(self, tail):
+        # for a squarefree quartic without a rational root, R has a rational
+        # root exactly when f is a product of two quadratics or #Aut != 1
+        factors = squarefree_factors(tail + (1,))
+        assume(factors is not None and all(len(g) > 2 for g in factors))
+        dropped = len(factors) > 1 or quartic_automorphism_count(*tail) != 1
+        assert bool(_resolvent_roots(tail + (1,))) == dropped
 
 
 class TestShiftedNorm:

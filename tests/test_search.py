@@ -15,6 +15,7 @@ from _oracles import (
     _value,
     companion_power_sums,
     distinct_real_root_count,
+    quartic_automorphism_count,
     totally_real_box,
 )
 from latcert import modular, number_field, search
@@ -254,7 +255,8 @@ class TestCarriedPowerSums:
 class TestFieldFilter:
     def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
         # 114 of the 2401 quartics at bound 3 have four distinct real roots;
-        # 95 of them have an integer root and are dropped unfactored
+        # 95 of them have an integer root and 17 a rational root of the
+        # resolvent cubic, and both kinds are dropped unfactored
         calls, roots = [], []
         original, rational_roots = number_field.is_irreducible, search._rational_roots
 
@@ -270,7 +272,7 @@ class TestFieldFilter:
         monkeypatch.setattr(search, "_rational_roots", recording)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
         assert len(roots) == 114 and sum(map(bool, roots)) == 95
-        assert len(calls) == 19
+        assert len(calls) == 2
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 
     @pytest.mark.parametrize("degree, bound, dropped", [(3, 4, 114), (4, 3, 95), (5, 5, 1006)])
@@ -286,8 +288,15 @@ class TestFieldFilter:
         list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
         candidates = candidate_polynomials(degree, bound)
         linear = [f for f in candidates if any(len(g) == 2 for g in squarefree_factors(f))]
-        assert [f for f in candidates if f not in built] == linear
+        unbuilt = [f for f in candidates if f not in built]
+        assert [f for f in unbuilt if f in linear] == linear
         assert len(linear) == dropped
+        # the rest are the quartics dropped by their resolvent cubic: each is
+        # a product of two quadratics or has a nontrivial automorphism
+        resolvent = [f for f in unbuilt if f not in linear]
+        assert len(resolvent) == (17 if degree == 4 else 0)
+        for f in resolvent:
+            assert len(squarefree_factors(f)) > 1 or quartic_automorphism_count(*f[:4]) != 1
 
     def test_quartic_filter_takes_no_degree_patterns(self, monkeypatch):
         # Irreducibility factors at the first good prime and the automorphism
@@ -323,7 +332,8 @@ class TestFieldFilter:
                 product = _mul(product, list(g))
             assert product == list(f)
 
-    def test_quartic_filter_factors_mod_ell_19_times(self, monkeypatch):
+    def test_quartic_filter_factors_mod_ell_twice(self, monkeypatch):
+        # once for each of the two fields built
         calls = {"factor_monic": 0, "hensel_lift_blocks": 0}
         depth = [0]
         factor_monic, hensel_lift_blocks = modular.factor_monic, modular.hensel_lift_blocks
@@ -344,7 +354,7 @@ class TestFieldFilter:
         monkeypatch.setattr(modular, "factor_monic", counting_factor)
         monkeypatch.setattr(modular, "hensel_lift_blocks", counting_lift)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
-        assert calls == {"factor_monic": 19, "hensel_lift_blocks": 7}
+        assert calls == {"factor_monic": 2, "hensel_lift_blocks": 2}
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 
     @pytest.mark.parametrize(
