@@ -11,10 +11,10 @@ extension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
+from .frozen import Frozen
 from .hermitian import HermitianForm
 from .intfactor import prime_factors
 from .local import FinitePlace, splitting_in_E, valuation
@@ -36,18 +36,22 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-@dataclass(frozen=True)
-class FiniteGroupSpec:
-    family: str  # GL | SL | GU | SU
-    size: int  # matrix size n
-    q: int  # residue field cardinality (the unitary families live over F_{q^2})
+class FiniteGroupSpec(Frozen):
+    """The group `family` (GL, SL, GU or SU) of `size` x `size` matrices over
+    the residue field of cardinality `q`; the unitary families live over
+    F_{q^2}."""
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidInputError(f"unknown family {self.family!r}")
-        if self.size < 1:
+    __slots__ = ("family", "size", "q")
+
+    def __init__(self, family: str, size: int, q: int):
+        if family not in _FAMILIES:
+            raise InvalidInputError(f"unknown family {family!r}")
+        if size < 1:
             raise InvalidInputError("matrix size must be positive")
-        _prime_power(self.q)
+        _prime_power(q)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "q", q)
 
     def __str__(self) -> str:
         return f"{self.family}_{self.size}(F_{self.q})"
@@ -174,12 +178,14 @@ def enumerate_group(spec: FiniteGroupSpec, budget: int = DEFAULT_ENUMERATION_BUD
     return _enumerate_unitary(spec)
 
 
-@dataclass(frozen=True)
-class CongruenceLevel:
+class CongruenceLevel(Frozen):
     """One congruence condition: reduce the form at a finite place."""
 
-    place: FinitePlace
-    form: HermitianForm
+    __slots__ = ("place", "form")
+
+    def __init__(self, place: FinitePlace, form: HermitianForm):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "form", form)
 
 
 def congruence_index(level: CongruenceLevel) -> int:

@@ -13,10 +13,10 @@ making the forms equivalent. Everything else stays UNKNOWN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InconclusiveError, InvalidInputError
+from .frozen import Frozen
 from .local import norm_class_equal, splitting_in_E
 from .number_field import CMExtension, FieldElement, automorphism_count
 
@@ -26,9 +26,10 @@ UNKNOWN = "UNKNOWN"
 
 SignaturePattern = tuple[tuple[int, int], ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class HermitianForm:
+
+class HermitianForm(Frozen):
     """diag(a_1, ..., a_n) with entries in the base field of ext.
 
     Its invariants besides the rank are worked out once, on construction:
@@ -38,20 +39,26 @@ class HermitianForm:
     takes part in equality or hashing: both follow from `ext` and `diag`.
     """
 
-    ext: CMExtension
-    diag: tuple[FieldElement, ...]
-    signatures: SignaturePattern = field(init=False, compare=False)
-    disc: FieldElement = field(init=False, compare=False)
+    __slots__ = ("ext", "diag", "signatures", "disc")
 
-    def __post_init__(self):
-        if not self.diag:
+    def __init__(self, ext: CMExtension, diag):
+        if not diag:
             raise InvalidInputError("a form needs at least one diagonal entry")
-        diag = tuple(self.ext.base._coerce(a) for a in self.diag)
+        diag = tuple(ext.base._coerce(a) for a in diag)
         if any(a.is_zero() for a in diag):
             raise InvalidInputError("diagonal entries must be nonzero")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "disc", math.prod(diag, start=self.ext.base.one()))
-        object.__setattr__(self, "signatures", signature_pattern(self))
+        _set(self, "ext", ext)
+        _set(self, "diag", diag)
+        _set(self, "disc", math.prod(diag, start=ext.base.one()))
+        _set(self, "signatures", signature_pattern(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ext == other.ext and self.diag == other.diag
+
+    def __hash__(self):
+        return hash((self.ext, self.diag))
 
     @property
     def rank(self) -> int:
@@ -107,12 +114,19 @@ def forms_equivalent(h1: HermitianForm, h2: HermitianForm) -> bool:
     return norm_class_equal(h1.ext, h1.disc, h2.disc)
 
 
-@dataclass(frozen=True)
-class IsomorphismVerdict:
-    status: str  # ISOMORPHIC | NOT_ISOMORPHIC | UNKNOWN
-    witness_place: Optional[int] = None  # definite/indefinite mismatch location
-    scaling: Optional[FieldElement] = None  # lambda with lambda*h1 ~ h2
-    detail: str = ""
+class IsomorphismVerdict(Frozen):
+    """`status` is ISOMORPHIC, NOT_ISOMORPHIC or UNKNOWN; `witness_place` is
+    where a definite/indefinite mismatch lies, `scaling` a lambda with
+    lambda*h1 ~ h2."""
+
+    __slots__ = ("status", "witness_place", "scaling", "detail")
+
+    def __init__(self, status: str, witness_place: Optional[int] = None,
+                 scaling: Optional[FieldElement] = None, detail: str = ""):
+        _set(self, "status", status)
+        _set(self, "witness_place", witness_place)
+        _set(self, "scaling", scaling)
+        _set(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.status} ({self.detail})" if self.detail else self.status
@@ -219,17 +233,21 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
-    name: str
-    status: str  # PASS | FAIL | UNKNOWN
-    detail: str
+class ComponentCheck(Frozen):
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        _set(self, "name", name)
+        _set(self, "status", status)  # PASS | FAIL | UNKNOWN
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class SeedVerdict:
-    status: str  # PASS | FAIL | UNKNOWN
-    components: tuple[ComponentCheck, ...]
+class SeedVerdict(Frozen):
+    __slots__ = ("status", "components")
+
+    def __init__(self, status: str, components: tuple[ComponentCheck, ...]):
+        _set(self, "status", status)  # PASS | FAIL | UNKNOWN
+        _set(self, "components", components)
 
     def component(self, name: str) -> ComponentCheck:
         for c in self.components:

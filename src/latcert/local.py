@@ -32,7 +32,6 @@ than guessing; callers report them as UNKNOWN.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -43,6 +42,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedPlaceError,
 )
+from .frozen import Frozen
 from .intfactor import is_prime, prime_factors
 from .modular import FiniteField
 from .number_field import (
@@ -56,16 +56,29 @@ from .polynomials import _poly_mul, _reduce_monic, resultant_int
 _MAX_LIFT_PRECISION = 8192
 _DYADIC_ENUMERATION_CAP = 2_000_000
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class FinitePlace:
-    """A prime of F above l: one irreducible factor of min_poly mod l."""
 
-    field: NumberField
-    prime: int
-    factor: tuple[int, ...]  # monic irreducible mod l, constant term first
-    ramification: int
-    index: int  # position in the canonical (degree, coefficients) ordering
+class FinitePlace(Frozen):
+    """A prime of F above l: one irreducible factor of min_poly mod l.
+
+    `factor` is monic irreducible mod l, constant term first, and `index`
+    the position in the canonical (degree, coefficients) ordering.
+    """
+
+    __slots__ = ("field", "prime", "factor", "ramification", "index", "_hash")
+
+    def __init__(self, field: NumberField, prime: int, factor: tuple[int, ...],
+                 ramification: int, index: int):
+        _set(self, "field", field)
+        _set(self, "prime", prime)
+        _set(self, "factor", factor)
+        _set(self, "ramification", ramification)
+        _set(self, "index", index)
+        _set(self, "_hash", hash((field, prime, factor, ramification, index)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def residue_degree(self) -> int:
@@ -294,10 +307,12 @@ def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int
 # Splitting of places in E = F(sqrt(delta))
 
 
-@dataclass(frozen=True)
-class SplittingResult:
-    kind: str  # "split" | "inert" | "ramified"
-    method: str
+class SplittingResult(Frozen):
+    __slots__ = ("kind", "method")
+
+    def __init__(self, kind: str, method: str):
+        _set(self, "kind", kind)  # "split" | "inert" | "ramified"
+        _set(self, "method", method)
 
     def __str__(self) -> str:
         return f"{self.kind} ({self.method})"
@@ -412,11 +427,14 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 # Local norm tests
 
 
-@dataclass(frozen=True)
-class LocalNormResult:
-    is_norm: bool
-    method: str  # "split" | "unramified-valuation" | "hensel-lift" | "archimedean-sign"
-    place: Place
+class LocalNormResult(Frozen):
+    __slots__ = ("is_norm", "method", "place")
+
+    def __init__(self, is_norm: bool, method: str, place: Place):
+        _set(self, "is_norm", is_norm)
+        # "split" | "unramified-valuation" | "hensel-lift" | "archimedean-sign"
+        _set(self, "method", method)
+        _set(self, "place", place)
 
     def __bool__(self) -> bool:
         return self.is_norm
@@ -463,19 +481,24 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
 # Product-formula reports
 
 
-@dataclass(frozen=True)
-class PlaceSymbolEntry:
-    label: str
-    symbol: Optional[int]  # +1 / -1, or None when unknown
-    method: str
+class PlaceSymbolEntry(Frozen):
+    __slots__ = ("label", "symbol", "method")
+
+    def __init__(self, label: str, symbol: Optional[int], method: str):
+        _set(self, "label", label)
+        _set(self, "symbol", symbol)  # +1 / -1, or None when unknown
+        _set(self, "method", method)
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    element: str
-    entries: tuple[PlaceSymbolEntry, ...]
-    unknown_labels: tuple[str, ...]
-    minus_count: int
+class HilbertReport(Frozen):
+    __slots__ = ("element", "entries", "unknown_labels", "minus_count")
+
+    def __init__(self, element: str, entries: tuple[PlaceSymbolEntry, ...],
+                 unknown_labels: tuple[str, ...], minus_count: int):
+        _set(self, "element", element)
+        _set(self, "entries", entries)
+        _set(self, "unknown_labels", unknown_labels)
+        _set(self, "minus_count", minus_count)
 
     @property
     def conclusive(self) -> bool:

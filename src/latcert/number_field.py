@@ -28,11 +28,11 @@ over Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInputError
+from .frozen import Frozen
 from .polynomials import (
     Interval,
     Polynomial,
@@ -56,6 +56,8 @@ from .polynomials import (
 # dividing the discriminant are skipped.
 _AUTOMORPHISM_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+_set = object.__setattr__
+
 
 def is_rational_square(q: Fraction) -> bool:
     """Exact test for q being the square of a rational."""
@@ -66,11 +68,13 @@ def is_rational_square(q: Fraction) -> bool:
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
-@dataclass(frozen=True)
-class RealPlace:
+class RealPlace(Frozen):
     """One real embedding, identified by its canonical (ascending) index."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
     def __str__(self) -> str:
         return f"real place {self.index}"
@@ -92,21 +96,17 @@ def _real_root_cells(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in cells)
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Frozen):
     """Q[x]/(min_poly) for monic irreducible min_poly with integer coefficients.
 
     Equality and hashing read `int_poly`, min_poly as integers, constant term
     first; the other fields follow from it and are set once, on construction.
     """
 
-    min_poly: Polynomial = field(compare=False)
-    int_poly: tuple[int, ...] = field(init=False, repr=False)
-    discriminant: Fraction = field(init=False, repr=False, compare=False)
-    _root_cells: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("min_poly", "int_poly", "discriminant", "_root_cells", "_hash")
 
-    def __post_init__(self):
-        p = self.min_poly
+    def __init__(self, min_poly: Polynomial):
+        p = min_poly
         if p.degree() < 1:
             raise InvalidInputError("defining polynomial must have degree >= 1")
         if not p.is_monic():
@@ -114,9 +114,19 @@ class NumberField:
         ints = p.int_coeffs()  # raises on fractional coefficients
         if not is_irreducible(p):
             raise InvalidInputError("defining polynomial is reducible over Q")
-        object.__setattr__(self, "int_poly", ints)
-        object.__setattr__(self, "discriminant", discriminant(p))
-        object.__setattr__(self, "_root_cells", _real_root_cells(ints))
+        _set(self, "min_poly", p)
+        _set(self, "int_poly", ints)
+        _set(self, "discriminant", discriminant(p))
+        _set(self, "_root_cells", _real_root_cells(ints))
+        _set(self, "_hash", hash((ints,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.int_poly == other.int_poly
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -172,24 +182,31 @@ class NumberField:
         return f"Q[x]/({self.min_poly})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """Element of a NumberField: power-basis coordinates num/den in lowest
     terms with den > 0, the one form that equality and hashing read.
     `NumberField.element` builds one from rational coordinates."""
 
-    field: NumberField
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("field", "num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if len(num) != self.field.degree:
-            raise InvalidInputError(f"expected {self.field.degree} coordinates, got {len(num)}")
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
+        if len(num) != field.degree:
+            raise InvalidInputError(f"expected {field.degree} coordinates, got {len(num)}")
         if type(num) is not tuple or any(type(c) is not int for c in (den, *num)):
             raise InvalidInputError("an element is a tuple of int numerators over an int")
         if den <= 0 or math.gcd(den, *num) != 1:
             raise InvalidInputError("an element needs den > 0 and gcd(den, *num) == 1")
+        _set(self, "field", field)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.field == other.field
+
+    def __hash__(self):
+        return hash((self.field, self.num, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -437,24 +454,33 @@ def _shifted_norm(p: tuple[int, ...], s: int) -> tuple[int, ...]:
 # CM extensions E = F(sqrt(delta))
 
 
-@dataclass(frozen=True)
-class CMExtension:
+class CMExtension(Frozen):
     """Totally imaginary quadratic extension of a totally real field.
 
     delta must be totally negative, which already forces x^2 - delta to be
     irreducible over the base (a square would be totally nonnegative).
     """
 
-    base: NumberField
-    delta: FieldElement
+    __slots__ = ("base", "delta", "_hash")
 
-    def __post_init__(self):
-        if self.delta.field != self.base:
+    def __init__(self, base: NumberField, delta: FieldElement):
+        if delta.field != base:
             raise InvalidInputError("delta must live in the base field")
-        if not self.base.is_totally_real():
+        if not base.is_totally_real():
             raise InvalidInputError("base field must be totally real")
-        if self.delta.is_zero() or not self.delta.is_totally_negative():
+        if delta.is_zero() or not delta.is_totally_negative():
             raise InvalidInputError("delta must be totally negative")
+        _set(self, "base", base)
+        _set(self, "delta", delta)
+        _set(self, "_hash", hash((base, delta)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.delta == other.delta and self.base == other.base)
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.base}(sqrt({self.delta}))"
@@ -464,27 +490,27 @@ class CMExtension:
 # Galois closure data
 
 
-@dataclass(frozen=True)
-class GaloisClosure:
+class GaloisClosure(Frozen):
     """A closure field plus claimed embeddings of the base generator into it."""
 
-    base: NumberField
-    closure: NumberField
-    embeddings: tuple[FieldElement, ...]
+    __slots__ = ("base", "closure", "embeddings")
 
-    def __post_init__(self):
+    def __init__(self, base: NumberField, closure: NumberField, embeddings):
         # a tuple, so the images checked below cannot change afterwards
         try:
-            object.__setattr__(self, "embeddings", tuple(self.embeddings))
+            embeddings = tuple(embeddings)
         except TypeError:
             raise InvalidInputError("embedding images must be a sequence") from None
-        if not self.embeddings:
+        if not embeddings:
             raise InvalidInputError("at least one embedding image is required")
-        for e in self.embeddings:
-            if e.field != self.closure:
+        for e in embeddings:
+            if e.field != closure:
                 raise InvalidInputError("embedding images must live in the closure field")
-        if len(set(self.embeddings)) != len(self.embeddings):
+        if len(set(embeddings)) != len(embeddings):
             raise InvalidInputError("embedding images must be pairwise distinct")
+        _set(self, "base", base)
+        _set(self, "closure", closure)
+        _set(self, "embeddings", embeddings)
 
     def verify_embedding(self, index: int) -> bool:
         """Exact check that base.min_poly vanishes on the index-th image."""

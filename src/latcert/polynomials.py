@@ -41,12 +41,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from . import modular
 from .errors import InvalidInputError
+from .frozen import Frozen
 from .intfactor import divisors, is_prime
 
 Scalar = Union[int, Fraction]
@@ -60,11 +60,10 @@ def _coerce(value: Scalar) -> Fraction:
     raise InvalidInputError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Immutable rational polynomial, coefficients constant-term first."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_coerce(c) for c in coeffs]
@@ -184,15 +183,13 @@ def _derivative_resultant(f: tuple[int, ...]) -> int:
 # Real root machinery
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed rational interval; degenerate (lo == hi) pins an exact root."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = _coerce(self.lo), _coerce(self.hi)
+    def __init__(self, lo: Scalar, hi: Scalar):
+        lo, hi = _coerce(lo), _coerce(hi)
         if lo > hi:
             raise InvalidInputError(f"interval endpoints out of order: {lo} > {hi}")
         object.__setattr__(self, "lo", lo)
@@ -617,14 +614,15 @@ def _halve(q: tuple[int, ...], cell: list[int]) -> None:
 
 def _rational_roots(q: tuple[int, ...]) -> list[tuple[int, int]]:
     # Roots (num, den) of a squarefree integer polynomial: num divides the
-    # constant term and den the leading coefficient (the rational root test).
+    # constant term and den the leading coefficient (the rational root test),
+    # so a monic q has only integer roots.
     roots = []
     if len(q) > 1 and q[0] == 0:
         roots.append((0, 1))
         q = q[1:]
     if len(q) > 1:
         for num in divisors(q[0]):
-            for den in divisors(q[-1]):
+            for den in (1,) if q[-1] == 1 else divisors(q[-1]):
                 if math.gcd(num, den) == 1:
                     roots += [(x, den) for x in (num, -num) if _value(q, x, den) == 0]
     return roots

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .certificates import (
     FORMAT_VERSION,
@@ -29,6 +27,7 @@ from .errors import (
     UnsupportedPlaceError,
 )
 from .finite_groups import CongruenceLevel, congruence_index
+from .frozen import Frozen
 from .hermitian import (
     HermitianForm,
     _indefinite,
@@ -74,6 +73,10 @@ ASSUMPTIONS = (
 
 
 def load_example_fixture() -> dict:
+    # imported here, its only use: importlib.resources loads pathlib, shutil,
+    # tempfile, zipfile and more, which nothing else needs
+    from importlib import resources
+
     text = resources.files("latcert").joinpath("data/paper_example.json").read_text("utf-8")
     return json.loads(text)
 
@@ -388,10 +391,12 @@ def run_paper_example() -> dict:
     return build_certificate(load_example_fixture())
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    status: str  # OK | MISMATCH
-    paths: tuple[str, ...]
+class VerificationReport(Frozen):
+    __slots__ = ("status", "paths")
+
+    def __init__(self, status: str, paths: tuple[str, ...]):
+        object.__setattr__(self, "status", status)  # OK | MISMATCH
+        object.__setattr__(self, "paths", paths)
 
     def __bool__(self) -> bool:
         return self.status == OK

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .certificates import exact, write_certificate
 from .errors import BudgetExceededError, InvalidInputError
 from .finite_groups import DEFAULT_ENUMERATION_BUDGET
+from .frozen import Frozen
 from .hermitian import PASS, HermitianForm
 from .intfactor import is_prime
 from .local import hilbert_product_check
@@ -45,40 +45,58 @@ from .polynomials import (
 from .runner import build_certificate
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    degree: int = 3
-    coefficient_bound: int = 3
-    delta_candidates: tuple = (Fraction(-1),)
-    rank: int = 3
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
-    output_path: Optional[str] = None
-    max_certificates: Optional[int] = None
+class SearchConfig(Frozen):
+    __slots__ = (
+        "degree",
+        "coefficient_bound",
+        "delta_candidates",
+        "rank",
+        "enumeration_budget",
+        "output_path",
+        "max_certificates",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        degree: int = 3,
+        coefficient_bound: int = 3,
+        delta_candidates=(Fraction(-1),),
+        rank: int = 3,
+        enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+        output_path: Optional[str] = None,
+        max_certificates: Optional[int] = None,
+    ):
         # type(), not isinstance(): a bool is an int too
-        for name in ("degree", "coefficient_bound", "rank", "enumeration_budget"):
-            if type(getattr(self, name)) is not int:
+        for name, value in (("degree", degree), ("coefficient_bound", coefficient_bound),
+                            ("rank", rank), ("enumeration_budget", enumeration_budget)):
+            if type(value) is not int:
                 raise InvalidInputError(f"{name} must be an integer")
-        if self.degree < 2:
+        if degree < 2:
             raise InvalidInputError("degree must be at least 2")
-        if self.rank < 3 or self.rank % 2 == 0:
+        if rank < 3 or rank % 2 == 0:
             raise InvalidInputError("rank must be an odd integer >= 3")
-        if self.coefficient_bound < 0:
+        if coefficient_bound < 0:
             raise InvalidInputError("coefficient bound must be nonnegative")
         # a tuple, so the list checked below cannot change afterwards
         try:
-            object.__setattr__(self, "delta_candidates", tuple(self.delta_candidates))
+            delta_candidates = tuple(delta_candidates)
         except TypeError:
             raise InvalidInputError("delta candidates must be a sequence") from None
-        if not self.delta_candidates:
+        if not delta_candidates:
             raise InvalidInputError("at least one delta candidate is required")
-        for d in self.delta_candidates:
+        for d in delta_candidates:
             if (type(d) is not int and not isinstance(d, Fraction)) or d >= 0:
                 raise InvalidInputError("delta candidates must be negative int or Fraction")
-        limit = self.max_certificates
+        limit = max_certificates
         if limit is not None and (type(limit) is not int or limit < 1):
             raise InvalidInputError("max certificates must be an integer of at least 1")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficient_bound", coefficient_bound)
+        object.__setattr__(self, "delta_candidates", delta_candidates)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "enumeration_budget", enumeration_budget)
+        object.__setattr__(self, "output_path", output_path)
+        object.__setattr__(self, "max_certificates", limit)
 
 
 def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:

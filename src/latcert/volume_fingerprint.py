@@ -10,13 +10,13 @@ so "same covolume" is certified by equality alone, with no volume evaluated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
 from .errors import InvalidInputError
 from .finite_groups import CongruenceLevel
+from .frozen import Frozen
 from .hermitian import HermitianForm
 from .intfactor import prime_factors
 from .number_field import CMExtension, FieldElement
@@ -69,26 +69,32 @@ def level_id_for(levels: Iterable[CongruenceLevel]) -> str:
     return digest[:16]
 
 
-@dataclass(frozen=True)
-class VolumeFingerprint:
-    """The seven structural inputs that pin down a lattice covolume."""
+class VolumeFingerprint(Frozen):
+    """The seven structural inputs that pin down a lattice covolume, in
+    `ITEM_NAMES` order."""
 
-    base_field_disc: Fraction
-    relative_ext_id: str
-    group_dim: int
-    quasi_split_form_id: str
-    exponents: tuple[int, ...]
-    tamagawa: int
-    level_id: str
+    __slots__ = ITEM_NAMES
 
-    def __post_init__(self):
-        rank = len(self.exponents) + 1
-        if self.exponents != tuple(range(1, rank)):
+    def __init__(
+        self,
+        base_field_disc: Fraction,
+        relative_ext_id: str,
+        group_dim: int,
+        quasi_split_form_id: str,
+        exponents: tuple[int, ...],
+        tamagawa: int,
+        level_id: str,
+    ):
+        rank = len(exponents) + 1
+        if exponents != tuple(range(1, rank)):
             raise InvalidInputError("exponents must be 1..rank-1")
-        if self.group_dim != rank * rank - 1:
+        if group_dim != rank * rank - 1:
             raise InvalidInputError("group dimension must be rank^2 - 1")
-        if self.tamagawa != 1:
+        if tamagawa != 1:
             raise InvalidInputError("Tamagawa number is always 1 here")
+        for name, value in zip(ITEM_NAMES, (base_field_disc, relative_ext_id, group_dim,
+                                            quasi_split_form_id, exponents, tamagawa, level_id)):
+            object.__setattr__(self, name, value)
 
 
 def fingerprint(h: HermitianForm, level_id: str) -> VolumeFingerprint:

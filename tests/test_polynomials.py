@@ -24,7 +24,7 @@ from _oracles import (
     sign_scan_roots,
     sylvester_resultant,
 )
-from latcert import modular
+from latcert import intfactor, modular
 from latcert.errors import InvalidInputError
 from latcert.intfactor import is_prime
 from latcert.polynomials import (
@@ -434,6 +434,21 @@ class TestRationalRoots:
     def test_fractional_roots(self):
         p = Polynomial((-1, 0, 4))  # (2x-1)(2x+1)
         assert sorted(_rational_roots(_core(p))) == [(-1, 2), (1, 2)]
+
+    def test_monic_input_factors_only_the_constant_term(self, monkeypatch):
+        factored = []
+
+        def recording(n):
+            factored.append(n)
+            return original(n)
+
+        original = intfactor.prime_factors
+        monkeypatch.setattr(intfactor, "prime_factors", recording)
+        assert sorted(_rational_roots((-6, 1, 4, 1))) == [(-3, 1), (-2, 1), (1, 1)]
+        assert factored == [-6]
+        factored.clear()
+        assert sorted(_rational_roots((-1, 0, 4))) == [(-1, 2), (1, 2)]
+        assert factored == [-1, 4]
 
 
 class TestHelpers:
