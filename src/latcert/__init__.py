@@ -63,9 +63,12 @@ from .polynomials import (
     isolate_real_roots,
 )
 from .runner import (
+    SeedInput,
     build_certificate,
     load_example_fixture,
+    parse_seed_input,
     run_paper_example,
+    seed_echo,
     verify_certificate,
     verify_payload,
 )
@@ -97,6 +100,7 @@ __all__ = [
     "NumberField",
     "Polynomial",
     "SearchConfig",
+    "SeedInput",
     "SeedVerdict",
     "UnsupportedPlaceError",
     "VolumeFingerprint",
@@ -126,11 +130,13 @@ __all__ = [
     "load_example_fixture",
     "local_norm_test",
     "parse_exact",
+    "parse_seed_input",
     "rebuild_index",
     "relative_extension_id",
     "relevant_primes",
     "run_paper_example",
     "search_seeds",
+    "seed_echo",
     "seed_pair_check",
     "signature_pattern",
     "splitting_in_E",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import Optional
 
 from .certificates import (
     FORMAT_VERSION,
@@ -34,6 +35,7 @@ from .hermitian import (
     seed_pair_check,
     twist_pattern,
 )
+from .intfactor import is_prime
 from .local import (
     factor_prime,
     hilbert_product_check,
@@ -42,6 +44,7 @@ from .local import (
 )
 from .number_field import (
     CMExtension,
+    FieldElement,
     GaloisClosure,
     NumberField,
     automorphism_count,
@@ -49,6 +52,8 @@ from .number_field import (
 )
 from .polynomials import Polynomial
 from .volume_fingerprint import ITEM_NAMES, fingerprint, level_id_for
+
+_set = object.__setattr__
 
 LAMBDA_HEIGHT = 2
 
@@ -81,46 +86,286 @@ def load_example_fixture() -> dict:
     return json.loads(text)
 
 
-def _poly(coeff_strings) -> Polynomial:
-    return Polynomial(tuple(parse_exact(c) for c in coeff_strings))
-
-
-def _integer(text: str) -> int:
-    value = parse_exact(text)
-    if value.denominator != 1:
-        raise InvalidInputError(f"expected an integer, got {text!r}")
-    return value.numerator
-
-
-def _elem(field: NumberField, coord_strings):
-    return field.element(tuple(parse_exact(c) for c in coord_strings))
-
-
 def _coords(elem) -> list:
+    if elem.den == 1:  # exact() of an int is its decimal string
+        return [str(n) for n in elem.num]
     return [exact(c) for c in elem.coords]
+
+
+def _rows(elems) -> list:
+    return [_coords(e) for e in elems]
 
 
 def _pattern_rows(pattern) -> list:
     return [[exact(p), exact(q)] for p, q in pattern]
 
 
-def build_certificate(inputs: dict) -> dict:
-    """Run the whole pipeline on one input record. Pure and deterministic:
-    equal inputs give byte-equal certificates, so verification recomputes
-    identically from the echoed input alone."""
-    field = NumberField(_poly(inputs["field"]["min_poly"]))
+def _exacts(values) -> list:
+    return [exact(v) for v in values]
+
+
+class SeedInput(Frozen):
+    """One seed pair and the data sampled with it, as the objects that
+    `build_certificate` certifies: forms h1 and h2 over `ext`, and tau, a
+    permutation of the real places. The recorded values are the input's
+    claims, set beside what the certificate computes; the closure fields
+    are None when there is no closure. `parse_seed_input` reads a seed from
+    its input record, and `seed_echo` writes the record.
+    """
+
+    __slots__ = (
+        "ext",
+        "h1",
+        "h2",
+        "tau",
+        "recorded_disc",
+        "recorded_automorphism_count",
+        "recorded_positive_count",
+        "claimed_units",
+        "lambda_generators",
+        "norm_elements",
+        "product_elements",
+        "norm_primes",
+        "congruence_primes",
+        "probe_prime",
+        "closure",
+        "closure_recorded_disc",
+    )
+
+    def __init__(
+        self,
+        ext: CMExtension,
+        h1: HermitianForm,
+        h2: HermitianForm,
+        tau,
+        *,
+        recorded_disc: Fraction,
+        recorded_automorphism_count: int,
+        recorded_positive_count: int,
+        claimed_units,
+        lambda_generators,
+        norm_elements,
+        product_elements,
+        norm_primes,
+        congruence_primes,
+        probe_prime: int,
+        closure: Optional[GaloisClosure] = None,
+        closure_recorded_disc: Optional[Fraction] = None,
+    ):
+        # the sequences as tuples, so that a seed holds no list
+        _set(self, "ext", ext)
+        _set(self, "h1", h1)
+        _set(self, "h2", h2)
+        _set(self, "tau", tuple(tau))
+        _set(self, "recorded_disc", recorded_disc)
+        _set(self, "recorded_automorphism_count", recorded_automorphism_count)
+        _set(self, "recorded_positive_count", recorded_positive_count)
+        _set(self, "claimed_units", tuple(claimed_units))
+        _set(self, "lambda_generators", tuple(lambda_generators))
+        _set(self, "norm_elements", tuple(norm_elements))
+        _set(self, "product_elements", tuple(product_elements))
+        _set(self, "norm_primes", tuple(norm_primes))
+        _set(self, "congruence_primes", tuple(congruence_primes))
+        _set(self, "probe_prime", probe_prime)
+        _set(self, "closure", closure)
+        _set(self, "closure_recorded_disc", closure_recorded_disc)
+
+    @property
+    def field(self) -> NumberField:
+        return self.ext.base
+
+
+def _refused(path: str, why: str) -> CertificateFormatError:
+    return CertificateFormatError(f"echoed input {path} {why}")
+
+
+def _at(echo: dict, path: str, read):
+    """read(value, path) of the value at the dotted `path` of the echo."""
+    node, keys = echo, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise _refused(".".join(keys[:i]), "must be an object")
+        if key not in node:
+            raise _refused(path, "is missing")
+        node = node[key]
+    return read(node, path)
+
+
+def _list(read):
+    """A reader of a list, as the tuple of what `read` reads from its items."""
+
+    def read_list(items, path: str) -> tuple:
+        if not isinstance(items, list):
+            raise _refused(path, "must be a list")
+        return tuple([read(item, f"{path}[{i}]") for i, item in enumerate(items)])
+
+    return read_list
+
+
+def _number(text, path: str) -> Fraction:
+    # only as exact() spells it, which is str() of the Fraction, so that what
+    # is written from the value repeats the echo
+    try:
+        value = parse_exact(text) if text.__class__ is str else None
+    except CertificateFormatError:
+        value = None
+    if value is None or str(value) != text:
+        raise _refused(path, f"must be a number string as exact() writes it, not {text!r}")
+    return value
+
+
+def _integer(text, path: str) -> int:
+    value = _number(text, path)
+    if value.denominator != 1:
+        raise _refused(path, f"must be an integer, not {text!r}")
+    return value.numerator
+
+
+def _prime(text, path: str) -> int:
+    p = _integer(text, path)
+    if not is_prime(p):
+        raise _refused(path, f"must be a prime, not {p}")
+    return p
+
+
+def _built(path: str, make, *args):
+    """make(*args), with an InvalidInputError refused at `path`."""
+    try:
+        return make(*args)
+    except InvalidInputError as ex:
+        raise _refused(path, f"is invalid: {ex}") from ex
+
+
+def _field(coeffs, path: str) -> NumberField:
+    coeffs = _list(_number)(coeffs, path)
+    if not coeffs or coeffs[-1] != 1:  # so that no zero leading coefficient is dropped
+        raise _refused(path, "must be monic")
+    return _built(path, NumberField, Polynomial(coeffs))
+
+
+def _element(field: NumberField, need: Optional[str] = None):
+    """A reader of an element of `field` by its coordinates; `need` may ask
+    for a "nonzero" or an "integral" one."""
+
+    def read(coords, path: str) -> FieldElement:
+        if not isinstance(coords, list) or len(coords) != field.degree:
+            raise _refused(path, f"must be a list of {field.degree} coordinates")
+        e = field.element([_number(c, path) for c in coords])
+        if (need == "nonzero" and e.is_zero()) or (need == "integral" and e.den != 1):
+            raise _refused(path, f"must be {need}")
+        return e
+
+    return read
+
+
+def parse_seed_input(echo) -> SeedInput:
+    """The seed an input record describes: the one reader of a certificate's
+    `config_echo.input`.
+
+    Every key but `closure` is required. A number is a string as exact()
+    writes it, and a list is a JSON list, never a string read digit by
+    digit. The values must also meet what `build_certificate` assumes:
+    monic irreducible polynomials, a totally negative delta, two forms of
+    equal odd rank, a permutation tau, primes, nonzero sample elements and
+    integral claimed units. Anything else raises CertificateFormatError,
+    naming the key path.
+    """
+    if not isinstance(echo, dict):
+        raise CertificateFormatError("echoed input must be an object")
+    field = _at(echo, "field.min_poly", _field)
+    element = _element(field)
+    ext = _built("extension.delta", CMExtension, field, _at(echo, "extension.delta", element))
+    h1 = _built("forms.first", HermitianForm, ext, _at(echo, "forms.first", _list(element)))
+    h2 = _built("forms.second", HermitianForm, ext, _at(echo, "forms.second", _list(element)))
+    if h1.rank != h2.rank or h1.rank % 2 == 0:
+        raise _refused("forms", "must be two forms of equal odd rank")
+    tau = _at(echo, "twist.tau", _list(_integer))
+    if sorted(tau) != list(range(field.real_place_count)):
+        raise _refused("twist.tau", f"must be a permutation of 0..{field.real_place_count - 1}")
+    closure = closure_disc = None
+    if "closure" in echo:
+        closure_field = _at(echo, "closure.min_poly", _field)
+        images = _at(echo, "closure.embeddings", _list(_element(closure_field)))
+        closure = _built("closure.embeddings", GaloisClosure, field, closure_field, images)
+        closure_disc = _at(echo, "closure.recorded_disc", _number)
+        if closure_disc == 0:
+            raise _refused("closure.recorded_disc", "must be nonzero")
+    samples = _list(_element(field, "nonzero"))
+    return SeedInput(
+        ext,
+        h1,
+        h2,
+        tau,
+        recorded_disc=_at(echo, "field.recorded_disc", _number),
+        recorded_automorphism_count=_at(echo, "field.recorded_automorphism_count", _integer),
+        recorded_positive_count=_at(echo, "field.recorded_generator_positive_count", _integer),
+        claimed_units=_at(echo, "units.claimed_unit_coords", _list(_element(field, "integral"))),
+        lambda_generators=_at(echo, "units.lambda_generators", samples),
+        norm_elements=_at(echo, "local_samples.norm_element_coords", samples),
+        product_elements=_at(echo, "local_samples.product_element_coords", samples),
+        norm_primes=_at(echo, "local_samples.norm_primes", _list(_prime)),
+        congruence_primes=_at(echo, "congruence_primes", _list(_prime)),
+        probe_prime=_at(echo, "probe_prime", _prime),
+        closure=closure,
+        closure_recorded_disc=closure_disc,
+    )
+
+
+def seed_echo(seed: SeedInput) -> dict:
+    """The input record of `seed` as the search writes it, every number an
+    exact() string; `parse_seed_input` reads `seed` back from it."""
+    field = seed.field
+    echo = {
+        "format_version": "1",
+        "kind": "search-seed-input",
+        "name": f"degree{field.degree}-disc{field.discriminant}",
+        "field": {
+            "min_poly": _exacts(field.min_poly.coeffs),
+            "recorded_disc": exact(seed.recorded_disc),
+            "recorded_automorphism_count": exact(seed.recorded_automorphism_count),
+            "recorded_generator_positive_count": exact(seed.recorded_positive_count),
+        },
+        "extension": {"delta": _coords(seed.ext.delta)},
+        "forms": {"first": _rows(seed.h1.diag), "second": _rows(seed.h2.diag)},
+        "twist": {"tau": _exacts(seed.tau)},
+        "units": {
+            "claimed_unit_coords": _rows(seed.claimed_units),
+            "lambda_generators": _rows(seed.lambda_generators),
+        },
+        "local_samples": {
+            "norm_element_coords": _rows(seed.norm_elements),
+            "norm_primes": _exacts(seed.norm_primes),
+            "product_element_coords": _rows(seed.product_elements),
+        },
+        "congruence_primes": _exacts(seed.congruence_primes),
+        "probe_prime": exact(seed.probe_prime),
+    }
+    if seed.closure is not None:
+        echo["closure"] = {
+            "min_poly": _exacts(seed.closure.closure.min_poly.coeffs),
+            "recorded_disc": exact(seed.closure_recorded_disc),
+            "embeddings": _rows(seed.closure.embeddings),
+        }
+    return echo
+
+
+def build_certificate(seed: SeedInput, echo: dict) -> dict:
+    """Run the whole pipeline on one seed. Pure and deterministic: equal
+    seeds give byte-equal certificates. `echo` is the seed's input record;
+    it is not read, only copied whole into `config_echo`, so verification
+    recomputes identically from the echoed input alone."""
+    field, ext, h1, h2 = seed.field, seed.ext, seed.h1, seed.h2
     discrepancies: list[dict] = []
 
     # field data
     disc = Fraction(field.discriminant)
-    recorded_disc = parse_exact(inputs["field"]["recorded_disc"])
+    recorded_disc = seed.recorded_disc
     aut = automorphism_count(field)
     signs = field.generator().signs()
     positive = sum(1 for s in signs if s > 0)
-    recorded_positive = _integer(inputs["field"]["recorded_generator_positive_count"])
     intervals = [[exact(iv.lo), exact(iv.hi)] for iv in field.real_place_intervals()]
     field_block = {
-        "min_poly": list(inputs["field"]["min_poly"]),
+        "min_poly": _exacts(field.min_poly.coeffs),
         "disc": exact(disc),
         "disc_matches_recorded": disc == recorded_disc,
         "automorphism_count": exact(aut),
@@ -136,30 +381,29 @@ def build_certificate(inputs: dict) -> dict:
                 "note": "computed value kept verbatim",
             }
         )
-    if positive != recorded_positive:
+    if positive != seed.recorded_positive_count:
         discrepancies.append(
             {
                 "at": "field_block/generator_signs",
                 "computed": exact(positive),
-                "recorded": exact(recorded_positive),
+                "recorded": exact(seed.recorded_positive_count),
                 "note": "count of real places where the generator is positive "
                 "disagrees with the recorded claim; the recorded signature "
                 "products still match under the place dictionary below",
             }
         )
-    if aut != _integer(inputs["field"]["recorded_automorphism_count"]):
+    if aut != seed.recorded_automorphism_count:
         discrepancies.append(
             {
                 "at": "field_block/automorphism_count",
                 "computed": exact(aut),
-                "recorded": inputs["field"]["recorded_automorphism_count"],
+                "recorded": exact(seed.recorded_automorphism_count),
                 "note": "computed value kept verbatim",
             }
         )
 
     # quadratic extension
-    delta = _elem(field, inputs["extension"]["delta"])
-    ext = CMExtension(field, delta)
+    delta = ext.delta
     cm_block = {
         "delta": _coords(delta),
         "delta_signs": [exact(s) for s in delta.signs()],
@@ -168,23 +412,19 @@ def build_certificate(inputs: dict) -> dict:
 
     # closure field and embeddings; searched seeds carry no closure data
     closure_block = None
-    if "closure" in inputs:
-        closure_field = NumberField(_poly(inputs["closure"]["min_poly"]))
-        images = tuple(_elem(closure_field, e) for e in inputs["closure"]["embeddings"])
-        closure = GaloisClosure(field, closure_field, images)
-        closure_disc = Fraction(closure_field.discriminant)
-        recorded_closure_disc = parse_exact(inputs["closure"]["recorded_disc"])
-        if recorded_closure_disc == 0:
-            raise InvalidInputError("closure.recorded_disc must be nonzero")
+    closure = seed.closure
+    if closure is not None:
+        closure_disc = Fraction(closure.closure.discriminant)
+        recorded_closure_disc = seed.closure_recorded_disc
         ratio = closure_disc / recorded_closure_disc
         is_sq = is_rational_square(ratio)
         closure_block = {
-            "min_poly": list(inputs["closure"]["min_poly"]),
+            "min_poly": _exacts(closure.closure.min_poly.coeffs),
             "poly_disc": exact(closure_disc),
             "recorded_disc": exact(recorded_closure_disc),
             "disc_ratio": exact(ratio),
             "disc_ratio_is_square": is_sq,
-            "embeddings": [list(e) for e in inputs["closure"]["embeddings"]],
+            "embeddings": _rows(closure.embeddings),
             "embedding_checks": list(closure.verify_all()),
         }
         if is_sq:
@@ -204,8 +444,6 @@ def build_certificate(inputs: dict) -> dict:
             )
 
     # the two forms
-    h1 = HermitianForm(ext, tuple(_elem(field, c) for c in inputs["forms"]["first"]))
-    h2 = HermitianForm(ext, tuple(_elem(field, c) for c in inputs["forms"]["second"]))
     forms_block = {
         "rank": exact(h1.rank),
         "first": [[exact(c) for c in e.coords] for e in h1.diag],
@@ -231,29 +469,23 @@ def build_certificate(inputs: dict) -> dict:
         }
 
     # twist
-    tau = tuple(_integer(t) for t in inputs["twist"]["tau"])
-    twisted = twist_pattern(pat1, tau)
+    twisted = twist_pattern(pat1, seed.tau)
     twist_block = {
-        "tau": list(inputs["twist"]["tau"]),
+        "tau": _exacts(seed.tau),
         "twisted_pattern": _pattern_rows(twisted),
         "pattern_match": twisted == pat2,
     }
 
     # units
-    units_in = inputs.get("units", {})
-    unit_entries = []
-    for coords in units_in.get("claimed_unit_coords", []):
-        u = _elem(field, coords)
-        unit_entries.append({"coords": list(coords), "is_unit": u.is_unit()})
+    unit_entries = [{"coords": _coords(u), "is_unit": u.is_unit()} for u in seed.claimed_units]
     units_block = {"entries": unit_entries}
 
     # sampled local data
-    samples = inputs.get("local_samples", {})
     norm_tests = []
-    for coords in samples.get("norm_element_coords", []):
-        u = _elem(field, coords)
-        for p in samples.get("norm_primes", []):
-            for place in factor_prime(field, _integer(p)):
+    for u in seed.norm_elements:
+        coords = _coords(u)
+        for p in seed.norm_primes:
+            for place in factor_prime(field, p):
                 res = local_norm_test(ext, u, place)
                 norm_tests.append(
                     {
@@ -264,12 +496,11 @@ def build_certificate(inputs: dict) -> dict:
                     }
                 )
     product_reports = []
-    for coords in samples.get("product_element_coords", []):
-        u = _elem(field, coords)
+    for u in seed.product_elements:
         report = hilbert_product_check(ext, u)
         product_reports.append(
             {
-                "element": list(coords),
+                "element": _coords(u),
                 "symbols": [
                     {
                         "place": entry.label,
@@ -292,8 +523,7 @@ def build_certificate(inputs: dict) -> dict:
     # congruence indices at the good sample places
     levels = []
     index_entries = []
-    for p in inputs["congruence_primes"]:
-        ell = _integer(p)
+    for ell in seed.congruence_primes:
         try:
             places = factor_prime(field, ell)
         except UnsupportedPlaceError as exc:
@@ -344,15 +574,13 @@ def build_certificate(inputs: dict) -> dict:
     }
 
     # overall verdict
-    probe_prime = _integer(inputs["probe_prime"])
-    probe_place = factor_prime(field, probe_prime)[0]
-    gens = tuple(_elem(field, c) for c in units_in.get("lambda_generators", []))
+    probe_place = factor_prime(field, seed.probe_prime)[0]
     verdict = seed_pair_check(
         h1,
         h2,
-        tau,
+        seed.tau,
         probe_place=probe_place,
-        unit_gens=gens,
+        unit_gens=seed.lambda_generators,
         height=LAMBDA_HEIGHT,
     )
     verdict_block = {
@@ -367,7 +595,7 @@ def build_certificate(inputs: dict) -> dict:
         "format_version": FORMAT_VERSION,
         "tool_version": TOOL_VERSION,
         "kind": "seed-certificate",
-        "config_echo": {"input": inputs, "lambda_height": exact(LAMBDA_HEIGHT)},
+        "config_echo": {"input": echo, "lambda_height": exact(LAMBDA_HEIGHT)},
         "field_block": field_block,
         "cm_block": cm_block,
         "forms_block": forms_block,
@@ -388,7 +616,8 @@ def build_certificate(inputs: dict) -> dict:
 
 
 def run_paper_example() -> dict:
-    return build_certificate(load_example_fixture())
+    echo = load_example_fixture()
+    return build_certificate(parse_seed_input(echo), echo)
 
 
 class VerificationReport(Frozen):
@@ -406,18 +635,14 @@ def verify_payload(recorded: dict) -> VerificationReport:
     """Recompute the pipeline from the certificate's own echoed input and
     compare every recorded value.
 
-    An echo the pipeline cannot be rebuilt from (a missing key, a value of
-    the wrong type or shape) raises CertificateFormatError.
+    An echo that `parse_seed_input` refuses (a missing key, a value of the
+    wrong type or shape) raises CertificateFormatError.
     """
     echo = recorded.get("config_echo")
     if not isinstance(echo, dict) or "input" not in echo:
         raise CertificateFormatError("certificate carries no input echo")
-    try:
-        recomputed = build_certificate(echo["input"])
-    except (KeyError, TypeError, AttributeError, InvalidInputError) as ex:
-        raise CertificateFormatError(
-            f"echoed input cannot be rebuilt: {type(ex).__name__}: {ex}"
-        ) from ex
+    inputs = echo["input"]
+    recomputed = build_certificate(parse_seed_input(inputs), inputs)
     if recorded == recomputed:
         return VerificationReport(OK, ())
     return VerificationReport(MISMATCH, tuple(diff_paths(recorded, recomputed)))

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .certificates import exact, write_certificate
+from .certificates import write_certificate
 from .errors import BudgetExceededError, InvalidInputError
 from .finite_groups import DEFAULT_ENUMERATION_BUDGET
 from .frozen import Frozen
@@ -42,7 +42,7 @@ from .polynomials import (
     _power_sums,
     _rational_roots,
 )
-from .runner import build_certificate
+from .runner import SeedInput, build_certificate, seed_echo
 
 
 class SearchConfig(Frozen):
@@ -239,40 +239,27 @@ def _transposition(i: int, j: int, size: int) -> tuple[int, ...]:
     return tuple(tau)
 
 
-def _seed_inputs(field, delta, h1, h2, tau, probe, congruence) -> dict:
-    coeffs = [exact(c) for c in field.min_poly.coeffs]
-    signs = field.generator().signs()
-    entries = []
-    for e in dict.fromkeys(h1.diag + h2.diag):
-        entries.append([exact(c) for c in e.coords])
-    claimed_units = [
-        [exact(c) for c in e.coords] for e in dict.fromkeys(h1.diag + h2.diag) if e.is_unit()
-    ]
-    return {
-        "format_version": "1",
-        "kind": "search-seed-input",
-        "name": f"degree{field.degree}-disc{field.discriminant}",
-        "field": {
-            "min_poly": coeffs,
-            "recorded_disc": exact(Fraction(field.discriminant)),
-            "recorded_automorphism_count": "1",
-            "recorded_generator_positive_count": exact(sum(1 for s in signs if s > 0)),
-        },
-        "extension": {"delta": [exact(c) for c in delta.coords]},
-        "forms": {
-            "first": [[exact(c) for c in e.coords] for e in h1.diag],
-            "second": [[exact(c) for c in e.coords] for e in h2.diag],
-        },
-        "twist": {"tau": [exact(t) for t in tau]},
-        "units": {"claimed_unit_coords": claimed_units, "lambda_generators": entries},
-        "local_samples": {
-            "norm_element_coords": entries,
-            "norm_primes": [exact(p) for p in congruence],
-            "product_element_coords": entries,
-        },
-        "congruence_primes": [exact(p) for p in congruence],
-        "probe_prime": exact(probe),
-    }
+def _pair_seed(ext, h1, h2, tau, probe, congruence) -> SeedInput:
+    """The seed of one searched pair: its recorded values are the field's
+    own, and every entry of the two forms is a sample element."""
+    field = ext.base
+    entries = tuple(dict.fromkeys(h1.diag + h2.diag))
+    return SeedInput(
+        ext,
+        h1,
+        h2,
+        tau,
+        recorded_disc=Fraction(field.discriminant),
+        recorded_automorphism_count=1,
+        recorded_positive_count=sum(1 for s in field.generator().signs() if s > 0),
+        claimed_units=tuple(e for e in entries if e.is_unit()),
+        lambda_generators=entries,
+        norm_elements=entries,
+        product_elements=entries,
+        norm_primes=congruence,
+        congruence_primes=congruence,
+        probe_prime=probe,
+    )
 
 
 def search_seeds(cfg: SearchConfig) -> list[dict]:
@@ -306,8 +293,8 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
             for i, j in itertools.combinations(places, 2):
                 h1, h2 = reps[i], reps[j]
                 tau = _transposition(i, j, field.real_place_count)
-                inputs = _seed_inputs(field, delta, h1, h2, tau, probe, congruence)
-                payload = build_certificate(inputs)
+                seed = _pair_seed(ext, h1, h2, tau, probe, congruence)
+                payload = build_certificate(seed, seed_echo(seed))
                 if payload["verdict"]["overall"] != PASS:
                     continue
                 certificates.append(payload)

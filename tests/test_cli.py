@@ -1,11 +1,16 @@
 """CLI subcommands and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcert.cli import build_parser, main
+from latcert.runner import run_paper_example
 
 
 def run(capsys, *argv):
@@ -170,6 +175,10 @@ class TestVerifyFailures:
             lambda echo: echo["field"].update(recorded_generator_positive_count="1.5"),
             # the recomputed closure discriminant is divided by this one
             lambda echo: echo["closure"].update(recorded_disc="0"),
+            # a string where a list belongs, which would be read digit by digit
+            lambda echo: echo.update(congruence_primes="35"),
+            lambda echo: echo["twist"].update(tau="102"),
+            lambda echo: echo["local_samples"].update(norm_primes="35"),
         ],
         ids=[
             "missing-key",
@@ -182,6 +191,9 @@ class TestVerifyFailures:
             "fractional-automorphism-count",
             "fractional-positive-count",
             "zero-closure-disc",
+            "string-congruence-primes",
+            "string-tau",
+            "string-norm-primes",
         ],
     )
     def test_malformed_echo_is_format_error(self, capsys, tmp_path, edit):
@@ -195,6 +207,49 @@ class TestVerifyFailures:
         assert code == 1
         assert "format error" in out
         assert "Traceback" not in out + err
+
+
+# The keys of the paper example's echo that no certificate value is read from
+LABELS = {("format_version",), ("kind",), ("name",), ("forms", "recorded_real_products")}
+
+
+def _read_keys(node: dict, path: tuple = ()):
+    for key, child in node.items():
+        here = path + (key,)
+        if here not in LABELS:
+            yield here
+            if isinstance(child, dict):
+                yield from _read_keys(child, here)
+
+
+@pytest.fixture(scope="module")
+def paper_payload():
+    return run_paper_example()
+
+
+class TestDamagedEcho:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dropped_or_retyped_key_fails_cleanly(self, paper_payload, tmp_path_factory, data):
+        payload = json.loads(json.dumps(paper_payload))
+        node = payload["config_echo"]["input"]
+        *parents, last = data.draw(st.sampled_from(list(_read_keys(node))))
+        for key in parents:
+            node = node[key]
+        kinds = [v for v in (None, True, 7, "7", [], {}) if type(v) is not type(node[last])]
+        change = data.draw(st.sampled_from(["drop", *kinds]))
+        if change == "drop":
+            del node[last]
+        else:
+            node[last] = change
+        path = tmp_path_factory.mktemp("damaged") / "cert_damaged.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        assert code == 1
+        assert out.getvalue().startswith(("format error: ", "MISMATCH"))
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 class TestSearch:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from latcert.runner import (
     OK,
     build_certificate,
     load_example_fixture,
+    parse_seed_input,
     run_paper_example,
+    seed_echo,
     verify_certificate,
     verify_payload,
 )
@@ -158,7 +161,7 @@ class TestCertificateContent:
             return VolumeFingerprint(**{**{n: getattr(fp, n) for n in ITEM_NAMES}, **changes})
 
         monkeypatch.setattr(runner, "fingerprint", altered)
-        block = build_certificate(load_example_fixture())["fingerprint_block"]
+        block = run_paper_example()["fingerprint_block"]
         assert len(calls) == 2
         assert block["equal"] is False
         assert block["mismatched"] == mismatched
@@ -283,5 +286,43 @@ class TestVerification:
         assert (intact.status, intact.paths) == (OK, ())
 
     def test_build_is_a_pure_function_of_inputs(self, cert):
-        rebuilt = build_certificate(load_example_fixture())
+        echo = load_example_fixture()
+        rebuilt = build_certificate(parse_seed_input(echo), echo)
         assert canonical_json(rebuilt) == canonical_json(cert)
+
+
+class TestParseSeedInput:
+    def test_paper_example_reads_back_from_its_echo(self):
+        seed = parse_seed_input(load_example_fixture())
+        assert seed.closure is not None and seed.closure_recorded_disc == 810448
+        assert parse_seed_input(seed_echo(seed)) == seed
+        assert (seed.tau, seed.probe_prime, seed.congruence_primes) == ((1, 0, 2), 5, (3, 5))
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda echo: echo.update(congruence_primes="35"), "congruence_primes"),
+            # a library caller's bare int is not an exact number string
+            (lambda echo: echo.update(probe_prime=5), "probe_prime"),
+            (lambda echo: echo.update(probe_prime="05"), "probe_prime"),
+            (lambda echo: echo["field"]["min_poly"].append("0"), "field.min_poly"),
+            (lambda echo: echo["units"].pop("lambda_generators"), "units.lambda_generators"),
+            (lambda echo: echo["twist"].update(tau=["1", "0", "0"]), "twist.tau"),
+            (lambda echo: echo["forms"]["second"].pop(), "forms"),
+            (lambda echo: echo.update(congruence_primes=["3", "9"]), "congruence_primes[1]"),
+            (
+                lambda echo: echo["local_samples"].update(norm_element_coords=[["0", "0", "0"]]),
+                "local_samples.norm_element_coords[0]",
+            ),
+            (
+                lambda echo: echo["units"].update(claimed_unit_coords=[["1/2", "0", "0"]]),
+                "units.claimed_unit_coords[0]",
+            ),
+            (lambda echo: echo["closure"].update(embeddings="x"), "closure.embeddings"),
+        ],
+    )
+    def test_refusal_names_the_key_path(self, edit, path):
+        echo = load_example_fixture()
+        edit(echo)
+        with pytest.raises(CertificateFormatError, match=f"echoed input {re.escape(path)} "):
+            parse_seed_input(echo)

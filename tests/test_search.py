@@ -20,7 +20,7 @@ from _oracles import (
 )
 from latcert import modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
-from latcert.errors import BudgetExceededError, InvalidInputError
+from latcert.errors import BudgetExceededError, CertificateFormatError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
 from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import (
@@ -30,7 +30,7 @@ from latcert.polynomials import (
     has_only_simple_real_roots,
     squarefree_factors,
 )
-from latcert.runner import verify_payload
+from latcert.runner import parse_seed_input, seed_echo, verify_payload
 from latcert.search import (
     SearchConfig,
     candidate_polynomials,
@@ -462,8 +462,9 @@ class TestSearchResults:
         assert hits >= 1
 
     def test_searched_certificates_verify(self, degree3_certs):
-        assert verify_payload(degree3_certs[0]).status == "OK"
-        assert verify_payload(degree3_certs[-1]).status == "OK"
+        # the search certifies its own objects, so each of its certificates
+        # is first rebuilt from its parsed echo here
+        assert [verify_payload(c).status for c in degree3_certs] == ["OK"] * 66
 
     def test_deterministic(self, degree3_certs):
         again = search_seeds(DEGREE3)
@@ -495,6 +496,70 @@ class TestSearchResults:
             )
         )
         assert len(certs) == 2
+
+
+def _searched_seeds(bound: int) -> list:
+    """(seed, echo) for every certificate search_seeds builds at degree 3."""
+    built = []
+    original = search.build_certificate
+
+    def recording(seed, echo):
+        built.append((seed, echo))
+        return original(seed, echo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "build_certificate", recording)
+        search_seeds(SearchConfig(degree=3, coefficient_bound=bound))
+    return built
+
+
+def _key_paths(node: dict, path: tuple = ()):
+    for key, child in node.items():
+        yield path + (key,)
+        if isinstance(child, dict):
+            yield from _key_paths(child, path + (key,))
+
+
+class TestSeedEcho:
+    @pytest.mark.parametrize("bound, count", [(2, 6), (3, 66)])
+    def test_search_seeds_read_back_from_their_echo(self, bound, count):
+        # every pair the search certifies at these bounds is a PASS
+        built = _searched_seeds(bound)
+        assert len(built) == count
+        for seed, echo in built:
+            assert echo == seed_echo(seed)
+            assert parse_seed_input(echo) == seed
+
+    def test_every_written_key_is_read(self):
+        # a writer that left out any key but the three labels would fail
+        # the round trip above
+        seed, echo = _searched_seeds(2)[0]
+        labels = {("format_version",), ("kind",), ("name",)}
+        for *parents, last in _key_paths(echo):
+            if tuple(parents) + (last,) in labels:
+                continue
+            damaged = seed_echo(seed)
+            node = damaged
+            for key in parents:
+                node = node[key]
+            del node[last]
+            with pytest.raises(CertificateFormatError, match=last):
+                parse_seed_input(damaged)
+
+    def test_search_builds_each_field_and_form_once(self, monkeypatch):
+        # at (3, 4) the search holds 104 fields and 286 forms; a certificate
+        # builds none of them again
+        counts = dict.fromkeys(("NumberField", "HermitianForm"), 0)
+        for cls in (NumberField, HermitianForm):
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+                counts[_name] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        certs = search_seeds(SearchConfig(degree=3, coefficient_bound=4))
+        assert len(certs) == 212
+        assert counts == {"NumberField": 104, "HermitianForm": 286}
 
 
 class TestPersistence:

@@ -30,7 +30,7 @@ from latcert.number_field import (
     RealPlace,
 )
 from latcert.polynomials import Interval, Polynomial
-from latcert.runner import VerificationReport
+from latcert.runner import VerificationReport, load_example_fixture, parse_seed_input
 from latcert.search import SearchConfig
 from latcert.volume_fingerprint import VolumeFingerprint
 
@@ -77,6 +77,7 @@ FACTORIES = {
     "CongruenceLevel": lambda: CongruenceLevel(_place(), _form()),
     "VolumeFingerprint": lambda: VolumeFingerprint(Fraction(148), "x", 8, "y", (1, 2), 1, "z"),
     "VerificationReport": lambda: VerificationReport("OK", ()),
+    "SeedInput": lambda: parse_seed_input(load_example_fixture()),
     "SearchConfig": lambda: SearchConfig(delta_candidates=[-1, Fraction(-3, 2)]),
 }
 
