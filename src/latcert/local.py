@@ -5,11 +5,14 @@ factor of p mod l. Places exist here only when l passes the maximal-order
 criterion (the Dedekind test); otherwise factor_prime refuses loudly, since
 every valuation formula below would silently be wrong.
 
-The completion F_v is never built as a power-series tower. Instead the factor
-block of p belonging to v is Hensel-lifted to Z/l^M for adaptive M, and
+The completion F_v is never built as a power-series tower. Instead
 valuations and norm square-classes are read off integer resultants against
-the lifted block: ord_l Res(P_v, z) = f * v(z) for l-integral z. When l has a
-single place the block is p itself and everything is exact outright.
+the factor P_v of p over Z_l belonging to v: ord_l Res(P_v, z) = f * v(z) for
+l-integral z. When l has a single place, P_v is p itself and the resultant is
+exact. Otherwise the exact norm N = Res(p, z) is the product of the l-adic
+integers Res(P_w, z) over the places w above l, so ord_l Res(P_v, z) is at
+most ord_l N, and the factor blocks of p mod l, Hensel-lifted to
+Z/l^(ord_l N + 3), fix both that order and the unit part mod 8.
 
 Every block is monic with integer coefficients, so Res(P_v, z) is the
 determinant of multiplication by z on Z[x]/(P_v), an integer matrix; it is
@@ -53,7 +56,6 @@ from .number_field import (
 )
 from .polynomials import _poly_mul, _reduce_monic, resultant_int
 
-_MAX_LIFT_PRECISION = 8192
 _DYADIC_ENUMERATION_CAP = 2_000_000
 
 _set = object.__setattr__
@@ -144,58 +146,38 @@ def _ord_int(n: int, ell: int) -> int:
     return o
 
 
-# Lifted blocks per (field, prime, precision); each entry is one int-tuple
-# factor per place, in place order, with product = min_poly mod l^M.
-_BLOCK_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
-
-
-def _block_resultant(place: FinitePlace, z: tuple[int, ...], precision: int) -> tuple[int, bool]:
-    """Res(P_v-lift, z) as an integer, and whether it is exact.
-
-    With a single place above l (e * f = n) the block is min_poly itself, exact
-    at any precision; otherwise the resultant is correct mod l^precision.
-    """
-    field, ell = place.field, place.prime
-    p = field.int_poly
-    if place.ramification * place.residue_degree == field.degree:
-        return resultant_int(p, z), True
-    key = (p, ell, precision)
-    blocks = _BLOCK_CACHE.get(key)
-    if blocks is None:
-        raw = []
-        for v in factor_prime(field, ell):
-            b: tuple[int, ...] = (1,)
-            for _ in range(v.ramification):
-                b = modular.mul(b, v.factor, ell)
-            raw.append(b)
-        blocks = modular.hensel_lift_blocks(p, raw, ell, precision)
-        _BLOCK_CACHE[key] = blocks
-    return resultant_int(blocks[place.index], z), False
+# Lifted blocks per (field polynomial, prime): the precision M they were
+# lifted to, and one int-tuple factor per place, in place order, with product
+# = min_poly mod l^M. A request for more digits lifts them again.
+_BLOCK_CACHE: dict[tuple, tuple[int, list[tuple[int, ...]]]] = {}
 
 
 def _norm_ord_and_unit(place: FinitePlace, z: tuple[int, ...], unit_mod: int) -> tuple[int, int]:
-    """(ord_l, unit residue mod unit_mod) of Res(P_v, z) for l-integral z.
+    """(ord_l, unit residue mod unit_mod) of Res(P_v, z) for nonzero l-integral
+    z; the residue is exact when unit_mod divides 8, or l when l is odd.
 
-    Adaptive precision: the answer is accepted once the l-order sits far
-    enough below the lifting precision for both the order and the residue to
-    be stable.
+    The exact norm Res(min_poly, z) is the answer when P_v is min_poly (e * f
+    = n); otherwise its l-order o bounds that of Res(P_v, z), and the block
+    lifted to l^(o + 3) gives Res(P_v, z) mod l^(o + 3), enough for both.
     """
-    ell = place.prime
-    precision = 16
-    while True:
-        r, exact = _block_resultant(place, z, precision)
-        if r != 0:
-            o = _ord_int(r, ell)
-            if exact or o + 4 <= precision:
-                unit = (r // ell**o) % unit_mod
-                return o, unit
-        elif exact:
-            raise AssertionError("nonzero element has nonzero exact resultant")
-        precision *= 2
-        if precision > _MAX_LIFT_PRECISION:
-            raise InconclusiveError(
-                f"p-adic precision exceeded {_MAX_LIFT_PRECISION} digits at {place}"
-            )
+    field, ell = place.field, place.prime
+    p = field.int_poly
+    r = resultant_int(p, z)
+    if place.ramification * place.residue_degree != field.degree:
+        precision = _ord_int(r, ell) + 3
+        cached = _BLOCK_CACHE.get((p, ell))
+        if cached is None or cached[0] < precision:
+            raw = []
+            for v in factor_prime(field, ell):
+                b: tuple[int, ...] = (1,)
+                for _ in range(v.ramification):
+                    b = modular.mul(b, v.factor, ell)
+                raw.append(b)
+            cached = precision, modular.hensel_lift_blocks(p, raw, ell, precision)
+            _BLOCK_CACHE[p, ell] = cached
+        r = resultant_int(cached[1][place.index], z)
+    o = _ord_int(r, ell)
+    return o, (r // ell**o) % unit_mod
 
 
 def valuation(place: FinitePlace, elem: FieldElement) -> int:
@@ -327,10 +309,11 @@ def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
     """Whether some y in O_v has v(y^2 - w) >= k, for an odd rational w = n/d.
 
     The coordinates of y over 1, alpha, ..., alpha^(e*f - 1) are found one
-    binary digit at a time.  Two y that agree mod 2^s differ by an element of
-    2^s O_v = pi^(e*s) O_v, so the truncation mod 2^s of a solution has
-    v(d*y^2 - n) >= min(k, e*s) (d is odd, so this is v(y^2 - w)); only such
-    nodes are extended, and the first node that reaches k is a solution.
+    binary digit at a time.  If y agrees with a solution y* mod 2^s, s >= 1,
+    then y - y* lies in 2^s O_v and y + y* in 2 O_v, so y^2 - y*^2 lies in
+    2^(s+1) O_v = pi^(e*(s+1)) O_v and v(d*y^2 - n) >= min(k, e*(s+1)) (d is
+    odd, so this is v(y^2 - w)); only such nodes are extended, and the first
+    node that reaches k is a solution.
     Every node counts against the enumeration cap.
     """
     n, d = w.numerator, w.denominator
@@ -355,7 +338,7 @@ def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
             o = _int_valuation(place, tuple(g))
             if o >= k:
                 return True
-            if o >= e * (s + 1):
+            if o >= e * (s + 2):
                 stack.append((child, s + 1))
     return False
 

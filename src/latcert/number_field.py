@@ -214,9 +214,16 @@ class FieldElement(Frozen):
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def _reduced(self, num, den: int) -> "FieldElement":
-        """num/den for den != 0, as an element of this field in lowest terms."""
+        """num/den for den != 0, as an element of this field in lowest terms.
+
+        num holds field.degree ints, so the result meets every check of the
+        constructor, which it skips."""
         g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
-        return FieldElement(self.field, tuple(c // g for c in num), den // g)
+        out = object.__new__(FieldElement)
+        _set(out, "field", self.field)
+        _set(out, "num", tuple(c // g for c in num))
+        _set(out, "den", den // g)
+        return out
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -228,6 +228,21 @@ def _prime(text, path: str) -> int:
     return p
 
 
+def _place_prime(field: NumberField):
+    """A reader of a prime that does not divide the index of the field's
+    polynomial order, so that factor_prime finds its places."""
+
+    def read(text, path: str) -> int:
+        p = _prime(text, path)
+        try:
+            factor_prime(field, p)
+        except UnsupportedPlaceError as ex:
+            raise _refused(path, f"is unsupported: {ex}") from ex
+        return p
+
+    return read
+
+
 def _built(path: str, make, *args):
     """make(*args), with an InvalidInputError refused at `path`."""
     try:
@@ -266,8 +281,9 @@ def parse_seed_input(echo) -> SeedInput:
     writes it, and a list is a JSON list, never a string read digit by
     digit. The values must also meet what `build_certificate` assumes:
     monic irreducible polynomials, a totally negative delta, two forms of
-    equal odd rank, a permutation tau, primes, nonzero sample elements and
-    integral claimed units. Anything else raises CertificateFormatError,
+    equal odd rank, a permutation tau, primes, norm and probe primes that
+    do not divide the index of the polynomial order, nonzero sample elements
+    and integral claimed units. Anything else raises CertificateFormatError,
     naming the key path.
     """
     if not isinstance(echo, dict):
@@ -303,9 +319,9 @@ def parse_seed_input(echo) -> SeedInput:
         lambda_generators=_at(echo, "units.lambda_generators", samples),
         norm_elements=_at(echo, "local_samples.norm_element_coords", samples),
         product_elements=_at(echo, "local_samples.product_element_coords", samples),
-        norm_primes=_at(echo, "local_samples.norm_primes", _list(_prime)),
+        norm_primes=_at(echo, "local_samples.norm_primes", _list(_place_prime(field))),
         congruence_primes=_at(echo, "congruence_primes", _list(_prime)),
-        probe_prime=_at(echo, "probe_prime", _prime),
+        probe_prime=_at(echo, "probe_prime", _place_prime(field)),
         closure=closure,
         closure_recorded_disc=closure_disc,
     )

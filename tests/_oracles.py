@@ -15,7 +15,9 @@ and the totally real box is the search's former scan of the whole
 coefficient box, one Sturm count per polynomial with the package's former
 count at -inf and +inf. The canonical certificate text is the standard
 library's json.dumps, and the payload check its former walk in insertion
-order. Slow and simple on purpose.
+order. The local norm oracle lifts a place's factor block with the package's
+Hensel lift, but always to 64 digits, whatever the element, and takes the
+resultant as a Sylvester determinant. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -185,6 +187,40 @@ def _unit_norms_mod4(block: tuple[int, ...]) -> frozenset[int]:
             if norm % 2:
                 out.add(norm % 4)
     return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks_mod_l64(p: tuple[int, ...], factors: tuple, ell: int) -> list[tuple[int, ...]]:
+    raw = []
+    for g, e in factors:
+        b = (1,)
+        for _ in range(e):
+            b = modular.mul(b, g, ell)
+        raw.append(b)
+    return modular.hensel_lift_blocks(p, raw, ell, 64)
+
+
+def fixed_lift_norm_ord_and_unit(
+    p: tuple[int, ...], factors: tuple, index: int, z: tuple[int, ...], ell: int, unit_mod: int
+) -> tuple[int, int]:
+    """(ord_l, unit residue mod unit_mod) of Res(P, z) for nonzero integer z,
+    where P is the factor over Z_l of the monic integer polynomial p that
+    reduces to g^e for the pair (g, e) = factors[index] of p mod l.
+
+    Every block g^e is lifted to Z/l^64, so the answer holds while the order
+    stays at most 60 (the unit residue mod 8 needs three more digits).
+    """
+    coords = list(z)
+    while coords[-1] == 0:
+        coords.pop()
+    r = int(sylvester_resultant(list(_blocks_mod_l64(p, factors, ell)[index]), coords))
+    assert r != 0, "the block is only known mod l^64"
+    order = 0
+    while r % ell == 0:
+        r //= ell
+        order += 1
+    assert order <= 60, "the block is only known mod l^64"
+    return order, r % unit_mod
 
 
 def _ord2(n: int) -> int:

@@ -179,6 +179,16 @@ class TestVerifyFailures:
             lambda echo: echo.update(congruence_primes="35"),
             lambda echo: echo["twist"].update(tau="102"),
             lambda echo: echo["local_samples"].update(norm_primes="35"),
+            # 2 divides the index of Z[x]/(x^3 + 2x^2 - 4x - 4), so no place
+            # above it can be built
+            lambda echo: (
+                echo["field"].update(min_poly=["-4", "-4", "2", "1"]),
+                echo["local_samples"].update(norm_primes=["2"]),
+            ),
+            lambda echo: (
+                echo["field"].update(min_poly=["-4", "-4", "2", "1"]),
+                echo.update(probe_prime="2"),
+            ),
         ],
         ids=[
             "missing-key",
@@ -194,6 +204,8 @@ class TestVerifyFailures:
             "string-congruence-primes",
             "string-tau",
             "string-norm-primes",
+            "norm-prime-divides-index",
+            "probe-prime-divides-index",
         ],
     )
     def test_malformed_echo_is_format_error(self, capsys, tmp_path, edit):

@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import _mul, dyadic_square_scan, dyadic_unit_non_norm_scan, sylvester_resultant
-from latcert import local, modular
+from _oracles import (
+    _blocks_mod_l64,
+    _mul,
+    _value,
+    dyadic_square_scan,
+    dyadic_unit_non_norm_scan,
+    fixed_lift_norm_ord_and_unit,
+    sylvester_resultant,
+)
+from latcert import local
 from latcert.errors import InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
 from latcert.local import (
@@ -74,7 +82,8 @@ class TestFactorPrime:
         "coeffs", [(1, -3, -1, 1), (1, -2, -3, 2, 1), (-148, 0, 100, 0, -20, 0, 1)]
     )
     def test_single_place_exactly_when_e_times_f_is_the_degree(self, coeffs):
-        # _block_resultant takes min_poly itself as the block when e * f = n
+        # _norm_ord_and_unit reads the exact norm Res(min_poly, z) when
+        # e * f = n, and lifts the blocks of the places otherwise
         field = NumberField(Polynomial(coeffs))
         for ell in (2, 3, 5, 7):
             try:
@@ -309,17 +318,15 @@ class TestSplitting:
             splitting_in_E(EXT, place_above(RATIONALS, 2))
 
 
+def place_factors(field, ell):
+    """The (factor, ramification) pairs of the places above l, in place order."""
+    return tuple((v.factor, v.ramification) for v in factor_prime(field, ell))
+
+
 def dyadic_block(field, index):
     """The factor over Z_2 of the field's polynomial at place 2#index,
     constant term first, correct mod 2^64."""
-    places = factor_prime(field, 2)
-    raw = []
-    for v in places:
-        b = (1,)
-        for _ in range(v.ramification):
-            b = modular.mul(b, v.factor, 2)
-        raw.append(b)
-    return tuple(modular.hensel_lift_blocks(field.int_poly, raw, 2, 64)[index])
+    return tuple(_blocks_mod_l64(field.int_poly, place_factors(field, 2), 2)[index])
 
 
 class TestDyadicSquareTest:
@@ -446,12 +453,12 @@ class TestDyadicSplitting:
         ]
         assert kinds == ["split", "ramified", "ramified"]
 
-    @pytest.mark.parametrize("cap", [1, 23, 24])
+    @pytest.mark.parametrize("cap", [1, 7, 8])
     def test_every_node_counts_against_the_cap(self, monkeypatch, cap):
         # at the paper's place over 2 (e = 3), delta = -1 is ramified: each
-        # of the two lifts tries the 8 first digits and the 8 children of
-        # each of the 2 with v(y^2 + 1) >= 3, so 24 nodes decide the place,
-        # and with one fewer the product check reports it as unknown
+        # of the two lifts tries the 8 first digits, none of which has
+        # v(y^2 + 1) >= 2e = 6, so 8 nodes decide the place, and with one
+        # fewer the product check reports it as unknown
         splitting_in_E.cache_clear()
         monkeypatch.setattr(local, "_DYADIC_ENUMERATION_CAP", cap)
         try:
@@ -459,11 +466,72 @@ class TestDyadicSplitting:
         finally:
             splitting_in_E.cache_clear()
         (entry,) = [e for e in report.entries if e.label == "2#0"]
-        if cap < 24:
+        if cap < 8:
             assert entry.symbol is None and "exceeds the cap" in entry.method
             assert report.unknown_labels == ("2#0",) and report.minus_count_even is None
         else:
             assert report.conclusive and entry.symbol == -1
+
+
+def fixed_lift(place, z, unit_mod):
+    """The oracle's (ord_l, unit residue) of Res(P_v, z), from blocks lifted
+    to 64 digits."""
+    factors = place_factors(place.field, place.prime)
+    return fixed_lift_norm_ord_and_unit(
+        place.field.int_poly, factors, place.index, z, place.prime, unit_mod
+    )
+
+
+class TestExactPrecision:
+    # _norm_ord_and_unit lifts the blocks of a prime with several places to
+    # ord_l N + 3 digits, N = Res(min_poly, z) the exact norm
+
+    @pytest.mark.parametrize("degree, bound", [(3, 4), (4, 3)])
+    def test_every_place_above_small_primes_matches_the_fixed_lift(self, degree, bound):
+        rng = random.Random(degree)
+        shared = 0
+        for coeffs in candidate_polynomials(degree, bound):
+            try:
+                field = NumberField(Polynomial(coeffs))
+            except InvalidInputError:
+                continue
+            for ell in (2, 3, 5, 7):
+                try:
+                    places = factor_prime(field, ell)
+                except UnsupportedPlaceError:
+                    continue
+                shared += len(places) > 1
+                unit_mod = 8 if ell == 2 else ell
+                zs = [tuple(rng.randint(-6, 6) for _ in range(degree)) for _ in range(8)]
+                # l times an element has order at every place above l, and
+                # alpha - c only at the places of degree 1 with factor x - c
+                zs.append(tuple(ell * c for c in zs[0]))
+                zs += [(-c, 1) + (0,) * (degree - 2) for c in range(ell)]
+                for v in places:
+                    for z in zs:
+                        if any(z):
+                            got = local._norm_ord_and_unit(v, z, unit_mod)
+                            assert got == fixed_lift(v, z, unit_mod), (coeffs, v.label(), z)
+        assert shared > 10
+
+    @pytest.mark.parametrize("coeffs, ell", [((1, -3, -1, 1), 5), ((-3, -2, 0, 1), 2)])
+    def test_an_order_past_the_old_first_lift(self, coeffs, ell):
+        # alpha - R, for R a root of min_poly mod l^20 lifted by Newton's
+        # iteration from a simple root mod l, has order >= 20 at the place of
+        # degree 1 that the root belongs to
+        field = NumberField(Polynomial(coeffs))
+        places = factor_prime(field, ell)
+        (v,) = [w for w in places if (w.ramification, w.residue_degree) == (1, 1)]
+        p = field.int_poly
+        dp = [i * c for i, c in enumerate(p)][1:]
+        modulus, root = ell**20, -v.factor[0] % ell
+        for _ in range(5):
+            root = (root - _value(p, root) * pow(_value(dp, root), -1, modulus)) % modulus
+        z = (-root, 1) + (0,) * (field.degree - 2)
+        unit_mod = 8 if ell == 2 else ell
+        got = local._norm_ord_and_unit(v, z, unit_mod)
+        assert len(places) > 1 and got[0] >= 20
+        assert got == fixed_lift(v, z, unit_mod)
 
 
 class TestLocalNormTest:

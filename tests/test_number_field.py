@@ -408,6 +408,35 @@ class TestArithmetic:
         assert x.norm() == sylvester_resultant(p, trimmed)
 
 
+    @given(
+        st.sampled_from(ORACLE_FIELDS).flatmap(
+            lambda field: st.tuples(
+                st.just(field),
+                *[st.lists(SMALL_FRACTIONS, min_size=field.degree, max_size=field.degree)] * 2,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_what_the_validating_constructor_builds(self, case):
+        # sums, products and inverses skip the constructor's checks, so each
+        # must equal the element it builds from the oracle's coordinates
+        field, xs, ys = case
+        p = list(field.min_poly.coeffs)
+        x, y = field.element(xs), field.element(ys)
+        pairs = [
+            (x + y, [a + b for a, b in zip(xs, ys)]),
+            (x * y, fraction_field_product(xs, ys, p)),
+        ]
+        if not x.is_zero():
+            pairs.append((x.inverse(), fraction_field_inverse(xs, p)))
+        for got, coords in pairs:
+            den = math.lcm(*(c.denominator for c in coords))
+            num = tuple(c.numerator * (den // c.denominator) for c in coords)
+            built = FieldElement(field, num, den)
+            assert (got.field, got.num, got.den) == (built.field, built.num, built.den)
+            assert type(got.num) is tuple and all(type(c) is int for c in (got.den, *got.num))
+
+
 class TestAutomorphismCount:
     def test_cubic_with_non_square_discriminant(self):
         assert automorphism_count(CUBIC) == 1

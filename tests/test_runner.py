@@ -291,6 +291,10 @@ class TestVerification:
         assert canonical_json(rebuilt) == canonical_json(cert)
 
 
+# x^3 + 2x^2 - 4x - 4: 2 divides the index of its polynomial order
+INDEX_TWO_FIELD = ["-4", "-4", "2", "1"]
+
+
 class TestParseSeedInput:
     def test_paper_example_reads_back_from_its_echo(self):
         seed = parse_seed_input(load_example_fixture())
@@ -319,6 +323,16 @@ class TestParseSeedInput:
                 "units.claimed_unit_coords[0]",
             ),
             (lambda echo: echo["closure"].update(embeddings="x"), "closure.embeddings"),
+            (
+                lambda echo: echo.update(field=dict(echo["field"], min_poly=INDEX_TWO_FIELD))
+                or echo["local_samples"].update(norm_primes=["3", "2"]),
+                "local_samples.norm_primes[1]",
+            ),
+            (
+                lambda echo: echo.update(field=dict(echo["field"], min_poly=INDEX_TWO_FIELD))
+                or echo.update(probe_prime="2"),
+                "probe_prime",
+            ),
         ],
     )
     def test_refusal_names_the_key_path(self, edit, path):
@@ -326,3 +340,11 @@ class TestParseSeedInput:
         edit(echo)
         with pytest.raises(CertificateFormatError, match=f"echoed input {re.escape(path)} "):
             parse_seed_input(echo)
+
+    def test_congruence_primes_keep_their_recorded_refusal(self):
+        echo = load_example_fixture()
+        echo["field"]["min_poly"] = INDEX_TWO_FIELD
+        echo["congruence_primes"] = ["2", "3"]
+        cert = build_certificate(parse_seed_input(echo), echo)
+        (entry,) = [e for e in cert["index_block"]["entries"] if e["place"] == "prime 2"]
+        assert "divides the index of the polynomial order" in entry["refused"]
