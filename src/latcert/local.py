@@ -22,14 +22,21 @@ Elements enter as their integer numerators and denominator (num, den), and
 the field as its int_poly; no rational arithmetic sits between a place's
 representatives and their norm orders.
 
+No residue field is built either. Over odd l the quadratic character of the
+residue field k of v is the Legendre symbol of the norm to F_l, and the norm
+of a unit num/den with l not dividing den is Res(factor, num) * den^(-f) mod
+l, so whether its residue is a square is one resultant against the factor of
+p mod l.
+
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
 projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. At a
 place over 2, how rational delta of even 2-order splits is read off one
 digit-by-digit lift of a square root of its odd part. The few
 corners this leaves open (non-rational delta at a ramified place with a
-non-unit argument, and similar dyadic cases) raise InconclusiveError rather
-than guessing; callers report them as UNKNOWN.
+non-unit argument, or with a unit whose denominator l divides when e is
+even, and similar dyadic cases) raise InconclusiveError rather than
+guessing; callers report them as UNKNOWN.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .errors import (
 )
 from .frozen import Frozen
 from .intfactor import is_prime, prime_factors
-from .modular import FiniteField
 from .number_field import (
     CMExtension,
     FieldElement,
@@ -130,11 +136,6 @@ def factor_prime(field: NumberField, ell: int) -> tuple[FinitePlace, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def residue_field(place: FinitePlace) -> FiniteField:
-    return FiniteField(place.prime, place.factor)
-
-
 def _ord_int(n: int, ell: int) -> int:
     if n == 0:
         raise InvalidInputError("valuation of zero")
@@ -196,22 +197,16 @@ def _int_valuation(place: FinitePlace, z: tuple[int, ...]) -> int:
     return o // f
 
 
-def residue_image(place: FinitePlace, elem: FieldElement) -> tuple[int, ...]:
-    """Image of an l-integral element in the residue field of the place.
+def _residue_square(place: FinitePlace, num: tuple[int, ...], den: int) -> bool:
+    """Whether num/den, a unit at a place over odd l with l not dividing den,
+    is a square in the residue field k.
 
-    Requires coordinate denominators coprime to l (then the element is
-    automatically integral at every place above l).
+    The quadratic character of k is the Legendre symbol of the norm to F_l,
+    since N(z)^((l-1)/2) = z^((q-1)/2) for N(z) = z^((q-1)/(l-1)), and
+    Res(factor, num) * den^f is congruent mod l to N(num/den) * den^(2f).
     """
-    z, m = elem.num, elem.den
     ell = place.prime
-    if m % ell == 0:
-        raise InvalidInputError(
-            "coordinate denominators share a factor with the residue characteristic"
-        )
-    k = residue_field(place)
-    zbar = k.embed(z)
-    m_inv = pow(m % ell, -1, ell)
-    return k.mul(zbar, k.from_int(m_inv))
+    return _legendre(resultant_int(place.factor, num) * den**place.residue_degree, ell) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +219,8 @@ def _split_prime_part(x: Fraction, ell: int) -> tuple[int, Fraction]:
     return on - od, Fraction(n // ell**on, d // ell**od)
 
 
-def _legendre(u: Fraction, ell: int) -> int:
-    val = u.numerator % ell * pow(u.denominator % ell, -1, ell) % ell
+def _legendre(a: int, ell: int) -> int:
+    val = a % ell
     assert val != 0, "unit part cannot vanish mod l"
     return 1 if pow(val, (ell - 1) // 2, ell) == 1 else -1
 
@@ -258,10 +253,11 @@ def hilbert_symbol_qq(a, b, prime: Optional[int]) -> int:
     result = 1
     if alpha % 2 and beta % 2 and prime % 4 == 3:
         result = -result
+    # n/d and n*d lie in one square class
     if beta % 2:
-        result *= _legendre(s, prime)
+        result *= _legendre(s.numerator * s.denominator, prime)
     if alpha % 2:
-        result *= _legendre(t, prime)
+        result *= _legendre(t.numerator * t.denominator, prime)
     return result
 
 
@@ -298,11 +294,6 @@ class SplittingResult(Frozen):
 
     def __str__(self) -> str:
         return f"{self.kind} ({self.method})"
-
-
-def _residue_square_test(place: FinitePlace, elem: FieldElement) -> bool:
-    k = residue_field(place)
-    return k.is_square(residue_image(place, elem))
 
 
 def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
@@ -365,22 +356,13 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
         return SplittingResult("ramified", "odd valuation of delta")
 
     if ell != 2:
-        if v_delta == 0:
-            if delta.den % ell != 0:
-                square = _residue_square_test(place, delta)
-                return SplittingResult(
-                    "split" if square else "inert", "residue square test"
-                )
+        if v_delta == 0 and delta.den % ell != 0:
+            square = _residue_square(place, delta.num, delta.den)
+            return SplittingResult("split" if square else "inert", "residue square test")
         if delta.is_rational():
-            c = delta.coords[0]
-            k_ord, unit_part = _split_prime_part(c, ell)
+            k_ord, unit_part = _split_prime_part(delta.coords[0], ell)
             if k_ord % 2 == 0:
-                k = residue_field(place)
-                res = k.from_int(
-                    unit_part.numerator % ell
-                    * pow(unit_part.denominator % ell, -1, ell)
-                )
-                square = k.is_square(res)
+                square = _residue_square(place, (unit_part.numerator,), unit_part.denominator)
                 return SplittingResult(
                     "split" if square else "inert", "unit-part residue square test"
                 )
@@ -449,11 +431,22 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
     if delta.is_rational():
         symbol = _symbol_vs_rational(place, delta.coords[0], u)
         return LocalNormResult(symbol == 1, "hensel-lift", place)
-    if place.prime != 2 and valuation(place, u) == 0:
+    ell = place.prime
+    if ell != 2 and valuation(place, u) == 0:
         # Tame ramification with a unit argument: quadratic residue character
         # of the residue of u (the symbol reduces to chi(u-bar)^v(delta),
-        # v(delta) odd here).
-        is_sq = _residue_square_test(place, u)
+        # v(delta) odd here). When l divides u's denominator, N_{F_v/Q_l}(u)
+        # is congruent to N_{k/F_l}(u-bar)^e mod l, so for odd e chi(u-bar)
+        # is its Legendre symbol, (l, N_{F_v/Q_l}(u))_{Q_l}.
+        if u.den % ell:
+            is_sq = _residue_square(place, u.num, u.den)
+        elif place.ramification % 2:
+            is_sq = _symbol_vs_rational(place, Fraction(ell), u) == 1
+        else:
+            raise InconclusiveError(
+                f"norm test at ramified {place} of even e with a unit whose "
+                f"denominator {ell} divides"
+            )
         return LocalNormResult(is_sq, "hensel-lift", place)
     raise InconclusiveError(
         f"norm test at ramified {place} with non-rational delta and non-unit argument"

@@ -267,7 +267,8 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
 
     Real place j is represented by one form diag(u, ..., u, -1), which is
     indefinite at j alone: the first u from `_entry_pool` positive at j
-    whose discriminant gets a conclusive local symbol report. Pairs cover
+    whose discriminant gets a conclusive local symbol report; the pool is
+    left as soon as every place has its form. Pairs cover
     all place combinations i < j, so a field with d represented places
     yields the full pairwise family; a d-tuple of pairwise-distinct
     lattices is certified by its d(d-1)/2 pair certificates. Results are
@@ -287,6 +288,8 @@ def search_seeds(cfg: SearchConfig) -> list[dict]:
                 h = HermitianForm(ext, (u,) * (cfg.rank - 1) + (neg_one,))
                 if hilbert_product_check(ext, h.disc).conclusive:
                     reps[j] = h
+                    if len(reps) == field.real_place_count:
+                        break
 
             places = sorted(reps)
             probe, *_ = congruence = good_odd_primes(field, delta, 2)

@@ -17,7 +17,8 @@ count at -inf and +inf. The canonical certificate text is the standard
 library's json.dumps, and the payload check its former walk in insertion
 order. The local norm oracle lifts a place's factor block with the package's
 Hensel lift, but always to 64 digits, whatever the element, and takes the
-resultant as a Sylvester determinant. Slow and simple on purpose.
+resultant as a Sylvester determinant; the unit residue oracle divides an
+element by that block to read its residue. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -221,6 +222,30 @@ def fixed_lift_norm_ord_and_unit(
         order += 1
     assert order <= 60, "the block is only known mod l^64"
     return order, r % unit_mod
+
+
+def unit_residue_mod_block(
+    p: tuple[int, ...], factors: tuple, index: int, num: tuple[int, ...], den: int, ell: int
+) -> tuple[int, ...]:
+    """Coordinates mod l of a polynomial whose image in F_l[x]/(g) is the
+    residue of the unit num/den at the place of the pair (g, e) =
+    factors[index] of p mod l, with l not dividing the index of Z[x]/(p).
+
+    The completion is Z_l[x]/(P), P the block lifted to Z/l^64, and the
+    unit's numerator lies in l^m times it, l^m the l-part of den; so num
+    mod P has coordinates divisible by l^m, and dividing them out and by
+    the rest of den mod l gives the residue.
+    """
+    block = _blocks_mod_l64(p, factors, ell)[index]
+    m = 0
+    while den % ell == 0:
+        den //= ell
+        m += 1
+    rem = _divmod(list(map(Fraction, num)), list(map(Fraction, block)))[1]
+    rem = [int(c) % ell**64 for c in rem]
+    assert all(c % ell**m == 0 for c in rem), "num/den is not a unit at the place"
+    inv = pow(den, -1, ell)
+    return tuple(c // ell**m * inv % ell for c in rem)
 
 
 def _ord2(n: int) -> int:

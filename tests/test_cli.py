@@ -392,6 +392,22 @@ class TestLocalNorm:
         assert "5#0: norm (split)" in out
         assert "5#1: norm (split)" in out
 
+    def test_unit_whose_denominator_the_prime_divides(self, capsys):
+        # the element is a unit at 5#0 (e = 1) though 5 divides its
+        # denominator; its norm to Q_5 decides the tame symbol there
+        code, out, _ = run(
+            capsys,
+            "local-norm",
+            "--field",
+            "1,-3,-1,1",
+            "--delta=-3,-3,-2",
+            "--element=-3/5,-3/5,-2/5",
+            "--prime",
+            "5",
+        )
+        assert code == 0
+        assert "5#0: norm (hensel-lift)" in out
+
     def test_inconclusive_dyadic_exit_code(self, capsys):
         # nonrational delta at the dyadic place is outside the engine's reach;
         # values starting with "-" need the --flag=value spelling

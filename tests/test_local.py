@@ -5,6 +5,7 @@ degree-1 field recovers classical imaginary-quadratic facts, which serve as
 an independent check on the dyadic enumeration machinery.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -20,20 +21,20 @@ from _oracles import (
     dyadic_unit_non_norm_scan,
     fixed_lift_norm_ord_and_unit,
     sylvester_resultant,
+    unit_residue_mod_block,
 )
 from latcert import local
-from latcert.errors import InvalidInputError, UnsupportedPlaceError
+from latcert.errors import InconclusiveError, InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
 from latcert.local import (
     factor_prime,
     hilbert_product_check,
     hilbert_symbol_qq,
     local_norm_test,
-    residue_field,
-    residue_image,
     splitting_in_E,
     valuation,
 )
+from latcert.modular import FiniteField
 from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import Polynomial
 from latcert.search import candidate_polynomials
@@ -103,11 +104,6 @@ class TestFactorPrime:
     def test_rejects_composite_modulus(self):
         with pytest.raises(InvalidInputError):
             factor_prime(F, 6)
-
-    def test_residue_field_orders(self):
-        assert residue_field(place_above(F, 2)).order == 2
-        assert residue_field(place_above(F, 3)).order == 27
-        assert residue_field(place_above(F, 5, 1)).order == 25
 
 
 class TestValuation:
@@ -192,27 +188,6 @@ class TestResultantInt:
     def test_rejects_non_monic_modulus(self):
         with pytest.raises(InvalidInputError):
             local.resultant_int((1, 2), (1, 1))
-
-
-class TestResidueImage:
-    def test_generator_image_at_dyadic_place(self):
-        v = place_above(F, 2)
-        assert residue_image(v, ALPHA) == (1,)
-
-    def test_image_satisfies_factor(self):
-        v = place_above(F, 5, 1)
-        k = residue_field(v)
-        image = residue_image(v, ALPHA)
-        assert k.embed(tuple(c for c in v.factor)) == ()  # factor vanishes at x
-        assert image == (0, 1)
-
-    def test_rational_denominator_inverts(self):
-        v = place_above(F, 5)
-        assert residue_image(v, F.from_rational(Fraction(1, 2))) == (3,)
-
-    def test_blocked_denominator(self):
-        with pytest.raises(InvalidInputError):
-            residue_image(place_above(F, 2), F.from_rational(Fraction(1, 2)))
 
 
 class TestHilbertSymbolQQ:
@@ -471,6 +446,143 @@ class TestDyadicSplitting:
             assert report.unknown_labels == ("2#0",) and report.minus_count_even is None
         else:
             assert report.conclusive and entry.symbol == -1
+
+
+@functools.lru_cache(maxsize=None)
+def odd_census_places():
+    """Every place above 3, 5, 7, 11 and 13 of the census fields of degree
+    3 and 4 at bound 3."""
+    out = []
+    for field in census_fields(3, 3) + census_fields(4, 3):
+        for ell in (3, 5, 7, 11, 13):
+            try:
+                out += factor_prime(field, ell)
+            except UnsupportedPlaceError:
+                continue
+    return tuple(out)
+
+
+def residue_is_square(place, num, den):
+    """The Euler criterion in the residue field, for den prime to l."""
+    k = FiniteField(place.prime, place.factor)
+    image = k.mul(k.embed(num), k.from_int(pow(den, -1, place.prime)))
+    return k.is_square(image) if image else None
+
+
+class TestResidueSquare:
+    # _residue_square reads the square class of a unit's residue off its
+    # norm to F_l, Res(factor, num) * den^f, against FiniteField's Euler
+    # criterion
+
+    def test_census_places_have_every_shape(self):
+        shapes = {(v.ramification, v.residue_degree) for v in odd_census_places()}
+        assert {(1, 1), (1, 4), (2, 2), (3, 1), (4, 1)} <= shapes
+
+    @given(
+        st.data(),
+        st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_euler_criterion(self, data, coords, den):
+        place = data.draw(st.sampled_from(odd_census_places()))
+        num = tuple(coords[: place.field.degree])
+        if den % place.prime == 0:
+            den += 1
+        expected = residue_is_square(place, num, den)
+        if expected is not None:
+            assert local._residue_square(place, num, den) == expected
+
+    @given(
+        st.data(),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unit_part_branch(self, data, n, d, half_order):
+        # delta = -l^(2k) n/d, rational of even nonzero l-order
+        place = data.draw(st.sampled_from(odd_census_places()))
+        ell = place.prime
+        if n % ell == 0 or d % ell == 0:
+            return
+        field = place.field
+        ext = CMExtension(field, field.from_rational(-Fraction(n * ell ** (2 * half_order), d)))
+        expected = "split" if residue_is_square(place, (-n,), d) else "inert"
+        got = splitting_in_E(ext, place)
+        assert (got.kind, got.method) == (expected, "unit-part residue square test")
+
+
+class TestTameUnitWithDenominator:
+    # a unit at a ramified place over odd l whose denominator l divides,
+    # with delta not rational: N_{F_v/Q_l}(u) = N_{k/F_l}(u-bar)^e mod l
+    # decides it when e is odd; each (field, delta, l, index) has delta of
+    # odd valuation at the place, and another place above l
+
+    ODD_E = [
+        ((1, -3, -1, 1), (-3, -3, -2), 5, 0),  # (e, f) = (1, 1)
+        ((-3, -3, 2, 1), (-3, -2, -1), 3, 1),  # (1, 1), beside a place with e = 2
+        ((-3, -3, 2, 1), (-3, -1, -2), 7, 1),  # (1, 2)
+    ]
+
+    @staticmethod
+    def units(field, place, count):
+        """Units num/den at the place with l dividing den: factor(alpha)^e
+        has valuation e there when factor(alpha) is a uniformizer, so
+        factor(alpha)^e * s / l is a unit for units s."""
+        rng = random.Random(place.prime)
+        alpha = field.generator()
+        g = field.zero()
+        for c in reversed(place.factor):
+            g = g * alpha + c
+        out = []
+        for _ in range(50 * count):
+            s = field.element(tuple(rng.randint(-5, 5) for _ in range(field.degree)))
+            if s.is_zero():
+                continue
+            u = g ** place.ramification * s / place.prime
+            if u.den % place.prime == 0 and valuation(place, u) == 0:
+                out.append(u)
+                if len(out) == count:
+                    break
+        assert len(out) == count
+        return out
+
+    @pytest.mark.parametrize("coeffs, delta, ell, index", ODD_E)
+    def test_odd_e_matches_the_residue_oracle(self, coeffs, delta, ell, index):
+        field = NumberField(Polynomial(coeffs))
+        ext = CMExtension(field, field.element(delta))
+        place = factor_prime(field, ell)[index]
+        assert splitting_in_E(ext, place).kind == "ramified"
+        k = FiniteField(ell, place.factor)
+        factors = place_factors(field, ell)
+        for u in self.units(field, place, 12):
+            residue = unit_residue_mod_block(field.int_poly, factors, index, u.num, u.den, ell)
+            result = local_norm_test(ext, u, place)
+            assert (result.is_norm, result.method) == (k.is_square(k.embed(residue)), "hensel-lift")
+
+    def test_the_cli_element_has_a_conclusive_entry(self):
+        # every place over 2 is out of reach for a delta that is not
+        # rational, so the report as a whole is not conclusive
+        ext = CMExtension(F, F.element((-3, -3, -2)))
+        u = F.element((Fraction(-3, 5), Fraction(-3, 5), Fraction(-2, 5)))
+        report = hilbert_product_check(ext, u)
+        entries = {e.label: (e.symbol, e.method) for e in report.entries}
+        assert entries["5#0"] == (1, "hensel-lift")
+        assert "2#0" in report.unknown_labels
+
+    def test_even_e_is_inconclusive(self):
+        # 3 = (pi_0)^2 pi_1 in Q[x]/(x^3 + 2x^2 - 3x - 3)
+        field = NumberField(Polynomial((-3, -3, 2, 1)))
+        ext = CMExtension(field, field.element((-3, -3, -1)))
+        place = factor_prime(field, 3)[0]
+        assert (place.ramification, place.residue_degree) == (2, 1)
+        assert splitting_in_E(ext, place).kind == "ramified"
+        (u,) = self.units(field, place, 1)
+        with pytest.raises(InconclusiveError, match="even e"):
+            local_norm_test(ext, u, place)
+        (entry,) = [e for e in hilbert_product_check(ext, u).entries if e.label == "3#0"]
+        assert entry.symbol is None and entry.method.startswith("inconclusive:")
 
 
 def fixed_lift(place, z, unit_mod):

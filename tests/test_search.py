@@ -418,6 +418,16 @@ class TestSearchResults:
         assert len(certs) == count
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
 
+    @pytest.mark.parametrize("rank, prefix", [(5, "f1757b7f2e28931d"), (7, "5353387e369b9bf6")])
+    def test_pinned_search_bytes_above_rank_3(self, rank, prefix):
+        # PU(n, 1) for n = 4 and 6: the 66 pairs of rank 3, with forms of
+        # rank 5 and 7, each rebuilt from its parsed echo
+        certs = search_seeds(SearchConfig(degree=3, coefficient_bound=3, rank=rank))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 66
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
+        assert [verify_payload(c).status for c in certs] == ["OK"] * 66
+
     def test_every_result_is_a_pass(self, degree3_certs):
         assert all(c["verdict"]["overall"] == "PASS" for c in degree3_certs)
 
@@ -560,6 +570,22 @@ class TestSeedEcho:
         certs = search_seeds(SearchConfig(degree=3, coefficient_bound=4))
         assert len(certs) == 212
         assert counts == {"NumberField": 104, "HermitianForm": 286}
+
+    def test_entry_pool_stops_once_every_place_has_a_form(self, monkeypatch):
+        # signing the pool to its end took 13,992 sign_at calls at (3, 4);
+        # the first u per place is kept, so the bytes are the same
+        calls = [0]
+
+        def counting(self, place, _sign_at=number_field.FieldElement.sign_at):
+            calls[0] += 1
+            return _sign_at(self, place)
+
+        monkeypatch.setattr(number_field.FieldElement, "sign_at", counting)
+        certs = search_seeds(SearchConfig(degree=3, coefficient_bound=4))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 212
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("c99e3258a890166a")
+        assert calls[0] == 11403
 
 
 class TestPersistence:
