@@ -29,7 +29,6 @@ from .errors import (
 )
 from .finite_groups import (
     DEFAULT_ENUMERATION_BUDGET,
-    CongruenceLevel,
     FiniteGroupSpec,
     congruence_index,
     enumerate_group,
@@ -74,7 +73,6 @@ from .runner import (
 )
 from .search import SearchConfig, candidate_polynomials, field_candidates, search_seeds
 from .volume_fingerprint import (
-    VolumeFingerprint,
     fingerprint,
     level_id_for,
     relative_extension_id,
@@ -87,7 +85,6 @@ __all__ = [
     "CMExtension",
     "CertificateFormatError",
     "CertificateVersionError",
-    "CongruenceLevel",
     "DEFAULT_ENUMERATION_BUDGET",
     "FieldElement",
     "FinitePlace",
@@ -103,7 +100,6 @@ __all__ = [
     "SeedInput",
     "SeedVerdict",
     "UnsupportedPlaceError",
-    "VolumeFingerprint",
     "automorphism_count",
     "build_certificate",
     "canonical_json",

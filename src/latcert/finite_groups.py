@@ -178,18 +178,9 @@ def enumerate_group(spec: FiniteGroupSpec, budget: int = DEFAULT_ENUMERATION_BUD
     return _enumerate_unitary(spec)
 
 
-class CongruenceLevel(Frozen):
-    """One congruence condition: reduce the form at a finite place."""
-
-    __slots__ = ("place", "form")
-
-    def __init__(self, place: FinitePlace, form: HermitianForm):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "form", form)
-
-
-def congruence_index(level: CongruenceLevel) -> int:
-    """Index of the principal congruence subgroup at the level's place.
+def congruence_index(place: FinitePlace, form: HermitianForm) -> int:
+    """Index of the principal congruence subgroup of the form's group at
+    the place.
 
     Equals the order of the reduced group over the residue field: the
     special linear group when the place splits in E, the special unitary
@@ -199,7 +190,6 @@ def congruence_index(level: CongruenceLevel) -> int:
     equals the full group order because reduction is surjective for the
     simply connected group; certificates record that as a cited input.)
     """
-    place, form = level.place, level.form
     ext = form.ext
     if form.rank % 2 == 0:
         raise InvalidInputError("even rank is out of scope")

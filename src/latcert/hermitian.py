@@ -249,12 +249,6 @@ class SeedVerdict(Frozen):
         _set(self, "status", status)  # PASS | FAIL | UNKNOWN
         _set(self, "components", components)
 
-    def component(self, name: str) -> ComponentCheck:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def __str__(self) -> str:
         parts = ", ".join(f"{c.name}={c.status}" for c in self.components)
         return f"{self.status} [{parts}]"

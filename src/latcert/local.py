@@ -393,13 +393,12 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 
 
 class LocalNormResult(Frozen):
-    __slots__ = ("is_norm", "method", "place")
+    __slots__ = ("is_norm", "method")
 
-    def __init__(self, is_norm: bool, method: str, place: Place):
+    def __init__(self, is_norm: bool, method: str):
         _set(self, "is_norm", is_norm)
         # "split" | "unramified-valuation" | "hensel-lift" | "archimedean-sign"
         _set(self, "method", method)
-        _set(self, "place", place)
 
     def __bool__(self) -> bool:
         return self.is_norm
@@ -418,19 +417,19 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
     if isinstance(place, RealPlace):
         # delta is totally negative: the local extension is C/R and the
         # norms are exactly the positive reals.
-        return LocalNormResult(u.sign_at(place.index) > 0, "archimedean-sign", place)
+        return LocalNormResult(u.sign_at(place.index) > 0, "archimedean-sign")
 
     split = splitting_in_E(ext, place)
     if split.kind == "split":
-        return LocalNormResult(True, "split", place)
+        return LocalNormResult(True, "split")
     if split.kind == "inert":
-        return LocalNormResult(valuation(place, u) % 2 == 0, "unramified-valuation", place)
+        return LocalNormResult(valuation(place, u) % 2 == 0, "unramified-valuation")
 
     # Ramified places.
     delta = ext.delta
     if delta.is_rational():
         symbol = _symbol_vs_rational(place, delta.coords[0], u)
-        return LocalNormResult(symbol == 1, "hensel-lift", place)
+        return LocalNormResult(symbol == 1, "hensel-lift")
     ell = place.prime
     if ell != 2 and valuation(place, u) == 0:
         # Tame ramification with a unit argument: quadratic residue character
@@ -447,7 +446,7 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
                 f"norm test at ramified {place} of even e with a unit whose "
                 f"denominator {ell} divides"
             )
-        return LocalNormResult(is_sq, "hensel-lift", place)
+        return LocalNormResult(is_sq, "hensel-lift")
     raise InconclusiveError(
         f"norm test at ramified {place} with non-rational delta and non-unit argument"
     )
@@ -467,11 +466,10 @@ class PlaceSymbolEntry(Frozen):
 
 
 class HilbertReport(Frozen):
-    __slots__ = ("element", "entries", "unknown_labels", "minus_count")
+    __slots__ = ("entries", "unknown_labels", "minus_count")
 
-    def __init__(self, element: str, entries: tuple[PlaceSymbolEntry, ...],
+    def __init__(self, entries: tuple[PlaceSymbolEntry, ...],
                  unknown_labels: tuple[str, ...], minus_count: int):
-        _set(self, "element", element)
         _set(self, "entries", entries)
         _set(self, "unknown_labels", unknown_labels)
         _set(self, "minus_count", minus_count)
@@ -541,7 +539,7 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
             )
 
     minus = sum(1 for e in entries if e.symbol == -1)
-    return HilbertReport(str(u), tuple(entries), tuple(unknown), minus)
+    return HilbertReport(tuple(entries), tuple(unknown), minus)
 
 
 def norm_class_equal(ext: CMExtension, a: FieldElement, b: FieldElement) -> bool:

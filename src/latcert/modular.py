@@ -381,13 +381,6 @@ class FiniteField:
     def one(self) -> Coeffs:
         return (1,)
 
-    def embed(self, coeffs: Coeffs) -> Coeffs:
-        """Reduce an integer polynomial in the generator to an element."""
-        return mod_poly(normalize(coeffs, self.char), self.modulus, self.char)
-
-    def from_int(self, c: int) -> Coeffs:
-        return trim((c % self.char,))
-
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return add(a, b, self.char)
 
@@ -413,12 +406,6 @@ class FiniteField:
         """All elements, lexicographic in coefficient tuples."""
         for coeffs in itertools.product(range(self.char), repeat=self.degree):
             yield trim(coeffs)
-
-    def is_square(self, a: Coeffs) -> bool:
-        """Whether a is a square (zero counts; in char 2 everything is)."""
-        if not a or self.char == 2:
-            return True
-        return self.pow(a, (self.order - 1) // 2) == self.one
 
     def frobenius(self, a: Coeffs, times: int = 1) -> Coeffs:
         return self.pow(a, self.char**times)

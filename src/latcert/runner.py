@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedPlaceError,
 )
-from .finite_groups import CongruenceLevel, congruence_index
+from .finite_groups import congruence_index
 from .frozen import Frozen
 from .hermitian import (
     HermitianForm,
@@ -51,7 +51,7 @@ from .number_field import (
     is_rational_square,
 )
 from .polynomials import Polynomial
-from .volume_fingerprint import ITEM_NAMES, fingerprint, level_id_for
+from .volume_fingerprint import fingerprint, level_id_for
 
 _set = object.__setattr__
 
@@ -109,8 +109,9 @@ class SeedInput(Frozen):
     `build_certificate` certifies: forms h1 and h2 over `ext`, and tau, a
     permutation of the real places. The recorded values are the input's
     claims, set beside what the certificate computes; the closure fields
-    are None when there is no closure. `parse_seed_input` reads a seed from
-    its input record, and `seed_echo` writes the record.
+    are None when there is no closure. A form over any other extension
+    raises InvalidInputError. `parse_seed_input` reads a seed from its input
+    record, and `seed_echo` writes the record.
     """
 
     __slots__ = (
@@ -152,6 +153,8 @@ class SeedInput(Frozen):
         closure: Optional[GaloisClosure] = None,
         closure_recorded_disc: Optional[Fraction] = None,
     ):
+        if h1.ext != ext or h2.ext != ext:
+            raise InvalidInputError("both forms must lie over the seed's extension")
         # the sequences as tuples, so that a seed holds no list
         _set(self, "ext", ext)
         _set(self, "h1", h1)
@@ -462,8 +465,8 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
     # the two forms
     forms_block = {
         "rank": exact(h1.rank),
-        "first": [[exact(c) for c in e.coords] for e in h1.diag],
-        "second": [[exact(c) for c in e.coords] for e in h2.diag],
+        "first": _rows(h1.diag),
+        "second": _rows(h2.diag),
         "disc_first": _coords(h1.disc),
         "disc_second": _coords(h2.disc),
     }
@@ -537,7 +540,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
     }
 
     # congruence indices at the good sample places
-    levels = []
+    level_places = []
     index_entries = []
     for ell in seed.congruence_primes:
         try:
@@ -546,14 +549,13 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
             index_entries.append({"place": f"prime {ell}", "refused": str(exc)})
             continue
         for place in places:
-            level = CongruenceLevel(place, h1)
             try:
                 split = splitting_in_E(ext, place)
-                idx = congruence_index(level)
+                idx = congruence_index(place, h1)
             except (UnsupportedPlaceError, InconclusiveError) as exc:
                 index_entries.append({"place": place.label(), "refused": str(exc)})
                 continue
-            levels.append(level)
+            level_places.append(place)
             index_entries.append(
                 {
                     "place": place.label(),
@@ -564,29 +566,17 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
             )
     index_block = {"entries": index_entries}
 
-    # covolume fingerprints at the shared level
-    level_id = level_id_for(levels)
-    fp1 = fingerprint(h1, level_id)
-    fp2 = fingerprint(h2, level_id)
-    mismatched = [n for n in ITEM_NAMES if getattr(fp1, n) != getattr(fp2, n)]
-
-    def fp_record(fp):
-        return {
-            "base_field_disc": exact(fp.base_field_disc),
-            "relative_ext_id": fp.relative_ext_id,
-            "group_dim": exact(fp.group_dim),
-            "quasi_split_form_id": fp.quasi_split_form_id,
-            "exponents": [exact(e) for e in fp.exponents],
-            "tamagawa": exact(fp.tamagawa),
-            "level_id": fp.level_id,
-        }
-
+    # the covolume record at the shared level: it reads only a form's
+    # extension and rank, both forms lie over the seed's extension, and
+    # seed_pair_check refuses two ranks, so one record serves both forms
+    level_id = level_id_for(level_places, h1)
+    record = fingerprint(h1, level_id)
     fingerprint_block = {
         "level_id": level_id,
-        "first": fp_record(fp1),
-        "second": fp_record(fp2),
-        "equal": not mismatched,
-        "mismatched": mismatched,
+        "first": record,
+        "second": record,
+        "equal": True,
+        "mismatched": [],
     }
 
     # overall verdict

@@ -18,7 +18,8 @@ library's json.dumps, and the payload check its former walk in insertion
 order. The local norm oracle lifts a place's factor block with the package's
 Hensel lift, but always to 64 digits, whatever the element, and takes the
 resultant as a Sylvester determinant; the unit residue oracle divides an
-element by that block to read its residue. Slow and simple on purpose.
+element by that block to read its residue, and the residue square oracle is
+Euler's criterion in F_l[x]/(g). Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -246,6 +247,19 @@ def unit_residue_mod_block(
     assert all(c % ell**m == 0 for c in rem), "num/den is not a unit at the place"
     inv = pow(den, -1, ell)
     return tuple(c // ell**m * inv % ell for c in rem)
+
+
+def residue_is_square(factor: tuple[int, ...], ell: int, num: tuple[int, ...], den: int):
+    """Euler's criterion in the residue field F_l[x]/(factor), factor monic
+    irreducible mod the odd prime l: whether the image of num/den, for den
+    prime to l, is a square, or None when it is zero."""
+    image = modular.mod_poly(
+        modular.normalize([c * pow(den, -1, ell) for c in num], ell), factor, ell
+    )
+    if not image:
+        return None
+    q = ell ** modular.degree(factor)
+    return modular.pow_mod(image, (q - 1) // 2, factor, ell) == (1,)
 
 
 def _ord2(n: int) -> int:

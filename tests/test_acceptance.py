@@ -193,9 +193,10 @@ def test_criterion_08_product_formula_randomized(field, ext):
     def check():
         unknown = 0
         for _ in range(100):
-            report = hilbert_product_check(ext, draw())
+            u = draw()
+            report = hilbert_product_check(ext, u)
             if report.conclusive:
-                assert report.minus_count_even, f"odd -1 count for {report.element}"
+                assert report.minus_count_even, f"odd -1 count for {u}"
             else:
                 unknown += 1
         return unknown

@@ -4,7 +4,6 @@ import pytest
 
 from latcert.errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from latcert.finite_groups import (
-    CongruenceLevel,
     FiniteGroupSpec,
     congruence_index,
     enumerate_group,
@@ -122,18 +121,18 @@ class TestCongruenceIndex:
         ext = gaussian_extension(field)
         alpha = field.generator()
         form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 5)[0], form)
-        assert congruence_index(level) == 372000
+        place = factor_prime(field, 5)[0]
+        assert congruence_index(place, form) == 372000
 
     def test_inert_place_gives_special_unitary(self):
         field = reference_field()
         ext = gaussian_extension(field)
         alpha = field.generator()
         form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 3)[0], form)
+        place = factor_prime(field, 3)[0]
         # 3 is inert in the cubic, residue field F_27
-        assert congruence_index(level) == 282056445216
-        assert congruence_index(level) == group_order(FiniteGroupSpec("SU", 3, 27))
+        assert congruence_index(place, form) == 282056445216
+        assert congruence_index(place, form) == group_order(FiniteGroupSpec("SU", 3, 27))
 
     @pytest.mark.parametrize("idx", [0, 1])
     def test_places_above_37_split(self, idx):
@@ -143,17 +142,17 @@ class TestCongruenceIndex:
         ext = gaussian_extension(field)
         alpha = field.generator()
         form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 37)[idx], form)
-        assert congruence_index(level) == 3509844434208
+        place = factor_prime(field, 37)[idx]
+        assert congruence_index(place, form) == 3509844434208
 
     def test_even_residue_characteristic_refused(self):
         field = reference_field()
         ext = gaussian_extension(field)
         alpha = field.generator()
         form = HermitianForm(ext, (-alpha, -alpha, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 2)[0], form)
+        place = factor_prime(field, 2)[0]
         with pytest.raises(UnsupportedPlaceError, match="even"):
-            congruence_index(level)
+            congruence_index(place, form)
 
     def test_non_unit_entry_refused(self):
         field = reference_field()
@@ -161,9 +160,9 @@ class TestCongruenceIndex:
         alpha = field.generator()
         entry = alpha - field.from_rational(4)  # valuation 1 at the second place over 37
         form = HermitianForm(ext, (entry, entry, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 37)[1], form)
+        place = factor_prime(field, 37)[1]
         with pytest.raises(UnsupportedPlaceError, match="entry"):
-            congruence_index(level)
+            congruence_index(place, form)
 
     def test_non_unit_delta_refused(self):
         field = reference_field()
@@ -174,9 +173,9 @@ class TestCongruenceIndex:
             ext,
             (field.from_rational(-1), field.from_rational(1), field.from_rational(-1)),
         )
-        level = CongruenceLevel(factor_prime(field, 37)[1], form)
+        place = factor_prime(field, 37)[1]
         with pytest.raises(UnsupportedPlaceError, match="delta"):
-            congruence_index(level)
+            congruence_index(place, form)
 
     def test_good_place_for_shifted_delta(self):
         # same extension as above but at a split, unramified place
@@ -187,14 +186,14 @@ class TestCongruenceIndex:
             ext,
             (field.from_rational(-1), field.from_rational(1), field.from_rational(-1)),
         )
-        level = CongruenceLevel(factor_prime(field, 5)[0], form)
-        assert congruence_index(level) == 372000
+        place = factor_prime(field, 5)[0]
+        assert congruence_index(place, form) == 372000
 
     def test_even_rank_rejected(self):
         field = reference_field()
         ext = gaussian_extension(field)
         alpha = field.generator()
         form = HermitianForm(ext, (alpha, field.from_rational(-1)))
-        level = CongruenceLevel(factor_prime(field, 5)[0], form)
+        place = factor_prime(field, 5)[0]
         with pytest.raises(InvalidInputError):
-            congruence_index(level)
+            congruence_index(place, form)

@@ -1,5 +1,6 @@
-"""Every module-level function and class in latcert is named somewhere in
-the package: code that nothing calls is deleted, not kept for the tests."""
+"""Every module-level function and class in latcert, and every method of its
+classes but the dunder methods, is named somewhere in the package: code that
+nothing calls is deleted, not kept for the tests."""
 
 import ast
 from pathlib import Path
@@ -29,14 +30,30 @@ def _names(tree: ast.AST) -> set[str]:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(name, where) of each module-level function and class, and of each
+    method of those classes but the dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, module
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(
+                    item.name
+                ):
+                    yield item.name, f"{module}:{node.name}"
+
+
 def test_every_helper_has_a_caller():
     defined, named = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
+        defined.update(_definitions(tree, path.name))
         named |= _names(tree)
     assert defined
-    uncalled = {name: module for name, module in defined.items() if name not in named}
+    uncalled = {name: where for name, where in defined.items() if name not in named}
     assert uncalled.keys() == ALLOWED, uncalled

@@ -3,18 +3,20 @@
 import hashlib
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcert import hermitian, runner
+from latcert import hermitian
 from latcert.certificates import canonical_json, diff_paths, write_certificate
-from latcert.errors import CertificateFormatError
+from latcert.errors import CertificateFormatError, InvalidInputError
+from latcert.hermitian import HermitianForm
+from latcert.number_field import CMExtension
 from latcert.runner import (
     MISMATCH,
     OK,
+    SeedInput,
     build_certificate,
     load_example_fixture,
     parse_seed_input,
@@ -23,7 +25,6 @@ from latcert.runner import (
     verify_certificate,
     verify_payload,
 )
-from latcert.volume_fingerprint import ITEM_NAMES, VolumeFingerprint, fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -137,35 +138,6 @@ class TestCertificateContent:
         assert block["first"]["group_dim"] == "8"
         assert block["first"]["exponents"] == ["1", "2"]
         assert block["first"]["tamagawa"] == "1"
-
-    @pytest.mark.parametrize(
-        "changes, mismatched",
-        [
-            ({"level_id": "elsewhere"}, ["level_id"]),
-            (
-                {"level_id": "elsewhere", "base_field_disc": Fraction(81)},
-                ["base_field_disc", "level_id"],
-            ),
-        ],
-    )
-    def test_fingerprint_mismatch_named_in_item_order(self, monkeypatch, changes, mismatched):
-        # both forms share every item by construction, so the second form's
-        # fingerprint is altered to reach a mismatch
-        calls = []
-
-        def altered(h, level_id):
-            calls.append(h)
-            fp = fingerprint(h, level_id)
-            if len(calls) != 2:
-                return fp
-            return VolumeFingerprint(**{**{n: getattr(fp, n) for n in ITEM_NAMES}, **changes})
-
-        monkeypatch.setattr(runner, "fingerprint", altered)
-        block = run_paper_example()["fingerprint_block"]
-        assert len(calls) == 2
-        assert block["equal"] is False
-        assert block["mismatched"] == mismatched
-        assert block["first"] != block["second"]
 
     def test_verdict_pass_on_all_components(self, cert):
         verdict = cert["verdict"]
@@ -348,3 +320,18 @@ class TestParseSeedInput:
         cert = build_certificate(parse_seed_input(echo), echo)
         (entry,) = [e for e in cert["index_block"]["entries"] if e["place"] == "prime 2"]
         assert "divides the index of the polynomial order" in entry["refused"]
+
+
+class TestSeedInput:
+    def test_forms_over_another_extension_refused(self):
+        # forms over sqrt(-2) beside a seed over sqrt(-1) of the same field:
+        # the certificate would mix the two extensions and replay to MISMATCH
+        seed = parse_seed_input(load_example_fixture())
+        field = seed.field
+        other = CMExtension(field, field.from_rational(-2))
+        h1, h2 = (HermitianForm(other, h.diag) for h in (seed.h1, seed.h2))
+        rest = {n: getattr(seed, n) for n in SeedInput.__slots__[4:]}
+        for forms in ((h1, h2), (seed.h1, h2), (h1, seed.h2)):
+            with pytest.raises(InvalidInputError, match="seed's extension"):
+                SeedInput(seed.ext, *forms, seed.tau, **rest)
+        assert SeedInput(other, h1, h2, seed.tau, **rest).ext == other

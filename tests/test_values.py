@@ -13,7 +13,7 @@ import pytest
 
 import latcert
 from latcert import local
-from latcert.finite_groups import CongruenceLevel, FiniteGroupSpec
+from latcert.finite_groups import FiniteGroupSpec
 from latcert.hermitian import ComponentCheck, HermitianForm, IsomorphismVerdict, SeedVerdict
 from latcert.local import (
     FinitePlace,
@@ -32,7 +32,6 @@ from latcert.number_field import (
 from latcert.polynomials import Interval, Polynomial
 from latcert.runner import VerificationReport, load_example_fixture, parse_seed_input
 from latcert.search import SearchConfig
-from latcert.volume_fingerprint import VolumeFingerprint
 
 CUBIC = Polynomial((1, -3, -1, 1))  # x^3 - x^2 - 3x + 1, disc 148
 
@@ -66,16 +65,14 @@ FACTORIES = {
     "GaloisClosure": lambda: GaloisClosure(_field(), _field(), [_field().generator()]),
     "FinitePlace": _place,
     "SplittingResult": lambda: SplittingResult("split", "residue square"),
-    "LocalNormResult": lambda: LocalNormResult(True, "split", _place()),
+    "LocalNormResult": lambda: LocalNormResult(True, "split"),
     "PlaceSymbolEntry": lambda: PlaceSymbolEntry("5#0", -1, "hensel-lift"),
-    "HilbertReport": lambda: HilbertReport("x", (PlaceSymbolEntry("2#0", 1, "split"),), (), 0),
+    "HilbertReport": lambda: HilbertReport((PlaceSymbolEntry("2#0", 1, "split"),), (), 0),
     "HermitianForm": _form,
     "IsomorphismVerdict": lambda: IsomorphismVerdict("UNKNOWN", detail="no witness"),
     "ComponentCheck": lambda: ComponentCheck("local-rule", "PASS", "odd rank"),
     "SeedVerdict": lambda: SeedVerdict("PASS", (ComponentCheck("a", "PASS", ""),)),
     "FiniteGroupSpec": lambda: FiniteGroupSpec("SU", 3, 25),
-    "CongruenceLevel": lambda: CongruenceLevel(_place(), _form()),
-    "VolumeFingerprint": lambda: VolumeFingerprint(Fraction(148), "x", 8, "y", (1, 2), 1, "z"),
     "VerificationReport": lambda: VerificationReport("OK", ()),
     "SeedInput": lambda: parse_seed_input(load_example_fixture()),
     "SearchConfig": lambda: SearchConfig(delta_candidates=[-1, Fraction(-3, 2)]),

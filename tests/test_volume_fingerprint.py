@@ -1,19 +1,15 @@
-"""Covolume fingerprint assembly."""
+"""Covolume record assembly."""
 
-import inspect
 from fractions import Fraction
 
 import pytest
 
 from latcert.errors import InvalidInputError
-from latcert.finite_groups import CongruenceLevel
 from latcert.hermitian import HermitianForm
 from latcert.local import factor_prime
 from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import Polynomial
 from latcert.volume_fingerprint import (
-    ITEM_NAMES,
-    VolumeFingerprint,
     fingerprint,
     level_id_for,
     relative_extension_id,
@@ -29,12 +25,7 @@ def setup():
     ext = CMExtension(field, field.from_rational(-1))
     neg1 = field.from_rational(-1)
     h1 = HermitianForm(ext, (-alpha, -alpha, neg1))
-    level = level_id_for(
-        [
-            CongruenceLevel(factor_prime(field, 5)[0], h1),
-            CongruenceLevel(factor_prime(field, 3)[0], h1),
-        ]
-    )
+    level = level_id_for([factor_prime(field, 5)[0], factor_prime(field, 3)[0]], h1)
     return field, alpha, ext, h1, level
 
 
@@ -45,17 +36,12 @@ class TestLevelId:
 
     def test_independent_of_input_order(self, setup):
         field, _, _, h1, level = setup
-        reordered = level_id_for(
-            [
-                CongruenceLevel(factor_prime(field, 3)[0], h1),
-                CongruenceLevel(factor_prime(field, 5)[0], h1),
-            ]
-        )
+        reordered = level_id_for([factor_prime(field, 3)[0], factor_prime(field, 5)[0]], h1)
         assert reordered == level
 
     def test_different_levels_differ(self, setup):
         field, _, _, h1, level = setup
-        assert level_id_for([CongruenceLevel(factor_prime(field, 5)[0], h1)]) != level
+        assert level_id_for([factor_prime(field, 5)[0]], h1) != level
 
 
 class TestExtensionId:
@@ -87,20 +73,22 @@ class TestFingerprint:
     def test_rank_three_shape(self, setup):
         _, _, _, h1, level = setup
         fp = fingerprint(h1, level)
-        assert fp.base_field_disc == Fraction(148)
-        assert fp.group_dim == 8
-        assert fp.exponents == (1, 2)
-        assert fp.tamagawa == 1
-        assert fp.level_id == level
+        assert fp["base_field_disc"] == "148"
+        assert fp["relative_ext_id"] == "sqrt(-1,0,0)/field(1,-3,-1,1)"
+        assert fp["quasi_split_form_id"] == "quasi-split-SU_3(sqrt(-1,0,0)/field(1,-3,-1,1))"
+        assert fp["group_dim"] == "8"
+        assert fp["exponents"] == ["1", "2"]
+        assert fp["tamagawa"] == "1"
+        assert fp["level_id"] == level
 
     def test_rank_five_shape(self, setup):
         field, alpha, ext, _, level = setup
         neg1 = field.from_rational(-1)
         h5 = HermitianForm(ext, (-alpha, -alpha, neg1, neg1, neg1))
         fp = fingerprint(h5, level)
-        assert fp.group_dim == 24
-        assert fp.exponents == (1, 2, 3, 4)
-        assert fp.tamagawa == 1
+        assert fp["group_dim"] == "24"
+        assert fp["exponents"] == ["1", "2", "3", "4"]
+        assert fp["tamagawa"] == "1"
 
     def test_even_rank_refused(self, setup):
         field, alpha, ext, _, level = setup
@@ -117,15 +105,26 @@ class TestFingerprint:
         _, _, _, h1, level = setup
         assert fingerprint(h1, level) == fingerprint(h1, level)
 
-    def test_item_names_are_the_fields(self):
-        # the runner compares the two fingerprints over ITEM_NAMES alone
-        assert VolumeFingerprint.__slots__ == ITEM_NAMES
-        assert tuple(inspect.signature(VolumeFingerprint).parameters) == ITEM_NAMES
+    def test_item_names_are_the_fields(self, setup):
+        # the seven items a certificate's fingerprint_block records per form
+        _, _, _, h1, level = setup
+        assert list(fingerprint(h1, level)) == [
+            "base_field_disc",
+            "relative_ext_id",
+            "group_dim",
+            "quasi_split_form_id",
+            "exponents",
+            "tamagawa",
+            "level_id",
+        ]
 
-    def test_invariants_enforced(self):
-        with pytest.raises(InvalidInputError, match="dimension"):
-            VolumeFingerprint(Fraction(148), "x", 9, "y", (1, 2), 1, "z")
-        with pytest.raises(InvalidInputError, match="Tamagawa"):
-            VolumeFingerprint(Fraction(148), "x", 8, "y", (1, 2), 2, "z")
-        with pytest.raises(InvalidInputError, match="exponents"):
-            VolumeFingerprint(Fraction(148), "x", 8, "y", (2, 1), 1, "z")
+    def test_invariants_enforced(self, setup):
+        # dimension rank^2 - 1, exponents 1..rank-1 and Tamagawa number 1
+        # follow from the rank alone, whatever the diagonal
+        field, alpha, ext, _, level = setup
+        for rank in (3, 5, 7, 9):
+            h = HermitianForm(ext, (-alpha,) + (field.from_rational(-1),) * (rank - 1))
+            fp = fingerprint(h, level)
+            assert fp["group_dim"] == str(rank * rank - 1)
+            assert fp["exponents"] == [str(e) for e in range(1, rank)]
+            assert fp["tamagawa"] == "1"
