@@ -134,26 +134,17 @@ def _enumerate_unitary(spec: FiniteGroupSpec) -> int:
     unit_vectors = [v for v in vectors if pairing(v, v) == one]
 
     count = 0
-
-    def extend(columns: list):
-        nonlocal count
+    stack: list[tuple] = [()]
+    while stack:
+        columns = stack.pop()
         if len(columns) == n:
-            if spec.family == "GU":
+            # the rows of the matrix are the transposed columns
+            if spec.family == "GU" or _det(field, tuple(zip(*columns)), n) == one:
                 count += 1
-            else:
-                rows = tuple(
-                    tuple(columns[j][i] for j in range(n)) for i in range(n)
-                )
-                if _det(field, rows, n) == one:
-                    count += 1
-            return
+            continue
         for v in unit_vectors:
             if all(pairing(c, v) == field.zero for c in columns):
-                columns.append(v)
-                extend(columns)
-                columns.pop()
-
-    extend([])
+                stack.append(columns + (v,))
     return count
 
 

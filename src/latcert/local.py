@@ -30,7 +30,9 @@ p mod l.
 
 Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
-projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. At a
+projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. The
+symbols and square tests read only square classes, so a rational n/d enters
+them as the integer n*d, which lies in its class. At a
 place over 2, how rational delta of even 2-order splits is read off one
 digit-by-digit lift of a square root of its odd part. The few
 corners this leaves open (non-rational delta at a ramified place with a
@@ -42,7 +44,6 @@ guessing; callers report them as UNKNOWN.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -213,10 +214,9 @@ def _residue_square(place: FinitePlace, num: tuple[int, ...], den: int) -> bool:
 # Classical Hilbert symbols over Q_l and R
 
 
-def _split_prime_part(x: Fraction, ell: int) -> tuple[int, Fraction]:
-    n, d = x.numerator, x.denominator
-    on, od = _ord_int(n, ell), _ord_int(d, ell)
-    return on - od, Fraction(n // ell**on, d // ell**od)
+def _split_prime_part(n: int, ell: int) -> tuple[int, int]:
+    o = _ord_int(n, ell)
+    return o, n // ell**o
 
 
 def _legendre(a: int, ell: int) -> int:
@@ -225,17 +225,17 @@ def _legendre(a: int, ell: int) -> int:
     return 1 if pow(val, (ell - 1) // 2, ell) == 1 else -1
 
 
-def _odd_residue_mod8(u: Fraction) -> int:
-    # The denominator is odd, and d ≡ d^{-1} mod 8 for odd d.
-    return u.numerator % 8 * (u.denominator % 8) % 8
-
-
 def hilbert_symbol_qq(a, b, prime: Optional[int]) -> int:
     """Hilbert symbol (a, b) over Q_prime, or over R when prime is None.
 
     Exact for arbitrary nonzero rationals, by the classical closed formulas.
+    The symbol reads only the square classes of its arguments, and n/d lies
+    in the square class of the integer n*d, so each argument is read as n*d
+    from its exact ratio (n, d): an int or a Fraction builds no new Fraction,
+    and a float or Decimal gives the ratio Fraction(x) would.
     """
-    a, b = Fraction(a), Fraction(b)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    a, b = an * ad, bn * bd
     if a == 0 or b == 0:
         raise InvalidInputError("Hilbert symbol arguments must be nonzero")
     if prime is None:
@@ -245,7 +245,7 @@ def hilbert_symbol_qq(a, b, prime: Optional[int]) -> int:
     alpha, s = _split_prime_part(a, prime)
     beta, t = _split_prime_part(b, prime)
     if prime == 2:
-        s8, t8 = _odd_residue_mod8(s), _odd_residue_mod8(t)
+        s8, t8 = s % 8, t % 8
         eps_s, eps_t = s8 % 4 == 3, t8 % 4 == 3
         omega_s, omega_t = s8 in (3, 5), t8 in (3, 5)
         exponent = (eps_s and eps_t) + alpha * omega_t + beta * omega_s
@@ -253,20 +253,20 @@ def hilbert_symbol_qq(a, b, prime: Optional[int]) -> int:
     result = 1
     if alpha % 2 and beta % 2 and prime % 4 == 3:
         result = -result
-    # n/d and n*d lie in one square class
     if beta % 2:
-        result *= _legendre(s.numerator * s.denominator, prime)
+        result *= _legendre(s, prime)
     if alpha % 2:
-        result *= _legendre(t.numerator * t.denominator, prime)
+        result *= _legendre(t, prime)
     return result
 
 
-def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int:
-    """(w, N_{F_v/Q_l}(u))_{Q_l} for rational w, exactly.
+def _symbol_vs_rational(place: FinitePlace, w: int, u: FieldElement) -> int:
+    """(w, N_{F_v/Q_l}(u))_{Q_l} for a nonzero integer w, exactly; a rational
+    n/d enters as n*d, which lies in its square class.
 
     The norm square-class is reconstructed from the l-order and unit residue
     of the block resultant; the residue mod 8 (mod l for odd l) pins the
-    class of a unit, so the rebuilt small rational is in the right class.
+    class of a unit, so the rebuilt small integer is in the right class.
     """
     ell = place.prime
     unit_mod = 8 if ell == 2 else ell
@@ -277,8 +277,7 @@ def _symbol_vs_rational(place: FinitePlace, w: Fraction, u: FieldElement) -> int
     mm = m // ell**mo
     beta = o - ef * mo
     r_n = r * pow(pow(mm, ef, unit_mod), -1, unit_mod) % unit_mod
-    small = Fraction(ell ** (beta % 2) * r_n)
-    return hilbert_symbol_qq(w, small, ell)
+    return hilbert_symbol_qq(w, ell ** (beta % 2) * r_n, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +295,19 @@ class SplittingResult(Frozen):
         return f"{self.kind} ({self.method})"
 
 
-def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
-    """Whether some y in O_v has v(y^2 - w) >= k, for an odd rational w = n/d.
+def _dyadic_approximable(place: FinitePlace, w: int, k: int) -> bool:
+    """Whether some y in O_v has v(y^2 - w) >= k, for an odd integer w.
 
+    An odd rational n/d is asked about as w = n*d: y -> d*y maps the
+    solutions for n/d onto those for n*d, since d*(d*y^2 - n) = (d*y)^2 - n*d
+    and d is a unit.
     The coordinates of y over 1, alpha, ..., alpha^(e*f - 1) are found one
     binary digit at a time.  If y agrees with a solution y* mod 2^s, s >= 1,
     then y - y* lies in 2^s O_v and y + y* in 2 O_v, so y^2 - y*^2 lies in
-    2^(s+1) O_v = pi^(e*(s+1)) O_v and v(d*y^2 - n) >= min(k, e*(s+1)) (d is
-    odd, so this is v(y^2 - w)); only such nodes are extended, and the first
-    node that reaches k is a solution.
+    2^(s+1) O_v = pi^(e*(s+1)) O_v and v(y^2 - w) >= min(k, e*(s+1)); only
+    such nodes are extended, and the first node that reaches k is a solution.
     Every node counts against the enumeration cap.
     """
-    n, d = w.numerator, w.denominator
     e, width = place.ramification, place.ramification * place.residue_degree
     p = place.field.int_poly
     nodes = 0
@@ -322,8 +322,8 @@ def _dyadic_approximable(place: FinitePlace, w: Fraction, k: int) -> bool:
                     f"{_DYADIC_ENUMERATION_CAP} nodes"
                 )
             child = tuple(c + (b << s) for c, b in zip(y, bits))
-            g = [d * c for c in _reduce_monic(_poly_mul(child, child), p)]
-            g[0] -= n
+            g = _reduce_monic(_poly_mul(child, child), p)
+            g[0] -= w
             if not any(g):
                 return True
             o = _int_valuation(place, tuple(g))
@@ -360,9 +360,9 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
             square = _residue_square(place, delta.num, delta.den)
             return SplittingResult("split" if square else "inert", "residue square test")
         if delta.is_rational():
-            k_ord, unit_part = _split_prime_part(delta.coords[0], ell)
+            k_ord, unit_part = _split_prime_part(delta.num[0] * delta.den, ell)
             if k_ord % 2 == 0:
-                square = _residue_square(place, (unit_part.numerator,), unit_part.denominator)
+                square = _residue_square(place, (unit_part,), 1)
                 return SplittingResult(
                     "split" if square else "inert", "unit-part residue square test"
                 )
@@ -375,7 +375,7 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
     # 4*pi = pi^(2e+1), and F_v(sqrt(w)) is unramified exactly when w is a
     # square mod 4 = pi^(2e) (the quadratic defect; O'Meara, section 63).
     if delta.is_rational():
-        k_ord, unit_part = _split_prime_part(delta.coords[0], 2)
+        k_ord, unit_part = _split_prime_part(delta.num[0] * delta.den, 2)
         if k_ord % 2 == 0:
             e = place.ramification
             if _dyadic_approximable(place, unit_part, 2 * e + 1):
@@ -428,7 +428,7 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
     # Ramified places.
     delta = ext.delta
     if delta.is_rational():
-        symbol = _symbol_vs_rational(place, delta.coords[0], u)
+        symbol = _symbol_vs_rational(place, delta.num[0] * delta.den, u)
         return LocalNormResult(symbol == 1, "hensel-lift")
     ell = place.prime
     if ell != 2 and valuation(place, u) == 0:
@@ -440,7 +440,7 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
         if u.den % ell:
             is_sq = _residue_square(place, u.num, u.den)
         elif place.ramification % 2:
-            is_sq = _symbol_vs_rational(place, Fraction(ell), u) == 1
+            is_sq = _symbol_vs_rational(place, ell, u) == 1
         else:
             raise InconclusiveError(
                 f"norm test at ramified {place} of even e with a unit whose "

@@ -14,6 +14,7 @@ import itertools
 import random
 
 from .errors import InvalidInputError
+from .frozen import Frozen
 from .intfactor import is_prime
 
 Coeffs = tuple[int, ...]
@@ -151,32 +152,24 @@ def squarefree_factorization(f: Coeffs, p: int) -> list[tuple[Coeffs, int]]:
     if not f or f[-1] != 1:
         raise InvalidInputError("squarefree factorization needs a monic polynomial")
     out: dict[Coeffs, int] = {}
-
-    def accumulate(g: Coeffs, k: int) -> None:
-        if degree(g) >= 1:
-            out[g] = out.get(g, 0) + k
-
-    def walk(f: Coeffs, outer: int) -> None:
-        if degree(f) < 1:
-            return
+    outer = 1
+    while degree(f) >= 1:
         fp = deriv(f, p)
-        if not fp:
-            walk(_pth_root(f, p), outer * p)
-            return
-        c = gcd_poly(f, fp, p)
-        w = divmod_poly(f, c, p)[0]
-        i = 1
-        while degree(w) > 0:
-            y = gcd_poly(w, c, p)
-            z = divmod_poly(w, y, p)[0]
-            accumulate(z, i * outer)
-            w = y
-            c = divmod_poly(c, y, p)[0]
-            i += 1
-        if degree(c) > 0:
-            walk(_pth_root(c, p), outer * p)
-
-    walk(f, 1)
+        if fp:
+            c = gcd_poly(f, fp, p)
+            w = divmod_poly(f, c, p)[0]
+            i = 1
+            while degree(w) > 0:
+                y = gcd_poly(w, c, p)
+                z = divmod_poly(w, y, p)[0]
+                if degree(z) >= 1:
+                    out[z] = out.get(z, 0) + i * outer
+                w = y
+                c = divmod_poly(c, y, p)[0]
+                i += 1
+            f = c
+        # what is left is a polynomial in x^p: descend through x^p
+        f, outer = _pth_root(f, p), outer * p
     return sorted(out.items(), key=lambda kv: (kv[1], kv[0]))
 
 
@@ -344,8 +337,10 @@ def hensel_lift_blocks(f_int: Coeffs, blocks: list[Coeffs], p: int, precision: i
 # Residue fields
 
 
-class FiniteField:
+class FiniteField(Frozen):
     """F_{p^d} presented as F_p[x]/(modulus), elements as trimmed tuples."""
+
+    __slots__ = ("char", "modulus")
 
     def __init__(self, p: int, modulus: Coeffs):
         if not is_prime(p):
@@ -355,23 +350,12 @@ class FiniteField:
             raise InvalidInputError("modulus must be monic of degree >= 1")
         if not is_irreducible_mod(m, p):
             raise InvalidInputError("modulus is reducible; not a field")
-        self.char = p
-        self.modulus = m
-        self.degree = degree(m)
-        self.order = p**self.degree
+        object.__setattr__(self, "char", p)
+        object.__setattr__(self, "modulus", m)
 
-    def __repr__(self) -> str:
-        return f"FiniteField(order={self.order})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and other.char == self.char
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.char, self.modulus))
+    @property
+    def degree(self) -> int:
+        return len(self.modulus) - 1
 
     @property
     def zero(self) -> Coeffs:

@@ -1,7 +1,10 @@
 """Orders and brute-force enumeration of finite matrix groups, plus congruence indices."""
 
+import gc
+
 import pytest
 
+from latcert import modular
 from latcert.errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from latcert.finite_groups import (
     FiniteGroupSpec,
@@ -113,6 +116,29 @@ class TestEnumeration:
     def test_budget_refusal_names_the_count(self):
         with pytest.raises(BudgetExceededError, match="152587890625"):
             enumerate_group(FiniteGroupSpec("SL", 4, 5))
+
+    # factor_monic mod 2 and mod 3 descends through x^p (x^4 + 1 = (x + 1)^4
+    # and (x^2 + 1)^3 x^3); the unitary families recurse column by column
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: modular.factor_monic((1, -3, -1, 1), 5),
+            lambda: modular.factor_monic((1, 0, 0, 0, 1), 2),
+            lambda: modular.factor_monic((0, 0, 0, 1, 0, 3, 0, 3, 0, 1), 3),
+            lambda: enumerate_group(FiniteGroupSpec("SU", 2, 3)),
+            lambda: enumerate_group(FiniteGroupSpec("GU", 2, 2)),
+        ],
+        ids=["factor-mod-5", "factor-mod-2", "factor-mod-3", "SU_2(F_3)", "GU_2(F_2)"],
+    )
+    def test_leaves_no_reference_cycles(self, call):
+        # with the collector off, a cycle the call leaves stays for collect()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCongruenceIndex:

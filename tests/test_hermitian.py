@@ -217,12 +217,31 @@ class TestVerdict:
             group_isomorphism_verdict(H1, HermitianForm(EXT, (ALPHA,)))
 
     def test_unknown_when_search_exhausted(self):
-        # same archimedean data but discriminant classes differ by a
-        # non-norm; no scaling in a tiny pool can reconcile them
+        # both forms are positive definite everywhere, but their
+        # discriminants differ by the non-norm alpha^2 + 2, so neither
+        # lambda = 1 nor lambda = -1 (the whole pool at height 0) works
+        c = ALPHA * ALPHA + 2
+        report = local.hilbert_product_check(EXT, c)
+        assert report.conclusive and report.minus_count > 0
         a = HermitianForm(EXT, (1, 1, 1))
-        b = HermitianForm(EXT, (1, 1, ALPHA * ALPHA + 2 * ALPHA + 3))
+        b = HermitianForm(EXT, (1, 1, c))
         v = group_isomorphism_verdict(a, b, height=0)
-        assert v.status in (ISOMORPHIC, UNKNOWN)
+        assert (v.status, v.detail) == (UNKNOWN, "no scaling found within the height bound")
+        assert v.scaling is None and v.witness_place is None
+
+    def test_unknown_notes_undecidable_candidates(self):
+        # 2 divides the index of Z[sqrt 5], so every discriminant
+        # comparison in Q(sqrt 5) is undecidable at the place above 2
+        field = NumberField(Polynomial((-5, 0, 1)))
+        ext = CMExtension(field, field.from_rational(-1))
+        assert local.hilbert_product_check(ext, 3).unknown_labels == ("prime 2",)
+        a = HermitianForm(ext, (1, 1, 1))
+        b = HermitianForm(ext, (1, 1, 3))
+        v = group_isomorphism_verdict(a, b)
+        assert (v.status, v.detail) == (
+            UNKNOWN,
+            "no scaling found within the height bound; some candidates were undecidable",
+        )
 
 
 class TestTwist:

@@ -255,6 +255,17 @@ class TestHilbertSymbolQQ:
         rhs = hilbert_symbol_qq(a, b, prime) * hilbert_symbol_qq(a, c, prime)
         assert lhs == rhs
 
+    @given(
+        st.integers(min_value=-60, max_value=60).filter(bool),
+        st.integers(min_value=1, max_value=40),
+        st.fractions(min_value=-30, max_value=30, max_denominator=20).filter(bool),
+        st.sampled_from([None, 2, 3, 5, 7, 11]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_reads_n_over_d_as_n_times_d(self, n, d, b, prime):
+        # n/d = n*d / d^2, so both lie in one square class
+        assert hilbert_symbol_qq(Fraction(n, d), b, prime) == hilbert_symbol_qq(n * d, b, prime)
+
 
 class TestSplitting:
     # (prime, place index) -> expected behavior in E = F(sqrt(-1))
@@ -327,7 +338,10 @@ class TestDyadicSquareTest:
         e = place.ramification
         assert (e, place.residue_degree) == shape
         block = dyadic_block(field, index)
-        found = [w for w in candidates if local._dyadic_approximable(place, w, 2 * e + 1)]
+        found = [
+            w for w in candidates
+            if local._dyadic_approximable(place, w.numerator * w.denominator, 2 * e + 1)
+        ]
         assert found == [w for w in candidates if dyadic_square_scan(field, block, *shape, w)]
         return found
 
@@ -354,7 +368,8 @@ class TestDyadicSquareTest:
         place = factor_prime(field, 2)[index]
         for w in self.ODD + self.ODD_DENOMINATORS:
             expected = w.numerator * w.denominator % 8 == 1
-            assert local._dyadic_approximable(place, w, 2 * place.ramification + 1) == expected
+            n_d = w.numerator * w.denominator
+            assert local._dyadic_approximable(place, n_d, 2 * place.ramification + 1) == expected
 
     def test_ramified_place_sharing_two(self):
         # a shared (2, 1) place with squares beyond those of Q_2

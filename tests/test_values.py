@@ -2,7 +2,9 @@
 without the dataclasses machinery."""
 
 import copy
+import importlib
 import os
+import pkgutil
 import pickle
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 import latcert
 from latcert import local
 from latcert.finite_groups import FiniteGroupSpec
+from latcert.frozen import Frozen
 from latcert.hermitian import ComponentCheck, HermitianForm, IsomorphismVerdict, SeedVerdict
 from latcert.local import (
     FinitePlace,
@@ -22,6 +25,7 @@ from latcert.local import (
     PlaceSymbolEntry,
     SplittingResult,
 )
+from latcert.modular import FiniteField
 from latcert.number_field import (
     CMExtension,
     FieldElement,
@@ -73,6 +77,7 @@ FACTORIES = {
     "ComponentCheck": lambda: ComponentCheck("local-rule", "PASS", "odd rank"),
     "SeedVerdict": lambda: SeedVerdict("PASS", (ComponentCheck("a", "PASS", ""),)),
     "FiniteGroupSpec": lambda: FiniteGroupSpec("SU", 3, 25),
+    "FiniteField": lambda: FiniteField(3, (1, 0, 1)),
     "VerificationReport": lambda: VerificationReport("OK", ()),
     "SeedInput": lambda: parse_seed_input(load_example_fixture()),
     "SearchConfig": lambda: SearchConfig(delta_candidates=[-1, Fraction(-3, 2)]),
@@ -127,6 +132,23 @@ def test_field_element_equality_reads_its_field():
     other = NumberField(Polynomial((-1, -3, 0, 1)))
     assert _field().element((1, 2, 0)) != other.element((1, 2, 0))
     assert _field().element((1, 2, 0)) != _field().element((1, 2, 1))
+
+
+def test_classes_with_own_equality_are_frozen():
+    # a class compared or hashed by value is a value type, and a value type
+    # cannot be changed after its hash is taken
+    thawed = []
+    for info in pkgutil.iter_modules(latcert.__path__):
+        module = importlib.import_module(f"latcert.{info.name}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and {"__eq__", "__hash__"} & vars(cls).keys()
+                and not issubclass(cls, Frozen)
+            ):
+                thawed.append(f"{module.__name__}.{cls.__qualname__}")
+    assert thawed == []
 
 
 def test_factor_prime_caches_equal_fields_once():
