@@ -43,8 +43,8 @@ from .polynomials import (
     _isolating_cells,
     _multiplication_columns,
     _poly_mul,
-    _rational_roots,
     _reduce_monic,
+    _resolvent_roots,
     _value,
     discriminant,
     is_irreducible,
@@ -391,17 +391,6 @@ def automorphism_count(field: NumberField) -> int:
     while (factors := squarefree_factors(_shifted_norm(p, s))) is None:
         s += 1
     return sum(1 for g in factors if len(g) == d + 1)
-
-
-def _resolvent_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Rational roots (r, 1) of the resolvent cubic
-    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of the squarefree
-    monic integer quartic p = x^4 + a x^3 + b x^2 + c x + e, constant term
-    first. The roots of R are a1 a2 + a3 a4, a1 a3 + a2 a4 and a1 a4 + a2 a3
-    over the roots a_i of p; R is monic, so a rational root is an integer.
-    """
-    e, c, b, a, _ = p
-    return _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
 
 
 def _automorphism_upper_bound(field: NumberField) -> int:

@@ -6,15 +6,17 @@ real roots when the leading minors of Hermite's form are positive, real
 roots are isolated with Sturm counts plus exact extraction of rational
 roots, and squarefree monic integer polynomials are factored over Z at the
 first prime not dividing the discriminant (integer roots by l-adic Newton
-lifting, then Zassenhaus's algorithm: factor modulo that prime,
+lifting; a quartic cofactor whose resolvent cubic has no rational root is
+irreducible; else Zassenhaus's algorithm: factor modulo that prime,
 Hensel-lift, recombine), which also decides irreducibility over Q. No
 floating point anywhere.
 
 Hermite's test is two steps, the Newton power sums (`_power_sums`) and
-the pivot loop over their Hankel matrix (`_hankel_is_positive_definite`).
-The sums it reads are affine in the constant term, so a scan over that
-term, as in `search.candidate_polynomials`, takes them twice per scan and
-runs only the pivot loop per value.
+the pivots of their Hankel matrix (`_hankel_is_positive_definite`),
+written out as closed forms up to size 4 and a loop above. The sums it
+reads are affine in the constant term, so a scan over that term, as in
+`search.candidate_polynomials`, takes them and their slope once per scan
+and only the pivots per value.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -491,19 +493,25 @@ def has_only_simple_real_roots(f: tuple[int, ...]) -> bool:
     exactly when the Hankel matrix (t_{i+j}) of the root power sums is
     positive definite. The sums are taken for the monic transform, whose
     roots are lc(f) times those of f, so they are integers (Newton's
-    identities) and the matrix is congruent to Hermite's. Fraction-free
-    elimination with no pivoting (Bareiss 1968) makes each pivot a leading
-    principal minor, and the test stops at the first one <= 0 (Sylvester's
-    criterion).
+    identities) and the matrix is congruent to Hermite's. Its leading
+    principal minors are the pivots of fraction-free elimination with no
+    pivoting (Bareiss 1968), in closed form up to m = 4, and the test stops
+    at the first one <= 0 (Sylvester's criterion). f must end in its
+    nonzero leading coefficient.
 
     >>> has_only_simple_real_roots((-2, 4, -1, -2, 1))  # (x - 1)^2 (x^2 - 2)
     False
     >>> has_only_simple_real_roots((2, 1, 2, 1))  # (x + 2)(x^2 + 1)
     False
+    >>> has_only_simple_real_roots((-1, 1, 0))
+    Traceback (most recent call last):
+    ...
+    latcert.errors.InvalidInputError: the real-root test needs a nonzero leading coefficient
     """
-    m = len(f) - 1
-    if m < 1:
+    if len(f) < 2:
         raise InvalidInputError("the real-root test needs a nonconstant polynomial")
+    if f[-1] == 0:
+        raise InvalidInputError("the real-root test needs a nonzero leading coefficient")
     return _hankel_is_positive_definite(_power_sums(_monic_transform(f)))
 
 
@@ -525,8 +533,29 @@ def _power_sums(g: tuple[int, ...]) -> list[int]:
 def _hankel_is_positive_definite(t: list[int]) -> bool:
     """Whether the m x m Hankel matrix (t_{i+j}) of t_0 ... t_{2m-2} is
     positive definite: Bareiss elimination with no pivoting, stopped at the
-    first leading principal minor <= 0."""
+    first leading principal minor <= 0.
+
+    Up to m = 4 the pivots are written out: b_ij = t_0 t_{i+j} - t_i t_j
+    are the 2 x 2 minors on rows and columns {0, i} and {0, j}, c_ij the
+    3 x 3 ones on {0, 1, i} and {0, 1, j}, and the pivots are t_0, b_11,
+    c_22 and (c_22 c_33 - c_23^2) / b_11; each division is exact."""
     m = (len(t) + 1) // 2
+    if m <= 4:
+        t0 = t[0]
+        if t0 <= 0 or m == 1:
+            return t0 > 0
+        t1, t2 = t[1], t[2]
+        b11 = t0 * t2 - t1 * t1
+        if b11 <= 0 or m == 2:
+            return b11 > 0
+        t3, t4 = t[3], t[4]
+        b12, b22 = t0 * t3 - t1 * t2, t0 * t4 - t2 * t2
+        c22 = (b11 * b22 - b12 * b12) // t0
+        if c22 <= 0 or m == 3:
+            return c22 > 0
+        b13, b23, b33 = t0 * t4 - t1 * t3, t0 * t[5] - t2 * t3, t0 * t[6] - t3 * t3
+        c23, c33 = (b11 * b23 - b12 * b13) // t0, (b11 * b33 - b13 * b13) // t0
+        return (c22 * c33 - c23 * c23) // b11 > 0
     rows = [t[i:i + m] for i in range(m)]
     previous = 1
     for k in range(m):
@@ -658,16 +687,21 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     first (Loos 1983): each root mod ell is simple, so Newton's iteration
     lifts it past twice the Cauchy bound 1 + max|a_i| on |root|, and its
     symmetric residue is kept when it is a root over Z. A cofactor of degree
-    <= 3 is then irreducible. A larger one goes through Zassenhaus's
-    algorithm (1969; Cohen, GTM 138, 3.5) at the same ell: factor it mod
-    ell (a single factor proves it irreducible), Hensel-lift every factor
-    past twice a Mignotte-type bound on the coefficients of any factor over
-    Z, and combine subsets of the lifted factors, keeping a product only
-    when it divides what is left exactly. Coefficient tuples are constant
-    term first; the factors are monic, sorted by (degree, coefficients).
+    <= 3 is then irreducible, and so is a quartic one whose resolvent cubic
+    has no rational root (`_resolvent_roots`), since with no integer root it
+    could only split into two monic integer quadratics. Any other goes
+    through Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5) at the same
+    ell: factor it mod ell (a single factor proves it irreducible),
+    Hensel-lift every factor past twice a Mignotte-type bound on the
+    coefficients of any factor over Z, and combine subsets of the lifted
+    factors, keeping a product only when it divides what is left exactly.
+    Coefficient tuples are constant term first; the factors are monic,
+    sorted by (degree, coefficients).
 
     >>> squarefree_factors((-1, 0, 0, 0, 1))
     [(-1, 1), (1, 1), (1, 0, 1)]
+    >>> squarefree_factors((2, -3, -3, 2, 1))  # resolvent without a rational root
+    [(2, -3, -3, 2, 1)]
     >>> squarefree_factors((1, 2, 1)) is None
     True
     """
@@ -696,8 +730,12 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             f = _exact_div(f, (-r, 1))
     n = len(f) - 1
     # Without an integer root a monic cubic or quadratic is irreducible, and
-    # so is a cofactor that stays one block mod ell.
-    blocks = [f] if n <= 3 else [g for g, _ in modular.factor_monic(f, ell)]
+    # so is a quartic whose resolvent has no rational root, or a cofactor
+    # that stays one block mod ell.
+    if n <= 3 or (n == 4 and not _resolvent_roots(f)):
+        blocks = [f]
+    else:
+        blocks = [g for g, _ in modular.factor_monic(f, ell)]
     if len(blocks) == 1:
         return sorted(factors + [f] * (n > 0), key=lambda g: (len(g), g))
     # A proper monic factor g of f has |g_j| <= C(deg g, j) M(g) <= 2^(n-1) |f|_2
@@ -725,6 +763,18 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             size += 1
     factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
+
+
+def _resolvent_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Rational roots (r, 1) of the resolvent cubic
+    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of the squarefree
+    monic integer quartic p = x^4 + a x^3 + b x^2 + c x + e, constant term
+    first. The roots of R are a1 a2 + a3 a4, a1 a3 + a2 a4 and a1 a4 + a2 a3
+    over the roots a_i of p; R is monic, so a rational root is an integer.
+    If p = g h with g, h monic integer quadratics, g(0) + h(0) is one.
+    """
+    e, c, b, a, _ = p
+    return _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
 
 
 def is_irreducible(p: Polynomial) -> bool:

@@ -28,19 +28,14 @@ from .frozen import Frozen
 from .hermitian import PASS, HermitianForm
 from .intfactor import is_prime
 from .local import hilbert_product_check
-from .number_field import (
-    CMExtension,
-    FieldElement,
-    NumberField,
-    _resolvent_roots,
-    automorphism_count,
-)
+from .number_field import CMExtension, FieldElement, NumberField, automorphism_count
 from .polynomials import (
     Polynomial,
     _hankel_is_positive_definite,
     _monic_transform,
     _power_sums,
     _rational_roots,
+    _resolvent_roots,
 )
 from .runner import SeedInput, build_certificate, seed_echo
 
@@ -102,7 +97,7 @@ class SearchConfig(Frozen):
 def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:
     """Monic integer polynomials with `degree` distinct real roots and every
     other coefficient in [-bound, bound], as int tuples constant term first,
-    lexicographic in (a_0, ..., a_{degree-1}).
+    lexicographic in (a_0, ..., a_{degree-1}); degree is at least 1.
 
     If f has n distinct real roots, Rolle's theorem gives f^(k) n - k of
     them. So a_{n-1}, a_{n-2}, ..., a_0 are chosen in turn, and a prefix
@@ -111,14 +106,17 @@ def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:
     distinct real roots (Hunter 1957; Pohst 1982). The linear level
     k = n - 1 always does; the last level, k = 0, is the test for f
     itself. The power sums of a prefix are affine in a_k, so each tail
-    takes them twice (`_carried_power_sums`) and each value of a_k costs
-    one line of sums and the pivot loop. The values of a_k that pass one
-    tail form a run, so the scan stops at its end: 878 tests at degree 4,
-    bound 3, 492 at (3, 4) and 20188 at (5, 5).
+    takes them once, with their slope in a_k (`_carried_power_sums`), and
+    each value of a_k costs one line of sums and the pivots, in closed
+    form up to degree 4. The values of a_k that pass one tail form a run,
+    so the scan stops at its end: 878 tests at degree 4, bound 3, 492 at
+    (3, 4) and 20188 at (5, 5).
 
     >>> candidate_polynomials(2, 1)
     [(-1, -1, 1), (-1, 0, 1), (-1, 1, 1), (0, -1, 1), (0, 1, 1)]
     """
+    if degree < 1:
+        raise InvalidInputError("candidate polynomials need degree >= 1")
     rng = range(-bound, bound + 1)
     prefixes = [(a, 1) for a in rng]
     for k in range(degree - 2, -1, -1):
@@ -147,15 +145,24 @@ def _carried_power_sums(weights: list[int], tail: tuple[int, ...]) -> tuple[list
     coefficient of x^i is weights[i] * ((a,) + tail)[i]; as in the
     enumerator, weights[0] is 1 and the tail ends in 1.
 
-    The transform's constant term is a * lead^(m-1), with lead =
-    weights[m], and the sums are affine in it (`polynomials._power_sums`).
-    So base is taken with constant term 0, and slope as the change when it
-    is lead^(m-1).
+    The transform g has constant term a * c, with c = lead^(m-1) and
+    lead = weights[m], and the sums are affine in it
+    (`polynomials._power_sums`). So base is taken once, with constant term
+    0, and the slope from Newton's identities differentiated in g_0: it is
+    0 below m, -m c at m, and -c t_{k-m} - sum_{i=1}^{k-m} g_{m-i} s_{k-i}
+    above.
     """
+    m = len(tail)
     g = _monic_transform((0,) + tuple(w * c for w, c in zip(weights[1:], tail)))
     base = _power_sums(g)
-    unit = _power_sums((weights[-1] ** (len(tail) - 1),) + g[1:])
-    return base, [u - b for u, b in zip(unit, base)]
+    c = weights[-1] ** (m - 1)
+    slope = [0] * m + [-m * c]
+    for k in range(m + 1, 2 * m - 1):
+        s = -c * base[k - m]
+        for i in range(1, k - m + 1):
+            s -= g[m - i] * slope[k - i]
+        slope.append(s)
+    return base, slope
 
 
 def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
@@ -170,7 +177,7 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     n >= 2, so it is dropped before any field is built.
 
     A quartic without one is dropped as well when its resolvent cubic R
-    (`number_field._resolvent_roots`) has a rational root. If f = g h with
+    (`polynomials._resolvent_roots`) has a rational root. If f = g h with
     g and h quadratic, then a1 a2 + a3 a4 = g(0) + h(0) is a rational root
     of R. If f is irreducible with no nontrivial automorphism, its Galois
     group is S4 or A4 (D4, C4 and V4 give 2, 4 and 4 automorphisms), so R
@@ -182,7 +189,8 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     test, and only the fields that pass have their automorphisms counted.
     At degree 4, bound 3, 878 real-root tests replace the box's 2401 and
     leave 114 candidates. 95 of them have an integer root and 17 a rational
-    root of R, so 2 fields are built, both by the factorization mod a prime.
+    root of R, so 2 fields are built. Both are proven irreducible by the
+    same resolvent, with no factorization mod a prime.
     """
     total = (2 * cfg.coefficient_bound + 1) ** cfg.degree
     if total > cfg.enumeration_budget:

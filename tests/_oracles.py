@@ -13,7 +13,8 @@ former Fraction implementations, on plain coefficient lists, the sieve
 root bound is its former root count by distinct-degree factorization mod l,
 and the totally real box is the search's former scan of the whole
 coefficient box, one Sturm count per polynomial with the package's former
-count at -inf and +inf. The canonical certificate text is the standard
+count at -inf and +inf, and the Hankel minors are Fraction determinants,
+each taken on its own. The canonical certificate text is the standard
 library's json.dumps, and the payload check its former walk in insertion
 order. The local norm oracle lifts a place's factor block with the package's
 Hensel lift, but always to 64 digits, whatever the element, and takes the
@@ -425,6 +426,35 @@ def companion_power_sums(g: tuple[int, ...], count: int) -> list[int]:
             for i in range(m)
         ]
     return sums
+
+
+def hankel_leading_minors(t: list[int]) -> list[Fraction]:
+    """The leading principal minors D_1 ... D_m of the m x m Hankel matrix
+    (t_{i+j}) of t_0 ... t_{2m-2}: each one its own determinant, by
+    Gaussian elimination over Fraction with row exchanges."""
+    m = (len(t) + 1) // 2
+    return [
+        _fraction_det([[Fraction(t[i + j]) for j in range(k)] for i in range(k)])
+        for k in range(1, m + 1)
+    ]
+
+
+def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    det = Fraction(1)
+    n = len(rows)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            for j in range(k, n):
+                rows[i][j] -= factor * rows[k][j]
+    return det
 
 
 def totally_real_box(degree: int, bound: int) -> list[tuple[int, ...]]:

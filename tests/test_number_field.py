@@ -23,6 +23,7 @@ from _oracles import (
     fraction_field_product,
     fraction_isolate_real_roots,
     fraction_value_range,
+    kronecker_factor,
     quartic_automorphism_count,
     sieve_root_bound,
     sylvester_resultant,
@@ -36,12 +37,11 @@ from latcert.number_field import (
     NumberField,
     RealPlace,
     _automorphism_upper_bound,
-    _resolvent_roots,
     _shifted_norm,
     automorphism_count,
     is_rational_square,
 )
-from latcert.polynomials import Polynomial, is_irreducible, squarefree_factors
+from latcert.polynomials import Polynomial, _resolvent_roots, is_irreducible, squarefree_factors
 
 CUBIC = NumberField(Polynomial((1, -3, -1, 1)))  # x^3 - x^2 - 3x + 1
 ALPHA = CUBIC.generator()
@@ -579,10 +579,13 @@ class TestResolventRoots:
     @settings(max_examples=150, deadline=None)
     def test_rational_root_means_reducible_or_automorphisms(self, tail):
         # for a squarefree quartic without a rational root, R has a rational
-        # root exactly when f is a product of two quadratics or #Aut != 1
+        # root exactly when f is a product of two quadratics or #Aut != 1;
+        # squarefree_factors reads R itself, so Kronecker's search decides
+        # the quadratic factors
         factors = squarefree_factors(tail + (1,))
         assume(factors is not None and all(len(g) > 2 for g in factors))
-        dropped = len(factors) > 1 or quartic_automorphism_count(*tail) != 1
+        quadratic = kronecker_factor(list(tail) + [1], 2) is not None
+        dropped = quadratic or quartic_automorphism_count(*tail) != 1
         assert bool(_resolvent_roots(tail + (1,))) == dropped
 
 

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -20,17 +20,19 @@ from _oracles import (
     fraction_isolate_real_roots,
     fraction_rational_roots,
     fraction_value_range,
+    hankel_leading_minors,
     kronecker_factor,
     sign_scan_roots,
     sylvester_resultant,
 )
-from latcert import intfactor, modular
+from latcert import intfactor, modular, polynomials
 from latcert.errors import InvalidInputError
 from latcert.intfactor import is_prime
 from latcert.polynomials import (
     Interval,
     Polynomial,
     _gcd,
+    _hankel_is_positive_definite,
     _integer_associate,
     _monic_transform,
     _rational_roots,
@@ -342,6 +344,78 @@ class TestHermiteCriterion:
         with pytest.raises(InvalidInputError):
             has_only_simple_real_roots((3,))
 
+    @pytest.mark.parametrize("f", [(-1, 1, 0), (1, 0), (2, -3, 1, 0, 0)])
+    def test_rejects_a_zero_leading_coefficient(self, f):
+        # (-1, 1, 0) is x - 1 written as a quadratic, which the monic
+        # transform would read as x^2 + x
+        with pytest.raises(InvalidInputError):
+            has_only_simple_real_roots(f)
+
+
+def _point_sums(weights, points, count):
+    """t_j = sum w_i x_i^j for j < count: positive weights on r distinct
+    points give a Hankel matrix whose minors D_1 ... D_r are positive and
+    whose larger minors vanish."""
+    return [sum(w * x**j for w, x in zip(weights, points)) for j in range(count)]
+
+
+@st.composite
+def hankel_sequences(draw):
+    """t_0 ... t_{2m-2} for m in 1..5, small or with entries past 10^24.
+
+    - "pivot": D_1 ... D_{k-1} > 0 and D_k = delta D_{k-1}, from point sums
+      over k - 1 points with delta added to t_{2k-2}; the rest of t is free.
+    - "roots": the power sums of m integer roots, one of them maybe
+      repeated: positive definite exactly when the roots are distinct.
+    - "free": every entry free, so zeros and negative pivots come often.
+    """
+    m = draw(st.integers(1, 5), label="size")
+    scale = draw(st.sampled_from((3, 10**12)), label="scale")
+    entry = st.integers(-scale, scale)
+    kind = draw(st.sampled_from(("pivot", "roots", "free")), label="kind")
+    if kind == "pivot":
+        k = draw(st.integers(1, m), label="pivot position")
+        points = draw(st.lists(entry, min_size=k - 1, max_size=k - 1, unique=True))
+        weights = draw(st.lists(st.integers(1, scale), min_size=k - 1, max_size=k - 1))
+        t = _point_sums(weights, points, 2 * k - 1)
+        t[-1] += draw(st.integers(-2, 2), label="delta")
+        rest = st.integers(-(scale**3), scale**3)
+        return t + draw(st.lists(rest, min_size=2 * (m - k), max_size=2 * (m - k)))
+    if kind == "roots":
+        roots = draw(st.lists(entry, min_size=m, max_size=m))
+        if m > 1 and draw(st.booleans(), label="repeat a root"):
+            roots[-1] = roots[0]
+        return _point_sums([1] * m, roots, 2 * m - 1)
+    return draw(st.lists(entry, min_size=2 * m - 1, max_size=2 * m - 1))
+
+
+class TestClosedFormPivots:
+    # The pivots up to m = 4 are closed forms; m = 1 and m = 5 check the
+    # bounds of that range, and m = 5 the loop.
+
+    @given(hankel_sequences())
+    @example([1, 1, 1])  # one point mass: D_2 = 0
+    @example([2, 1, 1, 1, 1])  # points 0 and 1: D_3 = 0
+    @example([3, 3, 5, 9, 17, 33, 65])  # points 0, 1, 2: D_4 = 0
+    @example([0, 5, 7, 1, 2, 3, 4])
+    @settings(max_examples=400, deadline=None)
+    def test_match_the_fraction_minors(self, t):
+        expected = all(d > 0 for d in hankel_leading_minors(t))
+        assert _hankel_is_positive_definite(list(t)) == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("delta", [0, -1])
+    def test_stop_at_a_pivot_that_is_not_positive(self, m, delta):
+        # unit masses at 0 ... k - 2 with delta added to t_{2k-2}: the first
+        # k - 1 minors are positive and D_k = delta D_{k-1}, at every k
+        for k in range(1, m + 1):
+            t = _point_sums([1] * (k - 1), range(k - 1), 2 * k - 1)
+            t[-1] += delta
+            t += [10**30] * (2 * (m - k))
+            minors = hankel_leading_minors(t)
+            assert all(d > 0 for d in minors[: k - 1]) and (minors[k - 1] > 0) == (delta > 0)
+            assert not _hankel_is_positive_definite(t)
+
 
 class TestDistinctRealRootCount:
     # The Sturm count at -inf and +inf, kept as the oracle of the box filter.
@@ -616,6 +690,61 @@ class TestSquarefreeFactors:
         monkeypatch.setattr(modular, "factor_monic", recording)
         assert _product(squarefree_factors(f)) == Polynomial(f)
         assert primes == [ell]
+
+    @pytest.mark.parametrize(
+        "factors, zassenhaus",
+        [
+            ([(1, 1, 0, 0, 1)], 0),  # x^4 + x + 1, S4
+            ([(12, 8, 0, 0, 1)], 0),  # A4
+            ([(2, -3, -3, 2, 1)], 0),  # the quartic filter's first field
+            ([(3, 1), (1, 1, 0, 0, 1)], 0),  # a quartic cofactor of a quintic
+            ([(1, 0, 0, 0, 1)], 1),  # x^4 + 1, V4
+            ([(1, 0, -10, 0, 1)], 1),  # V4
+            ([(-2, 0, 0, 0, 1)], 1),  # D4
+            ([(1, 1, 1, 1, 1)], 1),  # C4
+            ([(-1, 1), (-2, 0, 0, 0, 1)], 1),  # a D4 cofactor of a quintic
+            ([(-2, 0, 1), (-3, 0, 1)], 1),  # two quadratics
+            ([(1, 1, 1), (2, 0, 1)], 1),
+            ([(2, 1), (-5, 1, 1), (1, 0, 1)], 1),
+        ],
+    )
+    def test_quartics_factored_mod_ell_only_with_a_resolvent_root(
+        self, monkeypatch, factors, zassenhaus
+    ):
+        # a quartic without an integer root whose resolvent has no rational
+        # root cannot split into two quadratics, so it skips Zassenhaus
+        calls = []
+        original = modular.factor_monic
+
+        def counting(g, p):
+            calls.append(g)
+            return original(g, p)
+
+        monkeypatch.setattr(modular, "factor_monic", counting)
+        f = _product(factors).int_coeffs()
+        assert squarefree_factors(f) == sorted(factors, key=lambda g: (len(g), g))
+        assert len(calls) == zassenhaus
+
+    @given(st.one_of(
+        # (x^2 + p x + q)(x^2 + r x + s), maybe times (x - u)
+        st.tuples(*[st.integers(-6, 6)] * 5).map(
+            lambda c: _product([(c[1], c[0], 1), (c[3], c[2], 1)] + [(-c[4], 1)] * (c[4] % 2))
+        ),
+        # a quartic, maybe times (x - u)
+        st.tuples(*[st.integers(-8, 8)] * 5).map(
+            lambda c: _product([c[:4] + (1,)] + [(-c[4], 1)] * (c[4] % 2))
+        ),
+    ))
+    @example(Polynomial((1, 0, 0, 0, 1)))
+    @example(Polynomial((-2, 0, 0, 0, 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_quartic_shortcut_matches_zassenhaus(self, f):
+        # the factors equal those of the former path, which sent every
+        # quartic cofactor through Zassenhaus's algorithm
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polynomials, "_resolvent_roots", lambda g: [(0, 1)])
+            former = squarefree_factors(f.int_coeffs())
+        assert squarefree_factors(f.int_coeffs()) == former
 
     def test_repeated_factor_gives_none(self):
         assert squarefree_factors(_product([(1, 1), (1, 1), (2, 0, 1)]).int_coeffs()) is None

@@ -27,6 +27,7 @@ from latcert.polynomials import (
     Polynomial,
     _hankel_is_positive_definite,
     _monic_transform,
+    _power_sums,
     has_only_simple_real_roots,
     squarefree_factors,
 )
@@ -159,6 +160,15 @@ class TestCandidates:
             (0, 1, 1),
         ]
 
+    @pytest.mark.parametrize("degree", [0, -2])
+    def test_rejects_degree_below_one(self, degree):
+        # without the check the scan would hand back the linear polynomials
+        with pytest.raises(InvalidInputError):
+            candidate_polynomials(degree, 1)
+
+    def test_linear_polynomials(self):
+        assert candidate_polynomials(1, 1) == [(-1, 1), (0, 1), (1, 1)]
+
     @given(
         st.integers(2, 5).flatmap(
             lambda n: st.tuples(st.just(n), st.integers(0, 2 if n == 5 else 3))
@@ -251,6 +261,26 @@ class TestCarriedPowerSums:
         assert verdict == has_only_simple_real_roots(prefix)
         assert verdict == (distinct_real_root_count(prefix) == m)
 
+    @pytest.mark.parametrize("degree, bound", [(4, 4), (5, 4)])
+    def test_match_two_passes_over_every_scanned_tail(self, monkeypatch, degree, bound):
+        # the former definition: the sums at constant term 0 and at
+        # lead^(m-1), with the slope their difference
+        tails = []
+        original = search._carried_power_sums
+
+        def recording(weights, tail):
+            tails.append((weights, tail))
+            return original(weights, tail)
+
+        monkeypatch.setattr(search, "_carried_power_sums", recording)
+        candidate_polynomials(degree, bound)
+        assert len(tails) > 100
+        for weights, tail in tails:
+            g = _monic_transform((0,) + tuple(w * c for w, c in zip(weights[1:], tail)))
+            base = _power_sums(g)
+            unit = _power_sums((weights[-1] ** (len(tail) - 1),) + g[1:])
+            assert original(weights, tail) == (base, [u - b for u, b in zip(unit, base)])
+
 
 class TestFieldFilter:
     def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
@@ -332,8 +362,9 @@ class TestFieldFilter:
                 product = _mul(product, list(g))
             assert product == list(f)
 
-    def test_quartic_filter_factors_mod_ell_twice(self, monkeypatch):
-        # once for each of the two fields built
+    def test_quartic_filter_never_factors_mod_ell(self, monkeypatch):
+        # both fields built have a resolvent cubic with no rational root, so
+        # both are proven irreducible without a factorization mod ell
         calls = {"factor_monic": 0, "hensel_lift_blocks": 0}
         depth = [0]
         factor_monic, hensel_lift_blocks = modular.factor_monic, modular.hensel_lift_blocks
@@ -354,7 +385,7 @@ class TestFieldFilter:
         monkeypatch.setattr(modular, "factor_monic", counting_factor)
         monkeypatch.setattr(modular, "hensel_lift_blocks", counting_lift)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
-        assert calls == {"factor_monic": 2, "hensel_lift_blocks": 2}
+        assert calls == {"factor_monic": 0, "hensel_lift_blocks": 0}
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 
     @pytest.mark.parametrize(
