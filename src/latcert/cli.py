@@ -123,17 +123,23 @@ def _cmd_classify_form(args) -> int:
     if args.other is None:
         return EXIT_PASS
     other = HermitianForm(h.ext, tuple(_parse_element(h.ext.base, e) for e in args.other.split(";")))
+    code = EXIT_PASS
     try:
-        equivalent = forms_equivalent(h, other)
+        print(f"equivalent as forms: {forms_equivalent(h, other)}")
     except InconclusiveError as ex:
         print(f"equivalence: UNKNOWN ({ex})")
-        return EXIT_UNKNOWN
-    print(f"equivalent as forms: {equivalent}")
-    verdict = group_isomorphism_verdict(h, other)
+        code = EXIT_UNKNOWN
+    # the group verdict reads only ranks and signatures, so it is printed
+    # whatever the equivalence outcome; unequal or even ranks are out of scope
+    try:
+        verdict = group_isomorphism_verdict(h, other)
+    except InvalidInputError as ex:
+        print(f"group verdict: out of scope ({ex})")
+        return code
     print(f"group verdict: {verdict.status}")
     if verdict.witness_place is not None:
         print(f"witness place: {verdict.witness_place}")
-    return EXIT_UNKNOWN if verdict.status == "UNKNOWN" else EXIT_PASS
+    return code
 
 
 def _cmd_local_norm(args) -> int:

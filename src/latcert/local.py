@@ -60,6 +60,7 @@ from .number_field import (
     FieldElement,
     NumberField,
     RealPlace,
+    is_rational_square,
 )
 from .polynomials import _poly_mul, _reduce_monic, resultant_int
 
@@ -547,11 +548,16 @@ def norm_class_equal(ext: CMExtension, a: FieldElement, b: FieldElement) -> bool
 
     By the Hasse norm theorem for the quadratic extension E/F this is
     equivalent to being a norm at every place, which the product check
-    decides; an inconclusive place raises rather than guessing.
+    decides; an inconclusive place raises rather than guessing. A rational
+    square a/b, a = b among them, is a norm with no place checked; the
+    rational n/d enters the test as the integer n*d of its square class.
     """
     if a.is_zero() or b.is_zero():
         raise InvalidInputError("norm classes are defined for nonzero elements")
-    report = hilbert_product_check(ext, a / b)
+    ratio = a / b
+    if ratio.is_rational() and is_rational_square(ratio.num[0] * ratio.den):
+        return True
+    report = hilbert_product_check(ext, ratio)
     if not report.conclusive:
         raise InconclusiveError(
             "norm class comparison undecided at: " + ", ".join(report.unknown_labels)

@@ -59,9 +59,8 @@ _AUTOMORPHISM_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43
 _set = object.__setattr__
 
 
-def is_rational_square(q: Fraction) -> bool:
+def is_rational_square(q: Union[int, Fraction]) -> bool:
     """Exact test for q being the square of a rational."""
-    q = Fraction(q)
     if q < 0:
         return False
     n, d = q.numerator, q.denominator

@@ -55,6 +55,7 @@ from .volume_fingerprint import fingerprint, level_id_for
 
 _set = object.__setattr__
 
+# Only echoed, like units.lambda_generators: format "1" keeps both for its bytes.
 LAMBDA_HEIGHT = 2
 
 OK = "OK"
@@ -581,14 +582,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
 
     # overall verdict
     probe_place = factor_prime(field, seed.probe_prime)[0]
-    verdict = seed_pair_check(
-        h1,
-        h2,
-        seed.tau,
-        probe_place=probe_place,
-        unit_gens=seed.lambda_generators,
-        height=LAMBDA_HEIGHT,
-    )
+    verdict = seed_pair_check(h1, h2, seed.tau, probe_place=probe_place)
     verdict_block = {
         "overall": verdict.status,
         "components": {

@@ -373,6 +373,49 @@ class TestClassifyForm:
         assert "equivalent as forms: True" in out
         assert "group verdict: ISOMORPHIC" in out
 
+    def compare(self, capsys, field, entries, other):
+        return run(
+            capsys,
+            "classify-form",
+            f"--field={field}",
+            "--delta",
+            "-1",
+            "--entries",
+            entries,
+            "--other",
+            other,
+        )
+
+    def test_self_comparison_where_two_divides_the_index(self, capsys):
+        # in Z[sqrt 5] every product check is refused at 2, but a form
+        # compared with itself needs none
+        code, out, _ = self.compare(capsys, "-5,0,1", "1;1;3", "1;1;3")
+        assert code == 0
+        assert "equivalent as forms: True" in out
+        assert "group verdict: ISOMORPHIC" in out
+
+    def test_undecided_equivalence_still_prints_the_group_verdict(self, capsys):
+        code, out, _ = self.compare(capsys, "-5,0,1", "1;1;1", "1;1;3")
+        assert code == 2
+        assert out.endswith(
+            "equivalence: UNKNOWN (norm class comparison undecided at: prime 2)\n"
+            "group verdict: ISOMORPHIC\n"
+        )
+
+    @pytest.mark.parametrize(
+        "entries, other, reason",
+        [
+            ("1;1", "1;-1", "even rank is out of scope for group verdicts"),
+            ("1;1;1", "1;1", "verdict requires equal ranks"),
+        ],
+    )
+    def test_group_verdict_out_of_scope(self, capsys, entries, other, reason):
+        code, out, err = self.compare(capsys, "1,-3,-1,1", entries, other)
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            f"equivalent as forms: False\ngroup verdict: out of scope ({reason})\n"
+        )
+
 
 class TestLocalNorm:
     def test_split_prime(self, capsys):

@@ -1,5 +1,6 @@
 """Diagonal hermitian forms: signatures, equivalence, verdicts, seed pairs."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from latcert.hermitian import (
 )
 from latcert.number_field import CMExtension, FieldElement, NumberField
 from latcert.polynomials import Polynomial
+from latcert.search import SearchConfig, field_candidates
 
 F = NumberField(Polynomial((1, -3, -1, 1)))
 ALPHA = F.generator()
@@ -31,7 +33,6 @@ EXT = CMExtension(F, F.from_rational(-1))
 H1 = HermitianForm(EXT, (-ALPHA, -ALPHA, F.from_rational(-1)))
 H2 = HermitianForm(EXT, (2 - ALPHA * ALPHA, 2 - ALPHA * ALPHA, F.from_rational(-1)))
 TAU = (1, 0, 2)
-UNIT_GENS = (ALPHA, ALPHA * ALPHA - 2)
 
 
 def components(verdict):
@@ -201,10 +202,12 @@ class TestVerdict:
         assert v.status == ISOMORPHIC
         assert v.scaling == F.from_rational(-1)
 
-    def test_unit_scaled_form_found_by_search(self):
-        scaled = H1.scale(ALPHA * ALPHA - 2)
-        v = group_isomorphism_verdict(scaled, H1, unit_gens=UNIT_GENS)
+    def test_unit_scaled_form_isomorphic(self):
+        unit = ALPHA * ALPHA - 2
+        scaled = H1.scale(unit)
+        v = group_isomorphism_verdict(scaled, H1)
         assert v.status == ISOMORPHIC
+        assert v.scaling == unit ** -3
         assert forms_equivalent(scaled.scale(v.scaling), H1)
 
     def test_even_rank_rejected(self):
@@ -216,32 +219,124 @@ class TestVerdict:
         with pytest.raises(InvalidInputError):
             group_isomorphism_verdict(H1, HermitianForm(EXT, (ALPHA,)))
 
-    def test_unknown_when_search_exhausted(self):
+    def test_non_norm_discriminant_ratio_is_the_scaling(self):
         # both forms are positive definite everywhere, but their
-        # discriminants differ by the non-norm alpha^2 + 2, so neither
-        # lambda = 1 nor lambda = -1 (the whole pool at height 0) works
+        # discriminants differ by the non-norm alpha^2 + 2, so the forms are
+        # not equivalent; scaling by that ratio makes them so
         c = ALPHA * ALPHA + 2
         report = local.hilbert_product_check(EXT, c)
         assert report.conclusive and report.minus_count > 0
         a = HermitianForm(EXT, (1, 1, 1))
         b = HermitianForm(EXT, (1, 1, c))
-        v = group_isomorphism_verdict(a, b, height=0)
-        assert (v.status, v.detail) == (UNKNOWN, "no scaling found within the height bound")
-        assert v.scaling is None and v.witness_place is None
+        assert not forms_equivalent(a, b)
+        v = group_isomorphism_verdict(a, b)
+        assert (v.status, v.scaling, v.witness_place) == (ISOMORPHIC, c, None)
+        assert forms_equivalent(a.scale(v.scaling), b)
 
-    def test_unknown_notes_undecidable_candidates(self):
-        # 2 divides the index of Z[sqrt 5], so every discriminant
-        # comparison in Q(sqrt 5) is undecidable at the place above 2
+    def test_undecidable_product_check_needs_no_search(self):
+        # 2 divides the index of Z[sqrt 5], so the product check on 3 in
+        # Q(sqrt 5) is undecidable at the place above 2; the verdict needs
+        # no product check, and the scaled discriminant ratio is 9
         field = NumberField(Polynomial((-5, 0, 1)))
         ext = CMExtension(field, field.from_rational(-1))
         assert local.hilbert_product_check(ext, 3).unknown_labels == ("prime 2",)
         a = HermitianForm(ext, (1, 1, 1))
         b = HermitianForm(ext, (1, 1, 3))
         v = group_isomorphism_verdict(a, b)
-        assert (v.status, v.detail) == (
-            UNKNOWN,
-            "no scaling found within the height bound; some candidates were undecidable",
+        assert (v.status, v.scaling, v.detail) == (
+            ISOMORPHIC, field.from_rational(3), "lambda = 3,0"
         )
+        assert forms_equivalent(a.scale(v.scaling), b)
+
+
+def census_fields():
+    """The fields of the cubic search at bound 4, the 10 in which 2 divides
+    the index of the polynomial order among them, and Q(sqrt 5) as Z[sqrt 5]."""
+    fields = field_candidates(SearchConfig(degree=3, coefficient_bound=4))
+    return [*fields, NumberField(Polynomial((-5, 0, 1)))]
+
+
+@functools.lru_cache(maxsize=None)
+def small_census():
+    """The fields of the searches at degree 3 and 4, bound 3."""
+    return tuple(
+        field
+        for degree in (3, 4)
+        for field in field_candidates(SearchConfig(degree=degree, coefficient_bound=3))
+    )
+
+
+@st.composite
+def nonzero_elements(draw, field):
+    coords = draw(st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree))
+    if not any(coords):
+        coords[0] = 1
+    return field.element(coords)
+
+
+class TestLandherr:
+    def test_rank_five_signature_sets_differ(self):
+        # (4, 1) against (3, 2): indefinite at every place on both sides
+        a = HermitianForm(EXT, (1, 1, 1, 1, -1))
+        b = HermitianForm(EXT, (1, 1, 1, -1, -1))
+        v = group_isomorphism_verdict(a, b)
+        assert (v.status, v.witness_place, v.scaling) == (NOT_ISOMORPHIC, 0, None)
+        assert v.detail == "real place 0: signatures (4, 1) vs (3, 2)"
+
+    def test_rank_five_scaling_is_the_discriminant_ratio(self):
+        # (4, 1) against (1, 4) at every place; the ratio is pinned, since
+        # its inverse lies in the same square class and would pass the
+        # equivalence check as well
+        c = ALPHA * ALPHA + 2
+        a = HermitianForm(EXT, (1, 1, 1, 1, -1))
+        b = HermitianForm(EXT, (-1, -1, -1, -1, c))
+        v = group_isomorphism_verdict(a, b)
+        assert (v.status, v.scaling) == (ISOMORPHIC, -c)
+        assert forms_equivalent(a.scale(v.scaling), b)
+
+    def test_self_comparison_over_every_census_field(self):
+        fields = census_fields()
+        index_two = 0
+        for field in fields:
+            ext = CMExtension(field, field.from_rational(-1))
+            h = HermitianForm(ext, (1, field.generator(), -1))
+            v = group_isomorphism_verdict(h, h)
+            assert (v.status, v.scaling) == (ISOMORPHIC, field.one())
+            assert forms_equivalent(h, h)
+            index_two += not local.hilbert_product_check(ext, 3).conclusive
+        assert (len(fields), index_two) == (87, 11)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_never_a_wrong_verdict(self, data):
+        field = data.draw(st.sampled_from(small_census()))
+        delta = data.draw(st.sampled_from((-1, -2, -3)))
+        rank = data.draw(st.sampled_from((3, 5)))
+        ext = CMExtension(field, field.from_rational(delta))
+        entries = st.lists(nonzero_elements(field), min_size=rank, max_size=rank)
+        h1 = HermitianForm(ext, data.draw(entries))
+        if data.draw(st.booleans()):
+            # a scaled copy with permuted, square-weighted entries
+            mu = data.draw(nonzero_elements(field))
+            weights = data.draw(entries)
+            order = data.draw(st.permutations(range(rank)))
+            h2 = HermitianForm(ext, [mu * h1.diag[i] * weights[i] ** 2 for i in order])
+        else:
+            h2 = HermitianForm(ext, data.draw(entries))
+        differ = [
+            j for j, (pq1, pq2) in enumerate(zip(h1.signatures, h2.signatures))
+            if sorted(pq1) != sorted(pq2)
+        ]
+        v = group_isomorphism_verdict(h1, h2)
+        if differ:
+            assert (v.status, v.witness_place) == (NOT_ISOMORPHIC, differ[0])
+            return
+        assert v.status == ISOMORPHIC
+        assert v.scaling == h2.disc / h1.disc
+        try:
+            assert forms_equivalent(h1.scale(v.scaling), h2)
+        except InconclusiveError:
+            pass
 
 
 class TestTwist:
@@ -278,9 +373,7 @@ class TestSeedPair:
         return local.factor_prime(F, 5)[0]
 
     def test_reference_seed_passes_all_components(self):
-        v = seed_pair_check(
-            H1, H2, TAU, probe_place=self.probe(), unit_gens=UNIT_GENS
-        )
+        v = seed_pair_check(H1, H2, TAU, probe_place=self.probe())
         assert v.status == PASS
         assert [c.status for c in v.components] == [PASS, PASS, PASS, PASS]
         names = [c.name for c in v.components]
@@ -307,7 +400,7 @@ class TestSeedPair:
             return verdict(*args, **kwargs)
 
         monkeypatch.setattr(hermitian, "group_isomorphism_verdict", counted)
-        v = seed_pair_check(h1, h2, (0, 1, 2), unit_gens=(beta,))
+        v = seed_pair_check(h1, h2, (0, 1, 2))
         assert calls == []
         component = components(v)["non-isomorphism"]
         assert component.status == UNKNOWN
@@ -323,7 +416,7 @@ class TestSeedPair:
     )
     def test_local_rule_names_the_splitting(self, prime, detail):
         place = local.factor_prime(F, prime)[0]
-        v = seed_pair_check(H1, H2, TAU, probe_place=place, unit_gens=UNIT_GENS)
+        v = seed_pair_check(H1, H2, TAU, probe_place=place)
         assert components(v)["local-rule"].status == PASS
         assert components(v)["local-rule"].detail == detail
         assert v.status == PASS
@@ -333,13 +426,13 @@ class TestSeedPair:
             raise InconclusiveError("splitting undecided at 5#0")
 
         monkeypatch.setattr(hermitian, "splitting_in_E", undecided)
-        v = seed_pair_check(H1, H2, TAU, probe_place=self.probe(), unit_gens=UNIT_GENS)
+        v = seed_pair_check(H1, H2, TAU, probe_place=self.probe())
         assert components(v)["local-rule"].status == UNKNOWN
         assert components(v)["local-rule"].detail == "splitting undecided at 5#0"
         assert v.status == UNKNOWN
 
     def test_self_pair_fails_non_isomorphism(self):
-        v = seed_pair_check(H1, H1, (0, 1, 2), unit_gens=UNIT_GENS)
+        v = seed_pair_check(H1, H1, (0, 1, 2))
         assert v.status == FAIL
         assert components(v)["non-isomorphism"].status == FAIL
         assert components(v)["standing-assumption"].status == PASS
@@ -350,7 +443,7 @@ class TestSeedPair:
         assert components(v)["standing-assumption"].status == FAIL
 
     def test_wrong_twist_fails(self):
-        v = seed_pair_check(H1, H2, (0, 1, 2), unit_gens=UNIT_GENS)
+        v = seed_pair_check(H1, H2, (0, 1, 2))
         assert components(v)["twist-match"].status == FAIL
 
     def test_even_rank_rejected(self):
@@ -359,5 +452,5 @@ class TestSeedPair:
             seed_pair_check(pair, pair, (0, 1, 2))
 
     def test_result_string_mentions_components(self):
-        v = seed_pair_check(H1, H2, TAU, unit_gens=UNIT_GENS)
+        v = seed_pair_check(H1, H2, TAU)
         assert "twist-match" in str(v)

@@ -775,3 +775,23 @@ class TestHilbertProductCheck:
                 continue
             report = hilbert_product_check(EXT, u)
             assert report.conclusive and report.minus_count % 2 == 0
+
+
+class TestNormClassEqual:
+    # 2 divides the index of Z[sqrt 5], so every product check there is
+    # refused at the place above 2; only the trivial cases are decided
+    ROOT5 = NumberField(Polynomial((-5, 0, 1)))
+    EXT5 = CMExtension(ROOT5, ROOT5.from_rational(-1))
+
+    @pytest.mark.parametrize("a, b", [((0, 1), (0, 1)), ((3, 0), (27, 0)), ((0, -4), (0, -9))])
+    def test_rational_square_ratio_needs_no_product_check(self, a, b, monkeypatch):
+        def refused(ext, u):
+            raise AssertionError("product check run")
+
+        monkeypatch.setattr(local, "hilbert_product_check", refused)
+        assert local.norm_class_equal(self.EXT5, self.ROOT5.element(a), self.ROOT5.element(b))
+
+    @pytest.mark.parametrize("a, b", [((3, 0), (1, 0)), ((-1, 0), (1, 0)), ((0, 1), (1, 0))])
+    def test_other_ratios_reach_the_product_check(self, a, b):
+        with pytest.raises(InconclusiveError, match="undecided at: prime 2"):
+            local.norm_class_equal(self.EXT5, self.ROOT5.element(a), self.ROOT5.element(b))
