@@ -85,20 +85,16 @@ def signature_pattern(h: HermitianForm) -> SignaturePattern:
     Each distinct entry is evaluated once per place.
     """
     pattern = []
-    for place in h.ext.base.real_places():
-        sign = {a: a.sign_at(place) for a in dict.fromkeys(h.diag)}
+    for j in range(h.ext.base.real_place_count):
+        sign = {a: a.sign_at(j) for a in dict.fromkeys(h.diag)}
         signs = [sign[a] for a in h.diag]
         pattern.append((signs.count(1), signs.count(-1)))
     return tuple(pattern)
 
 
-def _indefinite(pattern: SignaturePattern) -> tuple[int, ...]:
-    """Places j whose signature has both positives and negatives."""
-    return tuple(j for j, pq in enumerate(pattern) if min(pq) > 0)
-
-
 def indefinite_places(h: HermitianForm) -> tuple[int, ...]:
-    return _indefinite(h.signatures)
+    """Real places j where h has both positive and negative entries."""
+    return tuple(j for j, pq in enumerate(h.signatures) if min(pq) > 0)
 
 
 def forms_equivalent(h1: HermitianForm, h2: HermitianForm) -> bool:
@@ -213,28 +209,39 @@ class ComponentCheck(Frozen):
 
 
 class SeedVerdict(Frozen):
-    __slots__ = ("status", "components")
+    """The component checks of a seed pair. `status` is read off them: FAIL
+    if any component fails, else UNKNOWN if any is UNKNOWN, else PASS. A
+    verdict needs at least one component, so no PASS is vacuous."""
 
-    def __init__(self, status: str, components: tuple[ComponentCheck, ...]):
-        _set(self, "status", status)  # PASS | FAIL | UNKNOWN
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[ComponentCheck, ...]):
+        components = tuple(components)
+        if not components:
+            raise InvalidInputError("a seed verdict needs at least one component")
         _set(self, "components", components)
+
+    @property
+    def status(self) -> str:
+        statuses = {c.status for c in self.components}
+        return FAIL if FAIL in statuses else UNKNOWN if UNKNOWN in statuses else PASS
 
     def __str__(self) -> str:
         parts = ", ".join(f"{c.name}={c.status}" for c in self.components)
         return f"{self.status} [{parts}]"
 
 
-def _standing_assumption(pattern: SignaturePattern, rank: int) -> ComponentCheck:
+def _standing_assumption(h: HermitianForm) -> ComponentCheck:
     # Exactly one real place indefinite, with the extreme signature
     # {rank-1, 1}; all other places definite.
-    indef = _indefinite(pattern)
+    indef = indefinite_places(h)
     if len(indef) != 1:
         return ComponentCheck(
-            "standing-assumption", FAIL, f"{len(indef)} indefinite places in {pattern}"
+            "standing-assumption", FAIL, f"{len(indef)} indefinite places in {h.signatures}"
         )
     j = indef[0]
-    p, q = pattern[j]
-    if sorted((p, q)) != [1, rank - 1]:
+    p, q = h.signatures[j]
+    if sorted((p, q)) != [1, h.rank - 1]:
         return ComponentCheck(
             "standing-assumption",
             FAIL,
@@ -276,8 +283,7 @@ def seed_pair_check(
     components: list[ComponentCheck] = []
 
     sig1, sig2 = h1.signatures, h2.signatures
-    a1 = _standing_assumption(sig1, h1.rank)
-    a2 = _standing_assumption(sig2, h2.rank)
+    a1, a2 = _standing_assumption(h1), _standing_assumption(h2)
     if a1.status == PASS and a2.status == PASS:
         components.append(
             ComponentCheck("standing-assumption", PASS, f"{a1.detail}; {a2.detail}")
@@ -320,10 +326,4 @@ def seed_pair_check(
         except InconclusiveError as exc:
             components.append(ComponentCheck("local-rule", UNKNOWN, str(exc)))
 
-    if any(c.status == FAIL for c in components):
-        overall = FAIL
-    elif any(c.status == UNKNOWN for c in components):
-        overall = UNKNOWN
-    else:
-        overall = PASS
-    return SeedVerdict(overall, tuple(components))
+    return SeedVerdict(components)

@@ -39,6 +39,10 @@ corners this leaves open (non-rational delta at a ramified place with a
 non-unit argument, or with a unit whose denominator l divides when e is
 even, and similar dyadic cases) raise InconclusiveError rather than
 guessing; callers report them as UNKNOWN.
+
+A real place is its index j; delta is totally negative, so the norms there
+are the positive reals and the norm test is the sign of u at j. A product
+report holds its per-place entries and reads its summaries off them.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .number_field import (
     CMExtension,
     FieldElement,
     NumberField,
-    RealPlace,
     is_rational_square,
 )
 from .polynomials import _poly_mul, _reduce_monic, resultant_int
@@ -100,9 +103,6 @@ class FinitePlace(Frozen):
     def __str__(self) -> str:
         e, f = self.ramification, self.residue_degree
         return f"place {self.label()} (e={e}, f={f})"
-
-
-Place = Union[FinitePlace, RealPlace]
 
 
 @lru_cache(maxsize=None)
@@ -405,8 +405,9 @@ class LocalNormResult(Frozen):
         return self.is_norm
 
 
-def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
-    """Whether u in F* is a local norm from E at the given place.
+def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> LocalNormResult:
+    """Whether u in F* is a local norm from E at the given place: a
+    FinitePlace, or the index of a real place.
 
     Every returned verdict is exact; undecidable corners raise
     InconclusiveError instead of guessing.
@@ -415,10 +416,10 @@ def local_norm_test(ext: CMExtension, u, place: Place) -> LocalNormResult:
     if u.is_zero():
         raise InvalidInputError("norm test needs a nonzero element")
 
-    if isinstance(place, RealPlace):
+    if isinstance(place, int):
         # delta is totally negative: the local extension is C/R and the
         # norms are exactly the positive reals.
-        return LocalNormResult(u.sign_at(place.index) > 0, "archimedean-sign")
+        return LocalNormResult(u.sign_at(place) > 0, "archimedean-sign")
 
     split = splitting_in_E(ext, place)
     if split.kind == "split":
@@ -467,13 +468,21 @@ class PlaceSymbolEntry(Frozen):
 
 
 class HilbertReport(Frozen):
-    __slots__ = ("entries", "unknown_labels", "minus_count")
+    """The per-place symbols of a product check; the unknown labels and the
+    count of -1 symbols are read off them."""
 
-    def __init__(self, entries: tuple[PlaceSymbolEntry, ...],
-                 unknown_labels: tuple[str, ...], minus_count: int):
-        _set(self, "entries", entries)
-        _set(self, "unknown_labels", unknown_labels)
-        _set(self, "minus_count", minus_count)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[PlaceSymbolEntry, ...]):
+        _set(self, "entries", tuple(entries))
+
+    @property
+    def unknown_labels(self) -> tuple[str, ...]:
+        return tuple(e.label for e in self.entries if e.symbol is None)
+
+    @property
+    def minus_count(self) -> int:
+        return sum(1 for e in self.entries if e.symbol == -1)
 
     @property
     def conclusive(self) -> bool:
@@ -511,12 +520,11 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
     if u.is_zero():
         raise InvalidInputError("product check needs a nonzero element")
     entries: list[PlaceSymbolEntry] = []
-    unknown: list[str] = []
 
-    for rp in ext.base.real_places():
-        res = local_norm_test(ext, u, rp)
+    for j in range(ext.base.real_place_count):
+        res = local_norm_test(ext, u, j)
         entries.append(
-            PlaceSymbolEntry(str(rp), 1 if res.is_norm else -1, res.method)
+            PlaceSymbolEntry(f"real place {j}", 1 if res.is_norm else -1, res.method)
         )
 
     for ell in relevant_primes(ext, u):
@@ -525,7 +533,6 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
         except UnsupportedPlaceError as exc:
             label = f"prime {ell}"
             entries.append(PlaceSymbolEntry(label, None, f"unsupported: {exc}"))
-            unknown.append(label)
             continue
         for place in places:
             label = place.label()
@@ -533,14 +540,12 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
                 res = local_norm_test(ext, u, place)
             except InconclusiveError as exc:
                 entries.append(PlaceSymbolEntry(label, None, f"inconclusive: {exc}"))
-                unknown.append(label)
                 continue
             entries.append(
                 PlaceSymbolEntry(label, 1 if res.is_norm else -1, res.method)
             )
 
-    minus = sum(1 for e in entries if e.symbol == -1)
-    return HilbertReport(tuple(entries), tuple(unknown), minus)
+    return HilbertReport(entries)
 
 
 def norm_class_equal(ext: CMExtension, a: FieldElement, b: FieldElement) -> bool:

@@ -5,8 +5,8 @@ coordinates as integer numerators over one positive denominator in lowest
 terms (num, den), so all arithmetic is exact on the integer core of
 polynomials: the norm is the determinant of the multiplication matrix (Cohen,
 GTM 138, 4.2) and the inverse solves it by Cramer's rule. The real places are
-the isolated real roots of the defining polynomial in ascending order, which
-fixes a canonical indexing from 0. Each is one immutable integer cell
+the isolated real roots of the defining polynomial in ascending order, and a
+real place is its index j in that order. Each is one immutable integer cell
 (a, b, d) = [a/d, b/d], a function of the polynomial alone: the isolating
 cell (Collins & Akritas 1976), halved until 0 lies outside it. The sign of
 an element at a place is decided by an integer interval enclosure of its
@@ -65,18 +65,6 @@ def is_rational_square(q: Union[int, Fraction]) -> bool:
         return False
     n, d = q.numerator, q.denominator
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
-
-class RealPlace(Frozen):
-    """One real embedding, identified by its canonical (ascending) index."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        _set(self, "index", index)
-
-    def __str__(self) -> str:
-        return f"real place {self.index}"
 
 
 def _real_root_cells(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -139,9 +127,6 @@ class NumberField(Frozen):
         """Isolating interval per real place, ascending, with 0 outside each
         one of a field of degree >= 2; sign evaluations never change them."""
         return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b, d in self._root_cells)
-
-    def real_places(self) -> tuple[RealPlace, ...]:
-        return tuple(RealPlace(j) for j in range(self.real_place_count))
 
     def is_totally_real(self) -> bool:
         return self.real_place_count == self.degree
@@ -299,9 +284,8 @@ class FieldElement(Frozen):
             raise InvalidInputError("unit test requires integral coordinates")
         return abs(self.norm()) == 1
 
-    def sign_at(self, place: Union[int, RealPlace]) -> int:
-        """Exact sign of this element under the place-th real embedding."""
-        j = place.index if isinstance(place, RealPlace) else place
+    def sign_at(self, j: int) -> int:
+        """Exact sign of this element under the j-th real embedding."""
         if not 0 <= j < self.field.real_place_count:
             raise InvalidInputError(f"no real place with index {j}")
         # The numerators are a positive multiple of the element, so they have

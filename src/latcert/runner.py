@@ -31,7 +31,7 @@ from .finite_groups import congruence_index
 from .frozen import Frozen
 from .hermitian import (
     HermitianForm,
-    _indefinite,
+    indefinite_places,
     seed_pair_check,
     twist_pattern,
 )
@@ -378,7 +378,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
     discrepancies: list[dict] = []
 
     # field data
-    disc = Fraction(field.discriminant)
+    disc = field.discriminant
     recorded_disc = seed.recorded_disc
     aut = automorphism_count(field)
     signs = field.generator().signs()
@@ -434,7 +434,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
     closure_block = None
     closure = seed.closure
     if closure is not None:
-        closure_disc = Fraction(closure.closure.discriminant)
+        closure_disc = closure.closure.discriminant
         recorded_closure_disc = seed.closure_recorded_disc
         ratio = closure_disc / recorded_closure_disc
         is_sq = is_rational_square(ratio)
@@ -475,7 +475,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
     pat1, pat2 = h1.signatures, h2.signatures
     signature_table = {"first": _pattern_rows(pat1), "second": _pattern_rows(pat2)}
 
-    indef1, indef2 = _indefinite(pat1), _indefinite(pat2)
+    indef1, indef2 = indefinite_places(h1), indefinite_places(h2)
     place_dictionary = {}
     if len(indef1) == 1 and len(indef2) == 1 and indef1 != indef2:
         rest = [j for j in range(len(pat1)) if j not in (indef1[0], indef2[0])]
@@ -621,14 +621,20 @@ def run_paper_example() -> dict:
 
 
 class VerificationReport(Frozen):
-    __slots__ = ("status", "paths")
+    """The paths at which a certificate differs from its recomputation;
+    `status` is MISMATCH when there are any and OK otherwise."""
 
-    def __init__(self, status: str, paths: tuple[str, ...]):
-        object.__setattr__(self, "status", status)  # OK | MISMATCH
-        object.__setattr__(self, "paths", paths)
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: tuple[str, ...]):
+        _set(self, "paths", tuple(paths))
+
+    @property
+    def status(self) -> str:
+        return MISMATCH if self.paths else OK
 
     def __bool__(self) -> bool:
-        return self.status == OK
+        return not self.paths
 
 
 def verify_payload(recorded: dict) -> VerificationReport:
@@ -643,9 +649,7 @@ def verify_payload(recorded: dict) -> VerificationReport:
         raise CertificateFormatError("certificate carries no input echo")
     inputs = echo["input"]
     recomputed = build_certificate(parse_seed_input(inputs), inputs)
-    if recorded == recomputed:
-        return VerificationReport(OK, ())
-    return VerificationReport(MISMATCH, tuple(diff_paths(recorded, recomputed)))
+    return VerificationReport(() if recorded == recomputed else diff_paths(recorded, recomputed))
 
 
 def verify_certificate(path: str) -> VerificationReport:

@@ -227,8 +227,8 @@ def _entry_pool(field: NumberField) -> Iterator[tuple[int, FieldElement]]:
 def good_odd_primes(field: NumberField, delta: FieldElement, count: int) -> tuple[int, ...]:
     """Smallest odd primes with guaranteed-clean local data: coprime to the
     defining polynomial's discriminant and to delta's norm."""
-    disc = Fraction(field.discriminant)
-    norm = Fraction(delta.norm())
+    disc = field.discriminant
+    norm = delta.norm()
     avoid = abs(
         disc.numerator * disc.denominator * norm.numerator * norm.denominator
     )
@@ -257,7 +257,7 @@ def _pair_seed(ext, h1, h2, tau, probe, congruence) -> SeedInput:
         h1,
         h2,
         tau,
-        recorded_disc=Fraction(field.discriminant),
+        recorded_disc=field.discriminant,
         recorded_automorphism_count=1,
         recorded_positive_count=sum(1 for s in field.generator().signs() if s > 0),
         claimed_units=tuple(e for e in entries if e.is_unit()),

@@ -404,7 +404,25 @@ class TestLoadErrors:
         assert "Traceback" not in captured.out + captured.err
 
 
+# JSON-like trees over a small alphabet, so that unrelated draws are
+# sometimes equal
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.text("ab", max_size=2),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), children, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestDiffPaths:
+    @given(JSON_TREES, JSON_TREES, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_paths_exactly_when_unequal(self, a, b, twin):
+        # a verification report's status is read off these paths
+        if twin:
+            b = json.loads(json.dumps(a))
+        assert bool(diff_paths(a, b)) == (a != b)
+
     def test_equal(self):
         a = {"x": ["1", {"y": "2"}]}
         assert diff_paths(a, json.loads(json.dumps(a))) == []

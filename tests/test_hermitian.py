@@ -1,6 +1,7 @@
 """Diagonal hermitian forms: signatures, equivalence, verdicts, seed pairs."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from latcert.hermitian import (
     NOT_ISOMORPHIC,
     PASS,
     UNKNOWN,
+    ComponentCheck,
     HermitianForm,
+    SeedVerdict,
     forms_equivalent,
     group_isomorphism_verdict,
     indefinite_places,
@@ -454,3 +457,40 @@ class TestSeedPair:
     def test_result_string_mentions_components(self):
         v = seed_pair_check(H1, H2, TAU)
         assert "twist-match" in str(v)
+
+
+def worst(statuses):
+    """FAIL over UNKNOWN over PASS, the rule a seed verdict follows."""
+    return FAIL if FAIL in statuses else UNKNOWN if UNKNOWN in statuses else PASS
+
+
+class TestSeedVerdict:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_status_is_the_worst_component(self, size):
+        for statuses in itertools.product((PASS, FAIL, UNKNOWN), repeat=size):
+            checks = tuple(ComponentCheck(f"c{i}", s, "") for i, s in enumerate(statuses))
+            status = SeedVerdict(checks).status
+            assert status == worst(statuses)
+            assert status != PASS or set(statuses) == {PASS}
+
+    def test_no_components_is_no_verdict(self):
+        with pytest.raises(InvalidInputError):
+            SeedVerdict(())
+
+    def test_seed_pair_check_status_is_the_worst_component(self):
+        # x^3 - 3x + 1 is cyclic, so its seed leaves non-isomorphism UNKNOWN
+        cyclic = NumberField(Polynomial((1, -3, 0, 1)))
+        beta = cyclic.generator()
+        ext = CMExtension(cyclic, cyclic.from_rational(-1))
+        seeds = [
+            ((H1, H2, TAU, local.factor_prime(F, 5)[0]), PASS),
+            ((H1, H2, TAU, local.factor_prime(F, 2)[0]), PASS),
+            ((H1, H1, (0, 1, 2), None), FAIL),
+            ((H1, HermitianForm(EXT, (1, 1, 1)), TAU, None), FAIL),
+            ((H1, H2, (0, 1, 2), None), FAIL),
+            ((HermitianForm(ext, (beta - 1, beta - 1, -1)),
+              HermitianForm(ext, (-beta - 1, -beta - 1, -1)), (2, 1, 0), None), UNKNOWN),
+        ]
+        for (h1, h2, tau, probe), expected in seeds:
+            v = seed_pair_check(h1, h2, tau, probe_place=probe)
+            assert v.status == expected == worst({c.status for c in v.components})

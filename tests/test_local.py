@@ -391,6 +391,19 @@ def census_fields(degree, bound):
     return out
 
 
+def census_samples():
+    """(ext, u) over the census fields of degree 3 and 4 at bound 3, and
+    Z[sqrt 5], where 2 divides the index: delta is -1 or -(alpha^2 + 1),
+    and u is alpha, alpha - 3 or 2 alpha + 1."""
+    out = []
+    for field in census_fields(3, 3) + census_fields(4, 3) + [NumberField(Polynomial((-5, 0, 1)))]:
+        alpha = field.generator()
+        for delta in (field.from_rational(-1), -(alpha * alpha) - 1):
+            ext = CMExtension(field, delta)
+            out += [(ext, u) for u in (alpha, alpha - 3, 2 * alpha + 1)]
+    return out
+
+
 class TestDyadicSplitting:
     # delta of even 2-order whose odd part n/d has n*d mod 8 = 7, 5, 1 and 3
     # with d = 1, then 3, 1, 7 and 5 with d = 3
@@ -656,9 +669,17 @@ class TestExactPrecision:
 
 class TestLocalNormTest:
     def test_real_places_use_signs(self):
-        results = [local_norm_test(EXT, ALPHA, rp) for rp in F.real_places()]
+        results = [local_norm_test(EXT, ALPHA, j) for j in range(F.real_place_count)]
         assert [r.is_norm for r in results] == [False, True, True]
         assert all(r.method == "archimedean-sign" for r in results)
+
+    def test_a_real_place_is_its_index(self):
+        for ext, u in census_samples():
+            for j in range(ext.base.real_place_count):
+                r = local_norm_test(ext, u, j)
+                assert (r.is_norm, r.method) == (u.sign_at(j) > 0, "archimedean-sign")
+        with pytest.raises(InvalidInputError):
+            local_norm_test(EXT, ALPHA, F.real_place_count)
 
     def test_split_place_accepts_everything(self):
         r = local_norm_test(EXT, ALPHA - 4, place_above(F, 37))
@@ -775,6 +796,21 @@ class TestHilbertProductCheck:
                 continue
             report = hilbert_product_check(EXT, u)
             assert report.conclusive and report.minus_count % 2 == 0
+
+    def test_summaries_are_read_off_the_entries(self):
+        reports = [hilbert_product_check(ext, u) for ext, u in census_samples()]
+        for report in reports:
+            symbols = [e.symbol for e in report.entries]
+            unknown = tuple(e.label for e in report.entries if e.symbol is None)
+            assert report.unknown_labels == unknown
+            assert report.minus_count == symbols.count(-1)
+            assert report.conclusive == (None not in symbols)
+            assert report.minus_count_even == (
+                report.minus_count % 2 == 0 if report.conclusive else None
+            )
+        # the samples reach unknown entries, -1 symbols and conclusive reports
+        assert any(r.unknown_labels for r in reports) and any(r.minus_count for r in reports)
+        assert any(r.conclusive for r in reports)
 
 
 class TestNormClassEqual:

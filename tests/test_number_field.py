@@ -35,7 +35,6 @@ from latcert.number_field import (
     FieldElement,
     GaloisClosure,
     NumberField,
-    RealPlace,
     _automorphism_upper_bound,
     _shifted_norm,
     automorphism_count,
@@ -217,8 +216,7 @@ class TestConstruction:
 
 class TestRealPlaces:
     def test_three_real_places_in_ascending_order(self):
-        places = CUBIC.real_places()
-        assert places == (RealPlace(0), RealPlace(1), RealPlace(2))
+        assert CUBIC.real_place_count == 3
         ivs = CUBIC.real_place_intervals()
         assert len(ivs) == 3
         assert all(iv.lo < iv.hi for iv in ivs)
@@ -233,8 +231,12 @@ class TestRealPlaces:
         assert ALPHA.signs() == (-1, 1, 1)
 
     def test_sign_at_accepts_place_or_index(self):
+        # a real place is its index in the ascending order
         assert ALPHA.sign_at(0) == -1
-        assert ALPHA.sign_at(RealPlace(2)) == 1
+        assert ALPHA.sign_at(2) == 1
+        for j in (-1, 3):
+            with pytest.raises(InvalidInputError):
+                ALPHA.sign_at(j)
 
     def test_signs_of_second_unit(self):
         u = ALPHA * ALPHA - 2

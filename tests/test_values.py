@@ -31,7 +31,6 @@ from latcert.number_field import (
     FieldElement,
     GaloisClosure,
     NumberField,
-    RealPlace,
 )
 from latcert.polynomials import Interval, Polynomial
 from latcert.runner import VerificationReport, load_example_fixture, parse_seed_input
@@ -62,7 +61,6 @@ def _place():
 FACTORIES = {
     "Polynomial": lambda: Polynomial(CUBIC.coeffs),
     "Interval": lambda: Interval(0, Fraction(1, 2)),
-    "RealPlace": lambda: RealPlace(1),
     "NumberField": _field,
     "FieldElement": lambda: _field().element((1, Fraction(1, 2), 0)),
     "CMExtension": _ext,
@@ -71,14 +69,14 @@ FACTORIES = {
     "SplittingResult": lambda: SplittingResult("split", "residue square"),
     "LocalNormResult": lambda: LocalNormResult(True, "split"),
     "PlaceSymbolEntry": lambda: PlaceSymbolEntry("5#0", -1, "hensel-lift"),
-    "HilbertReport": lambda: HilbertReport((PlaceSymbolEntry("2#0", 1, "split"),), (), 0),
+    "HilbertReport": lambda: HilbertReport((PlaceSymbolEntry("2#0", 1, "split"),)),
     "HermitianForm": _form,
     "IsomorphismVerdict": lambda: IsomorphismVerdict("UNKNOWN", detail="no witness"),
     "ComponentCheck": lambda: ComponentCheck("local-rule", "PASS", "odd rank"),
-    "SeedVerdict": lambda: SeedVerdict("PASS", (ComponentCheck("a", "PASS", ""),)),
+    "SeedVerdict": lambda: SeedVerdict((ComponentCheck("a", "PASS", ""),)),
     "FiniteGroupSpec": lambda: FiniteGroupSpec("SU", 3, 25),
     "FiniteField": lambda: FiniteField(3, (1, 0, 1)),
-    "VerificationReport": lambda: VerificationReport("OK", ()),
+    "VerificationReport": lambda: VerificationReport(()),
     "SeedInput": lambda: parse_seed_input(load_example_fixture()),
     "SearchConfig": lambda: SearchConfig(delta_candidates=[-1, Fraction(-3, 2)]),
 }
@@ -117,6 +115,30 @@ def test_search_config_keeps_its_defaults():
     )
     assert cfg.output_path is None and cfg.max_certificates is None
     assert IsomorphismVerdict("UNKNOWN") == IsomorphismVerdict("UNKNOWN", None, None, "")
+
+
+def test_summaries_cannot_disagree_with_what_they_summarise():
+    # each record holds one field, and reads its status or counts off it
+    for cls in (SeedVerdict, VerificationReport, HilbertReport):
+        assert len(cls.__slots__) == 1
+    failing = SeedVerdict((ComponentCheck("a", "PASS", ""), ComponentCheck("b", "FAIL", "")))
+    assert failing.status == "FAIL"
+    assert SeedVerdict((ComponentCheck("a", "UNKNOWN", ""),)).status == "UNKNOWN"
+    with pytest.raises(TypeError):
+        SeedVerdict("PASS", failing.components)
+    with pytest.raises(AttributeError):
+        object.__setattr__(failing, "status", "PASS")
+    mismatch = VerificationReport(("field_block/disc",))
+    assert mismatch.status == "MISMATCH" and not mismatch
+    with pytest.raises(TypeError):
+        VerificationReport("OK", mismatch.paths)
+    report = HilbertReport(
+        (PlaceSymbolEntry("2#0", None, "inconclusive"), PlaceSymbolEntry("3#0", -1, "hensel-lift"))
+    )
+    assert (report.conclusive, report.unknown_labels, report.minus_count) == (False, ("2#0",), 1)
+    assert report.minus_count_even is None
+    with pytest.raises(TypeError):
+        HilbertReport(report.entries, (), 0)
 
 
 def test_number_field_equality_ignores_derived_fields():
