@@ -416,9 +416,10 @@ def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> Loca
     if u.is_zero():
         raise InvalidInputError("norm test needs a nonzero element")
 
-    if isinstance(place, int):
-        # delta is totally negative: the local extension is C/R and the
-        # norms are exactly the positive reals.
+    if not isinstance(place, FinitePlace):
+        # A real place index, which sign_at checks. delta is totally
+        # negative: the local extension is C/R and the norms are exactly the
+        # positive reals.
         return LocalNormResult(u.sign_at(place) > 0, "archimedean-sign")
 
     split = splitting_in_E(ext, place)

@@ -269,7 +269,8 @@ def is_irreducible_mod(f: Coeffs, p: int) -> bool:
 
 def find_irreducible(p: int, d: int) -> Coeffs:
     """Smallest (lexicographic lower-coefficient) monic irreducible of
-    degree d over F_p. Deterministic, used to build residue field towers."""
+    degree d over F_p. Deterministic; it builds the finite fields over which
+    `finite_groups` enumerates matrices to check its group orders."""
     if d == 1:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=d):

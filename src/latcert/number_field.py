@@ -16,13 +16,11 @@ enclosure straddles zero; rational intervals are built only for
 totally real base field and a totally negative delta in it.
 
 Automorphism counts are exact too. Degrees up to 3 are decided by the
-discriminant, and degree 4 by the rational roots of the resolvent cubic and
-the discriminant (Kappe & Warren 1989). For degree >= 5 a sieve bounds the
-count from above by the number of roots of the defining polynomial in F_l,
-found by evaluating it at 0, ..., l - 1, for small unramified primes l, and
-a bound of 1 settles it. Otherwise Trager's norm method counts the roots of
-the defining polynomial in the field by factoring one integer polynomial
-over Z.
+discriminant. From degree 4 on a sieve bounds the count from above by the
+number of roots of the defining polynomial in F_l, found by evaluating it at
+0, ..., l - 1, for small unramified primes l, and a bound of 1 settles it.
+Otherwise Trager's norm method counts the roots of the defining polynomial
+in the field by factoring one integer polynomial over Z.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .polynomials import (
     _multiplication_columns,
     _poly_mul,
     _reduce_monic,
-    _resolvent_roots,
     _value,
     discriminant,
     is_irreducible,
@@ -285,9 +282,10 @@ class FieldElement(Frozen):
         return abs(self.norm()) == 1
 
     def sign_at(self, j: int) -> int:
-        """Exact sign of this element under the j-th real embedding."""
-        if not 0 <= j < self.field.real_place_count:
-            raise InvalidInputError(f"no real place with index {j}")
+        """Exact sign of this element under the j-th real embedding; j is a
+        plain int (not a bool) in range(real_place_count)."""
+        if type(j) is not int or not 0 <= j < self.field.real_place_count:
+            raise InvalidInputError(f"no real place with index {j!r}")
         # The numerators are a positive multiple of the element, so they have
         # the same signs.
         z = self.num
@@ -327,22 +325,15 @@ def automorphism_count(field: NumberField) -> int:
     """Number of field automorphisms, as roots of min_poly inside the field.
 
     Degrees 1-3 are decided exactly (an irreducible cubic is Galois exactly
-    when its discriminant is a rational square). Degree 4 is read off the
-    Galois group, which the resolvent cubic R of
-    p = x^4 + a x^3 + b x^2 + c x + e decides (`_resolvent_roots`; Kappe &
-    Warren 1989); R is squarefree, since disc R = disc p != 0. No rational
-    root of R gives S4 or A4, where the count is 1; three give V4, count 4;
-    exactly one, r, gives C4 (count 4) when x^2 - r x + e and
-    x^2 + a x + (b - r) both split over Q(sqrt(disc p)), and D4 (count 2)
-    otherwise. So the count is 1 exactly when R has no rational root, and
-    `search.field_candidates` asks R before NumberField. For higher degrees the
-    exact mod-l sieve bounds the count from above, and a bound of 1 is
-    returned at once. Otherwise the count comes from Trager's norm method
-    (Trager 1976; Cohen, GTM 138, 3.6.2): when N_s(x) = Res_y(p(y), p(x - s*y))
-    is squarefree, the factors of p over F of degree k correspond one to one
-    to the factors of N_s over Q of degree n*k. So, for the smallest shift
-    s >= 2 with N_s squarefree, the count is the number of degree-n factors
-    of N_s over Q. Exact at every degree, with or without real places.
+    when its discriminant is a rational square). From degree 4 on the exact
+    mod-l sieve (`_automorphism_upper_bound`) bounds the count from above,
+    and a bound of 1 is returned at once. Otherwise the count comes from
+    Trager's norm method (Trager 1976; Cohen, GTM 138, 3.6.2): when
+    N_s(x) = Res_y(p(y), p(x - s*y)) is squarefree, the factors of p over F
+    of degree k correspond one to one to the factors of N_s over Q of degree
+    n*k. So, for the smallest shift s >= 2 with N_s squarefree, the count is
+    the number of degree-n factors of N_s over Q. Exact at every degree,
+    with or without real places.
     """
     d = field.degree
     if d == 1:
@@ -351,20 +342,6 @@ def automorphism_count(field: NumberField) -> int:
         return 2
     if d == 3:
         return 3 if is_rational_square(field.discriminant) else 1
-    if d == 4:
-        e, _, b, a, _ = field.int_poly
-        roots = _resolvent_roots(field.int_poly)
-        if not roots:
-            return 1
-        if len(roots) == 3:
-            return 4
-        r = roots[0][0]
-
-        def splits(p: int, q: int) -> bool:  # x^2 + p x + q over Q(sqrt(disc))
-            delta = p * p - 4 * q
-            return is_rational_square(delta) or is_rational_square(delta * field.discriminant)
-
-        return 4 if splits(-r, e) and splits(a, b - r) else 2
     if _automorphism_upper_bound(field) == 1:
         return 1
     p = field.int_poly

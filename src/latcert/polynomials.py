@@ -169,16 +169,9 @@ def discriminant(p: Polynomial) -> Fraction:
         raise InvalidInputError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     if p.is_monic() and all(c.denominator == 1 for c in p.coeffs):
-        return Fraction(sign * _derivative_resultant(p.int_coeffs()))
+        f = p.int_coeffs()
+        return Fraction(sign * resultant_int(f, _derivative(f)))
     return sign * resultant(p, p.derivative()) / p.leading_coefficient()
-
-
-@functools.lru_cache(maxsize=1)
-def _derivative_resultant(f: tuple[int, ...]) -> int:
-    """Res(f, f') for a monic integer f.  A field is built by factoring p
-    (squarefree_factors) and then taking its discriminant, and both need
-    this resultant, so the last one is kept."""
-    return resultant_int(f, _derivative(f))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +704,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     f = tuple(f)
     if n == 1:
         return [f]
-    disc = _derivative_resultant(f)
+    disc = resultant_int(f, _derivative(f))
     if disc == 0:
         return None
     ell = next(p for p in itertools.count(2) if disc % p and is_prime(p))

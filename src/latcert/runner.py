@@ -105,6 +105,10 @@ def _exacts(values) -> list:
     return [exact(v) for v in values]
 
 
+def _discrepancy(at: str, computed, recorded, note: str = "computed value kept verbatim") -> dict:
+    return {"at": at, "computed": exact(computed), "recorded": exact(recorded), "note": note}
+
+
 class SeedInput(Frozen):
     """One seed pair and the data sampled with it, as the objects that
     `build_certificate` certifies: forms h1 and h2 over `ext`, and tau, a
@@ -393,33 +397,21 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
         "place_intervals": intervals,
     }
     if disc != recorded_disc:
-        discrepancies.append(
-            {
-                "at": "field_block/disc",
-                "computed": exact(disc),
-                "recorded": exact(recorded_disc),
-                "note": "computed value kept verbatim",
-            }
-        )
+        discrepancies.append(_discrepancy("field_block/disc", disc, recorded_disc))
     if positive != seed.recorded_positive_count:
         discrepancies.append(
-            {
-                "at": "field_block/generator_signs",
-                "computed": exact(positive),
-                "recorded": exact(seed.recorded_positive_count),
-                "note": "count of real places where the generator is positive "
+            _discrepancy(
+                "field_block/generator_signs",
+                positive,
+                seed.recorded_positive_count,
+                "count of real places where the generator is positive "
                 "disagrees with the recorded claim; the recorded signature "
                 "products still match under the place dictionary below",
-            }
+            )
         )
     if aut != seed.recorded_automorphism_count:
         discrepancies.append(
-            {
-                "at": "field_block/automorphism_count",
-                "computed": exact(aut),
-                "recorded": exact(seed.recorded_automorphism_count),
-                "note": "computed value kept verbatim",
-            }
+            _discrepancy("field_block/automorphism_count", aut, seed.recorded_automorphism_count)
         )
 
     # quadratic extension
@@ -453,14 +445,14 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
             )
         if ratio != 1:
             discrepancies.append(
-                {
-                    "at": "closure_block/poly_disc",
-                    "computed": exact(closure_disc),
-                    "recorded": exact(recorded_closure_disc),
-                    "note": "the two differ by the square " + exact(ratio)
+                _discrepancy(
+                    "closure_block/poly_disc",
+                    closure_disc,
+                    recorded_closure_disc,
+                    "the two differ by the square " + exact(ratio)
                     if is_sq
                     else "the ratio is not a rational square",
-                }
+                )
             )
 
     # the two forms

@@ -681,6 +681,14 @@ class TestLocalNormTest:
         with pytest.raises(InvalidInputError):
             local_norm_test(EXT, ALPHA, F.real_place_count)
 
+    @pytest.mark.parametrize(
+        "place", [True, 1.0, "1", -1, F.real_place_count, None, (2, 0)],
+        ids=["bool", "float", "str", "negative", "real_place_count", "none", "tuple"],
+    )
+    def test_refuses_what_is_neither_a_finite_place_nor_an_index(self, place):
+        with pytest.raises(InvalidInputError):
+            local_norm_test(EXT, ALPHA, place)
+
     def test_split_place_accepts_everything(self):
         r = local_norm_test(EXT, ALPHA - 4, place_above(F, 37))
         assert r.is_norm and r.method == "split"

@@ -28,7 +28,7 @@ from _oracles import (
     sieve_root_bound,
     sylvester_resultant,
 )
-from latcert import number_field, polynomials
+from latcert import number_field
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
@@ -41,6 +41,7 @@ from latcert.number_field import (
     is_rational_square,
 )
 from latcert.polynomials import Polynomial, _resolvent_roots, is_irreducible, squarefree_factors
+from latcert.search import SearchConfig, field_candidates
 
 CUBIC = NumberField(Polynomial((1, -3, -1, 1)))  # x^3 - x^2 - 3x + 1
 ALPHA = CUBIC.generator()
@@ -177,19 +178,8 @@ class TestConstruction:
          ((-1, -1, 0, 0, 0, 1), 2869)],
         ids=["linear", "quadratic", "cubic", "quartic", "quintic"],
     )
-    def test_one_resultant_per_field(self, monkeypatch, coeffs, disc):
-        # factoring p and taking its discriminant share one Res(p, p')
-        calls = []
-        original = polynomials.resultant_int
-
-        def counting(p, z):
-            calls.append(p)
-            return original(p, z)
-
-        monkeypatch.setattr(polynomials, "resultant_int", counting)
-        polynomials._derivative_resultant.cache_clear()
+    def test_discriminant_of_the_defining_polynomial(self, coeffs, disc):
         assert NumberField(Polynomial(coeffs)).discriminant == disc
-        assert calls == [coeffs]
 
     def test_degree_and_discriminant(self):
         assert CUBIC.degree == 3
@@ -237,6 +227,14 @@ class TestRealPlaces:
         for j in (-1, 3):
             with pytest.raises(InvalidInputError):
                 ALPHA.sign_at(j)
+
+    @pytest.mark.parametrize(
+        "j", [True, 1.0, "1", -1, CUBIC.real_place_count],
+        ids=["bool", "float", "str", "negative", "real_place_count"],
+    )
+    def test_sign_at_refuses_what_is_not_a_place_index(self, j):
+        with pytest.raises(InvalidInputError):
+            ALPHA.sign_at(j)
 
     def test_signs_of_second_unit(self):
         u = ALPHA * ALPHA - 2
@@ -476,15 +474,31 @@ class TestAutomorphismCount:
         assert automorphism_count(field) == 1
 
     def test_quartics_never_reach_the_norm_method(self, monkeypatch):
+        # every quartic the search keeps is settled by a sieve prime
         def no_norm(*args, **kwargs):
-            raise AssertionError("the resolvent cubic should decide a quartic")
+            raise AssertionError("the sieve should decide a kept quartic")
 
         monkeypatch.setattr(number_field, "_shifted_norm", no_norm)
-        monkeypatch.setattr(number_field, "squarefree_factors", no_norm)
+        for bound, kept in ((3, 2), (4, 50)):
+            fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=bound)))
+            assert len(fields) == kept
+
+    def test_quartics_with_automorphisms_reach_the_norm_method(self, monkeypatch):
+        # the sieve settles a count of 1; any other count is Trager's
+        normed = set()
+        original = number_field._shifted_norm
+
+        def spy(p, s):
+            normed.add(p)
+            return original(p, s)
+
+        monkeypatch.setattr(number_field, "_shifted_norm", spy)
         for coeffs, count in TOTALLY_REAL_QUARTICS_BOUND_3.items():
             assert automorphism_count(NumberField(Polynomial(coeffs))) == count
-        # x^4 - 2 (D4): its resolvent x^3 + 8x has the one rational root 0
+        # x^4 - 2 (D4)
         assert automorphism_count(NumberField(Polynomial((-2, 0, 0, 0, 1)))) == 2
+        expected = {c for c, count in TOTALLY_REAL_QUARTICS_BOUND_3.items() if count != 1}
+        assert normed == expected | {(-2, 0, 0, 0, 1)}
 
     def test_quartic_with_one_nontrivial_automorphism(self):
         assert _automorphism_upper_bound(AUT2_QUARTIC) == 2
