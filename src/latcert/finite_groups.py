@@ -11,7 +11,6 @@ extension.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from .frozen import Frozen
@@ -79,7 +78,6 @@ def group_order(spec: FiniteGroupSpec) -> int:
     return gu // (q + 1)  # SU
 
 
-@lru_cache(maxsize=None)
 def _field_of_order(q: int) -> FiniteField:
     p, k = _prime_power(q)
     return FiniteField(p, find_irreducible(p, k))

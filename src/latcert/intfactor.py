@@ -1,9 +1,12 @@
 """Integer primality and factorization.
 
 Deterministic Miller-Rabin (exact for anything below 3.3 * 10^24, which is
-far beyond every integer this package factors) plus Brent's cycle-finding
-variant of Pollard rho for the occasional large cofactor. Inputs here are
-resultants and coefficient denominators, so sizes stay modest.
+far beyond every integer this package factors), trial division by the primes
+below 200, and Pollard's rho with Floyd's cycle detection for a cofactor
+with no smaller prime factor. Inputs here are resultants, coefficient
+denominators and the constant terms of small search candidates, so sizes
+stay modest and rho is rarely reached; building a field factors no integer
+(`polynomials.squarefree_factors`).
 """
 
 from __future__ import annotations
@@ -49,36 +52,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (not a prime power guard)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
+def _pollard_rho(n: int) -> int:
+    """One nontrivial factor of an odd composite n (Pollard 1975): walk
+    x -> x^2 + c mod n at one and at two steps a turn (Floyd's cycle
+    detection) until gcd(x - y, n) > 1, and start over with the next c
+    when that gcd is n itself."""
+    c = 1
     while True:
-        y, c, m = seed % n, (seed + 1) % n or 1, 128
-        g = r = q = 1
-        x = ys = y
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
-        seed += 1  # rare cycle degeneracy: restart with a new polynomial
+        c += 1
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -105,7 +95,7 @@ def prime_factors(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d = _pollard_rho(m)
         stack.extend((d, m // d))
     return dict(sorted(out.items()))
 

@@ -393,23 +393,34 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
 # Local norm tests
 
 
-class LocalNormResult(Frozen):
-    __slots__ = ("is_norm", "method")
+class PlaceSymbolEntry(Frozen):
+    """The Hilbert symbol (delta, u)_v at the place labelled `label`: +1 when
+    u is a norm from E_w, -1 when it is not, None when it is unknown; and
+    the method that decided it, or why it could not be decided."""
 
-    def __init__(self, is_norm: bool, method: str):
-        _set(self, "is_norm", is_norm)
-        # "split" | "unramified-valuation" | "hensel-lift" | "archimedean-sign"
+    __slots__ = ("label", "symbol", "method")
+
+    def __init__(self, label: str, symbol: Optional[int], method: str):
+        _set(self, "label", label)
+        _set(self, "symbol", symbol)
+        # "split" | "unramified-valuation" | "hensel-lift" | "archimedean-sign",
+        # or "unsupported: ..." | "inconclusive: ..." when the symbol is None
         _set(self, "method", method)
+
+    @property
+    def is_norm(self) -> bool:
+        return self.symbol == 1
 
     def __bool__(self) -> bool:
         return self.is_norm
 
 
-def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> LocalNormResult:
-    """Whether u in F* is a local norm from E at the given place: a
-    FinitePlace, or the index of a real place.
+def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> PlaceSymbolEntry:
+    """The symbol (delta, u)_v at the given place v, a FinitePlace or the
+    index of a real place: +1 exactly when u in F* is a local norm from E
+    at v, which the entry's `is_norm` and its truth value read off.
 
-    Every returned verdict is exact; undecidable corners raise
+    Every returned symbol is exact; undecidable corners raise
     InconclusiveError instead of guessing.
     """
     u = ext.base._coerce(u)
@@ -420,19 +431,21 @@ def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> Loca
         # A real place index, which sign_at checks. delta is totally
         # negative: the local extension is C/R and the norms are exactly the
         # positive reals.
-        return LocalNormResult(u.sign_at(place) > 0, "archimedean-sign")
+        return PlaceSymbolEntry(f"real place {place}", u.sign_at(place), "archimedean-sign")
 
+    label = place.label()
     split = splitting_in_E(ext, place)
     if split.kind == "split":
-        return LocalNormResult(True, "split")
+        return PlaceSymbolEntry(label, 1, "split")
     if split.kind == "inert":
-        return LocalNormResult(valuation(place, u) % 2 == 0, "unramified-valuation")
+        symbol = -1 if valuation(place, u) % 2 else 1
+        return PlaceSymbolEntry(label, symbol, "unramified-valuation")
 
     # Ramified places.
     delta = ext.delta
     if delta.is_rational():
         symbol = _symbol_vs_rational(place, delta.num[0] * delta.den, u)
-        return LocalNormResult(symbol == 1, "hensel-lift")
+        return PlaceSymbolEntry(label, symbol, "hensel-lift")
     ell = place.prime
     if ell != 2 and valuation(place, u) == 0:
         # Tame ramification with a unit argument: quadratic residue character
@@ -441,15 +454,15 @@ def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> Loca
         # is congruent to N_{k/F_l}(u-bar)^e mod l, so for odd e chi(u-bar)
         # is its Legendre symbol, (l, N_{F_v/Q_l}(u))_{Q_l}.
         if u.den % ell:
-            is_sq = _residue_square(place, u.num, u.den)
+            symbol = 1 if _residue_square(place, u.num, u.den) else -1
         elif place.ramification % 2:
-            is_sq = _symbol_vs_rational(place, ell, u) == 1
+            symbol = _symbol_vs_rational(place, ell, u)
         else:
             raise InconclusiveError(
                 f"norm test at ramified {place} of even e with a unit whose "
                 f"denominator {ell} divides"
             )
-        return LocalNormResult(is_sq, "hensel-lift")
+        return PlaceSymbolEntry(label, symbol, "hensel-lift")
     raise InconclusiveError(
         f"norm test at ramified {place} with non-rational delta and non-unit argument"
     )
@@ -457,15 +470,6 @@ def local_norm_test(ext: CMExtension, u, place: Union[FinitePlace, int]) -> Loca
 
 # ---------------------------------------------------------------------------
 # Product-formula reports
-
-
-class PlaceSymbolEntry(Frozen):
-    __slots__ = ("label", "symbol", "method")
-
-    def __init__(self, label: str, symbol: Optional[int], method: str):
-        _set(self, "label", label)
-        _set(self, "symbol", symbol)  # +1 / -1, or None when unknown
-        _set(self, "method", method)
 
 
 class HilbertReport(Frozen):
@@ -523,10 +527,7 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
     entries: list[PlaceSymbolEntry] = []
 
     for j in range(ext.base.real_place_count):
-        res = local_norm_test(ext, u, j)
-        entries.append(
-            PlaceSymbolEntry(f"real place {j}", 1 if res.is_norm else -1, res.method)
-        )
+        entries.append(local_norm_test(ext, u, j))
 
     for ell in relevant_primes(ext, u):
         try:
@@ -536,15 +537,10 @@ def hilbert_product_check(ext: CMExtension, u) -> HilbertReport:
             entries.append(PlaceSymbolEntry(label, None, f"unsupported: {exc}"))
             continue
         for place in places:
-            label = place.label()
             try:
-                res = local_norm_test(ext, u, place)
+                entries.append(local_norm_test(ext, u, place))
             except InconclusiveError as exc:
-                entries.append(PlaceSymbolEntry(label, None, f"inconclusive: {exc}"))
-                continue
-            entries.append(
-                PlaceSymbolEntry(label, 1 if res.is_norm else -1, res.method)
-            )
+                entries.append(PlaceSymbolEntry(place.label(), None, f"inconclusive: {exc}"))
 
     return HilbertReport(entries)
 

@@ -375,16 +375,7 @@ class FiniteField(Frozen):
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return mod_poly(mul(a, b, self.char), self.modulus, self.char)
 
-    def inv(self, a: Coeffs) -> Coeffs:
-        if not a:
-            raise InvalidInputError("inverting zero in a finite field")
-        g, s, _ = ext_gcd(a, self.modulus, self.char)
-        assert g == (1,), "modulus is irreducible, gcd must be 1"
-        return mod_poly(s, self.modulus, self.char)
-
     def pow(self, a: Coeffs, e: int) -> Coeffs:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         return pow_mod(a, e, self.modulus, self.char)
 
     def elements(self):

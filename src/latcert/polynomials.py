@@ -6,10 +6,10 @@ real roots when the leading minors of Hermite's form are positive, real
 roots are isolated with Sturm counts plus exact extraction of rational
 roots, and squarefree monic integer polynomials are factored over Z at the
 first prime not dividing the discriminant (integer roots by l-adic Newton
-lifting; a quartic cofactor whose resolvent cubic has no rational root is
-irreducible; else Zassenhaus's algorithm: factor modulo that prime,
-Hensel-lift, recombine), which also decides irreducibility over Q. No
-floating point anywhere.
+lifting; a quartic cofactor whose resolvent cubic has no integer root, found
+by the same lift, is irreducible; else Zassenhaus's algorithm: factor modulo
+that prime, Hensel-lift, recombine), which also decides irreducibility over
+Q. No floating point anywhere.
 
 Hermite's test is two steps, the Newton power sums (`_power_sums`) and
 the pivots of their Hankel matrix (`_hankel_is_positive_definite`),
@@ -677,12 +677,13 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     f has a repeated factor exactly when Res(f, f') = 0. Otherwise ell is
     the first prime that does not divide Res(f, f'), which for monic f is
     the first prime that keeps f squarefree mod ell. The integer roots come
-    first (Loos 1983): each root mod ell is simple, so Newton's iteration
-    lifts it past twice the Cauchy bound 1 + max|a_i| on |root|, and its
-    symmetric residue is kept when it is a root over Z. A cofactor of degree
-    <= 3 is then irreducible, and so is a quartic one whose resolvent cubic
-    has no rational root (`_resolvent_roots`), since with no integer root it
-    could only split into two monic integer quadratics. Any other goes
+    first, by the ell-adic Newton lift of each root mod ell (`_integer_roots`;
+    Loos 1983). A cofactor of degree <= 3 is then irreducible, and so is a
+    quartic one whose resolvent cubic R (`_resolvent`) has no integer root,
+    since with no integer root it could only split into two monic integer
+    quadratics. disc R = disc f, so R is squarefree mod the same ell and its
+    integer roots come from the same lift: no integer is factored, whatever
+    the size of the coefficients. Any other goes
     through Zassenhaus's algorithm (1969; Cohen, GTM 138, 3.5) at the same
     ell: factor it mod ell (a single factor proves it irreducible),
     Hensel-lift every factor past twice a Mignotte-type bound on the
@@ -693,7 +694,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
 
     >>> squarefree_factors((-1, 0, 0, 0, 1))
     [(-1, 1), (1, 1), (1, 0, 1)]
-    >>> squarefree_factors((2, -3, -3, 2, 1))  # resolvent without a rational root
+    >>> squarefree_factors((2, -3, -3, 2, 1))  # resolvent without an integer root
     [(2, -3, -3, 2, 1)]
     >>> squarefree_factors((1, 2, 1)) is None
     True
@@ -708,24 +709,14 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     if disc == 0:
         return None
     ell = next(p for p in itertools.count(2) if disc % p and is_prime(p))
-    cauchy = 1 + max(map(abs, f))
-    factors = []
-    for r in range(ell):
-        if _value(f, r, 1) % ell:
-            continue
-        df, m = _derivative(f), ell
-        while m <= 2 * cauchy:
-            m *= m
-            r = (r - _value(f, r, 1) * pow(_value(df, r, 1), -1, m)) % m
-        r = r - m if 2 * r > m else r
-        if _value(f, r, 1) == 0:
-            factors.append((-r, 1))
-            f = _exact_div(f, (-r, 1))
+    factors = [(-r, 1) for r in _integer_roots(f, ell)]
+    for g in factors:
+        f = _exact_div(f, g)
     n = len(f) - 1
     # Without an integer root a monic cubic or quadratic is irreducible, and
-    # so is a quartic whose resolvent has no rational root, or a cofactor
+    # so is a quartic whose resolvent has no integer root, or a cofactor
     # that stays one block mod ell.
-    if n <= 3 or (n == 4 and not _resolvent_roots(f)):
+    if n <= 3 or (n == 4 and not _integer_roots(_resolvent(f), ell)):
         blocks = [f]
     else:
         blocks = [g for g, _ in modular.factor_monic(f, ell)]
@@ -758,16 +749,38 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     return sorted(factors, key=lambda g: (len(g), g))
 
 
-def _resolvent_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Rational roots (r, 1) of the resolvent cubic
-    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of the squarefree
-    monic integer quartic p = x^4 + a x^3 + b x^2 + c x + e, constant term
+def _integer_roots(f: tuple[int, ...], ell: int) -> list[int]:
+    # The integer roots of a monic integer f that is squarefree mod the prime
+    # ell (Loos 1983): each root mod ell is simple, so Newton's iteration
+    # lifts it past twice the Cauchy bound 1 + max|a_i| on |root|, and its
+    # symmetric residue is kept when it is a root over Z.
+    cauchy = 1 + max(map(abs, f))
+    df = _derivative(f)
+    roots = []
+    for r in range(ell):
+        if _value(f, r, 1) % ell:
+            continue
+        m = ell
+        while m <= 2 * cauchy:
+            m *= m
+            r = (r - _value(f, r, 1) * pow(_value(df, r, 1), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if _value(f, r, 1) == 0:
+            roots.append(r)
+    return roots
+
+
+def _resolvent(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The resolvent cubic
+    R(x) = x^3 - b x^2 + (ac - 4e) x - (a^2 e - 4be + c^2) of the monic
+    integer quartic p = x^4 + a x^3 + b x^2 + c x + e, both constant term
     first. The roots of R are a1 a2 + a3 a4, a1 a3 + a2 a4 and a1 a4 + a2 a3
-    over the roots a_i of p; R is monic, so a rational root is an integer.
-    If p = g h with g, h monic integer quadratics, g(0) + h(0) is one.
+    over the roots a_i of p, so disc R = disc p, and R is monic, so a
+    rational root is an integer. If p = g h with g, h monic integer
+    quadratics, g(0) + h(0) is one.
     """
     e, c, b, a, _ = p
-    return _rational_roots((-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1))
+    return (-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1)
 
 
 def is_irreducible(p: Polynomial) -> bool:

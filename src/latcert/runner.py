@@ -502,7 +502,7 @@ def build_certificate(seed: SeedInput, echo: dict) -> dict:
                 norm_tests.append(
                     {
                         "element": list(coords),
-                        "place": place.label(),
+                        "place": res.label,
                         "is_norm": res.is_norm,
                         "method": res.method,
                     }

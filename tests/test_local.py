@@ -28,6 +28,7 @@ from latcert import local
 from latcert.errors import InconclusiveError, InvalidInputError, UnsupportedPlaceError
 from latcert.intfactor import prime_factors
 from latcert.local import (
+    PlaceSymbolEntry,
     factor_prime,
     hilbert_product_check,
     hilbert_symbol_qq,
@@ -670,6 +671,8 @@ class TestExactPrecision:
 class TestLocalNormTest:
     def test_real_places_use_signs(self):
         results = [local_norm_test(EXT, ALPHA, j) for j in range(F.real_place_count)]
+        assert [r.symbol for r in results] == [-1, 1, 1]
+        assert [r.label for r in results] == ["real place 0", "real place 1", "real place 2"]
         assert [r.is_norm for r in results] == [False, True, True]
         assert all(r.method == "archimedean-sign" for r in results)
 
@@ -740,7 +743,12 @@ class TestLocalNormTest:
             hilbert_product_check(EXT, u)
 
     def test_result_is_truthy(self):
-        assert bool(local_norm_test(EXT, 2, place_above(F, 2)))
+        # the answer is the symbol (delta, u)_v itself, true exactly when +1
+        v = place_above(F, 2)
+        entry = local_norm_test(EXT, 2, v)
+        assert entry == PlaceSymbolEntry(v.label(), 1, "hensel-lift") and bool(entry)
+        entry = local_norm_test(EXT, ALPHA, v)
+        assert entry == PlaceSymbolEntry(v.label(), -1, "hensel-lift") and not entry
 
 
 class TestHilbertProductCheck:

@@ -49,6 +49,25 @@ class TestIntFactor:
         assert prime_factors(n) == factors
         assert is_prime(n) == (factors == {n: 1})
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {1000003: 1, 7000003: 1},
+            {10000019: 1, 30000001: 1},
+            {100000007: 1, 700000001: 1},
+            {3000017: 1, 300000007: 1},
+            {100003: 2},
+            {1000003: 2},
+            {70000027: 2},
+        ],
+    )
+    def test_rho_splits_products_of_large_primes(self, factors):
+        # no prime factor below 10^5, so Pollard rho does the splitting
+        n = 1
+        for p, e in factors.items():
+            n *= p**e
+        assert prime_factors(n) == factors
+
     def test_divisors(self):
         assert divisors(148) == [1, 2, 4, 37, 74, 148]
         assert divisors(-6) == [1, 2, 3, 6]
@@ -191,11 +210,6 @@ class TestFiniteField:
         # Euler's criterion: a nonzero a is a square iff a^((9-1)/2) = 1
         for e in filter(None, f9.elements()):
             assert (f9.pow(e, 4) == f9.one) is (e in squares)
-
-    def test_inverse(self):
-        f25 = FiniteField(5, modular.find_irreducible(5, 2))
-        for e in filter(None, f25.elements()):  # the nonzero elements
-            assert f25.mul(e, f25.inv(e)) == f25.one
 
     def test_minus_one_square_iff_q_mod_4(self):
         # Classical: -1 is a square in F_q (q odd) iff q = 1 mod 4.

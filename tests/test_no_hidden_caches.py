@@ -10,13 +10,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latcert"
 
-# perfbench/tracing.py reads local's three caches (ROADMAP item 1), and
-# _field_of_order is keyed on a field size alone (ROADMAP item 4).
+# perfbench/tracing.py reads local's three caches (ROADMAP item 1).
 ALLOWED = {
     "local.py:factor_prime",
     "local.py:splitting_in_E",
     "local.py:_BLOCK_CACHE",
-    "finite_groups.py:_field_of_order",
 }
 
 _CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}

@@ -8,6 +8,7 @@ small fields, hand expansion of low-degree products).
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from _oracles import (
     sieve_root_bound,
     sylvester_resultant,
 )
-from latcert import number_field
+from latcert import number_field, polynomials
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
@@ -40,8 +41,14 @@ from latcert.number_field import (
     automorphism_count,
     is_rational_square,
 )
-from latcert.polynomials import Polynomial, _resolvent_roots, is_irreducible, squarefree_factors
-from latcert.search import SearchConfig, field_candidates
+from latcert.polynomials import (
+    Polynomial,
+    _rational_roots,
+    _resolvent,
+    is_irreducible,
+    squarefree_factors,
+)
+from latcert.search import SearchConfig, candidate_polynomials, field_candidates
 
 CUBIC = NumberField(Polynomial((1, -3, -1, 1)))  # x^3 - x^2 - 3x + 1
 ALPHA = CUBIC.generator()
@@ -180,6 +187,33 @@ class TestConstruction:
     )
     def test_discriminant_of_the_defining_polynomial(self, coeffs, disc):
         assert NumberField(Polynomial(coeffs)).discriminant == disc
+
+    def test_a_forty_one_digit_constant_term_factors_no_integer(self):
+        # N is the product of two 21-digit primes, which no rational root
+        # test could factor in time; the integer roots of f and of its
+        # resolvent cubic come from an l-adic lift
+        p, q = 10**20 + 39, 3 * 10**20 + 53
+        start = time.perf_counter()
+        field = NumberField(Polynomial((p * q, 0, -(10**22), 0, 1)))
+        elapsed = time.perf_counter() - start
+        assert field.degree == field.real_place_count == 4
+        assert elapsed < 1, elapsed
+
+    def test_building_a_field_factors_no_integer(self, monkeypatch):
+        candidates = candidate_polynomials(3, 4) + candidate_polynomials(4, 4)
+
+        def refused(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(polynomials, "divisors", refused)
+        built = refused_count = 0
+        for coeffs in candidates:
+            try:
+                NumberField(Polynomial(coeffs))
+                built += 1
+            except InvalidInputError:  # reducible
+                refused_count += 1
+        assert (built, refused_count) == (200, 427)
 
     def test_degree_and_discriminant(self):
         assert CUBIC.degree == 3
@@ -583,7 +617,7 @@ class TestResolventRoots:
         ],
     )
     def test_frozen(self, tail, roots):
-        assert sorted(_resolvent_roots(tail + (1,))) == sorted(roots)
+        assert sorted(_rational_roots(_resolvent(tail + (1,)))) == sorted(roots)
 
     @given(st.one_of(QUARTIC_TAILS, QUADRATIC_PRODUCT_TAILS))
     @example((6, 0, -5, 0))
@@ -602,7 +636,7 @@ class TestResolventRoots:
         assume(factors is not None and all(len(g) > 2 for g in factors))
         quadratic = kronecker_factor(list(tail) + [1], 2) is not None
         dropped = quadratic or quartic_automorphism_count(*tail) != 1
-        assert bool(_resolvent_roots(tail + (1,))) == dropped
+        assert bool(_rational_roots(_resolvent(tail + (1,)))) == dropped
 
 
 class TestShiftedNorm:

@@ -34,8 +34,10 @@ from latcert.polynomials import (
     _gcd,
     _hankel_is_positive_definite,
     _integer_associate,
+    _integer_roots,
     _monic_transform,
     _rational_roots,
+    _resolvent,
     _sign_variations,
     _squarefree,
     _sturm_chain,
@@ -654,6 +656,20 @@ class TestSquarefreeFactors:
                 assert kronecker_factor(list(h), d) is None
         assert factors == sorted(linear + own, key=lambda h: (len(h), h))
 
+    @given(st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+    @example([6, 0, -5, 0])  # (x^2 - 2)(x^2 - 3): R has the root -5
+    @example([1, 0, -10, 0])  # V4: R has three integer roots
+    @settings(max_examples=100, deadline=None)
+    def test_the_lift_finds_what_the_divisor_test_finds(self, tail):
+        # a squarefree quartic f and its resolvent cubic R, whose
+        # discriminant is that of f, so the lift at f's prime serves both
+        f = tuple(tail) + (1,)
+        if squarefree_factors(f) is None:
+            return
+        ell = _first_squarefree_prime(f)
+        for g in (f, _resolvent(f)):
+            assert sorted(_integer_roots(g, ell)) == sorted(r for r, _ in _rational_roots(g))
+
     def test_root_near_the_cauchy_bound(self):
         # (x + 5)(x^2 + 1): Cauchy bound 6, first good prime 3, and the root
         # -5 is seen only once the modulus passes 2 * 6
@@ -742,7 +758,7 @@ class TestSquarefreeFactors:
         # the factors equal those of the former path, which sent every
         # quartic cofactor through Zassenhaus's algorithm
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polynomials, "_resolvent_roots", lambda g: [(0, 1)])
+            patch.setattr(polynomials, "_resolvent", lambda g: (0, 1))
             former = squarefree_factors(f.int_coeffs())
         assert squarefree_factors(f.int_coeffs()) == former
 

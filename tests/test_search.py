@@ -285,8 +285,8 @@ class TestCarriedPowerSums:
 class TestFieldFilter:
     def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
         # 114 of the 2401 quartics at bound 3 have four distinct real roots;
-        # 95 of them have an integer root and 17 a rational root of the
-        # resolvent cubic, and both kinds are dropped unfactored
+        # 95 of them have an integer root and 17 of the other 19 a rational
+        # root of the resolvent cubic, and both kinds are dropped unfactored
         calls, roots = [], []
         original, rational_roots = number_field.is_irreducible, search._rational_roots
 
@@ -301,7 +301,7 @@ class TestFieldFilter:
         monkeypatch.setattr(number_field, "is_irreducible", counting)
         monkeypatch.setattr(search, "_rational_roots", recording)
         fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
-        assert len(roots) == 114 and sum(map(bool, roots)) == 95
+        assert len(roots) == 114 + 19 and sum(map(bool, roots)) == 95 + 17
         assert len(calls) == 2
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
 

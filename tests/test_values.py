@@ -21,7 +21,6 @@ from latcert.hermitian import ComponentCheck, HermitianForm, IsomorphismVerdict,
 from latcert.local import (
     FinitePlace,
     HilbertReport,
-    LocalNormResult,
     PlaceSymbolEntry,
     SplittingResult,
 )
@@ -67,7 +66,6 @@ FACTORIES = {
     "GaloisClosure": lambda: GaloisClosure(_field(), _field(), [_field().generator()]),
     "FinitePlace": _place,
     "SplittingResult": lambda: SplittingResult("split", "residue square"),
-    "LocalNormResult": lambda: LocalNormResult(True, "split"),
     "PlaceSymbolEntry": lambda: PlaceSymbolEntry("5#0", -1, "hensel-lift"),
     "HilbertReport": lambda: HilbertReport((PlaceSymbolEntry("2#0", 1, "split"),)),
     "HermitianForm": _form,
