@@ -15,7 +15,7 @@ import itertools
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from .frozen import Frozen
 from .hermitian import HermitianForm
-from .intfactor import prime_factors
+from .intfactor import is_prime
 from .local import FinitePlace, splitting_in_E, valuation
 from .modular import FiniteField, find_irreducible
 
@@ -25,14 +25,20 @@ _FAMILIES = ("GL", "SL", "GU", "SU")
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, or an InvalidInputError."""
-    if q < 2:
-        raise InvalidInputError(f"{q} is not a prime power")
-    factors = prime_factors(q)
-    if len(factors) != 1:
-        raise InvalidInputError(f"{q} is not a prime power")
-    ((p, k),) = factors.items()
-    return p, k
+    """(p, k) with q = p^k, or an InvalidInputError.
+
+    For k = 1, 2, ... while 2^k <= q, r is the integer k-th root of q, by
+    Newton's iteration from above, and (r, k) is the answer when r^k = q
+    and r is prime. No integer is factored, and a prime q costs one
+    primality test."""
+    if q >= 2:
+        for k in range(1, q.bit_length()):
+            r = 1 << -(-q.bit_length() // k)
+            while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+                r = s
+            if r**k == q and is_prime(r):
+                return r, k
+    raise InvalidInputError(f"{q} is not a prime power")
 
 
 class FiniteGroupSpec(Frozen):

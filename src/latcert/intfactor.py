@@ -5,8 +5,10 @@ far beyond every integer this package factors), trial division by the primes
 below 200, and Pollard's rho with Floyd's cycle detection for a cofactor
 with no smaller prime factor. Inputs here are resultants, coefficient
 denominators and the constant terms of small search candidates, so sizes
-stay modest and rho is rarely reached; building a field factors no integer
-(`polynomials.squarefree_factors`).
+stay modest and rho is rarely reached. Building a field, isolating real
+roots and reading a prime power factor no integer
+(`polynomials.squarefree_factors`, `polynomials.isolate_real_roots`,
+`finite_groups._prime_power`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Everything here is exact and deterministic: resultants and discriminants
 are Bareiss determinants on the integer core, a polynomial has only simple
 real roots when the leading minors of Hermite's form are positive, real
 roots are isolated with Sturm counts plus exact extraction of rational
-roots, and squarefree monic integer polynomials are factored over Z at the
+roots (the integer roots of the monic transform, by the l-adic lift
+below), and squarefree monic integer polynomials are factored over Z at the
 first prime not dividing the discriminant (integer roots by l-adic Newton
 lifting; a quartic cofactor whose resolvent cubic has no integer root, found
 by the same lift, is irreducible; else Zassenhaus's algorithm: factor modulo
@@ -12,11 +13,11 @@ that prime, Hensel-lift, recombine), which also decides irreducibility over
 Q. No floating point anywhere.
 
 Hermite's test is two steps, the Newton power sums (`_power_sums`) and
-the pivots of their Hankel matrix (`_hankel_is_positive_definite`),
-written out as closed forms up to size 4 and a loop above. The sums it
-reads are affine in the constant term, so a scan over that term, as in
-`search.candidate_polynomials`, takes them and their slope once per scan
-and only the pivots per value.
+the pivots of their Hankel matrix (`_hankel_run`), written out as closed
+forms up to size 4 and a loop above. The sums are affine in the constant
+term, which enters them from t_m on, so a scan over that term, as in
+`search.candidate_polynomials`, takes the sums, their slope and the
+leading pivots once per scan, and only the trailing pivots per value.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -199,10 +200,13 @@ def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
 
     Rational roots come back as exact degenerate intervals; irrational
     roots get open-interior brackets with rational endpoints that are
-    never roots themselves. Sorted ascending. The irrational roots are
-    bracketed by bisecting Cauchy's interval (-B, B) of the squarefree part
-    with the rational roots divided out, so every bracket endpoint is B
-    times a dyadic rational.
+    never roots themselves. Sorted ascending. The rational roots are the
+    integer roots of the squarefree part's monic transform over its leading
+    coefficient, found by the ell-adic lift at the first prime ell not
+    dividing its discriminant, so no integer is factored. The irrational
+    roots are bracketed by bisecting Cauchy's interval (-B, B) of the
+    squarefree part with the rational roots divided out, so every bracket
+    endpoint is B times a dyadic rational.
 
     >>> for iv in isolate_real_roots(Polynomial.from_string("1,-3,-1,1")):
     ...     print(iv)
@@ -215,7 +219,13 @@ def isolate_real_roots(p: Polynomial) -> tuple[Interval, ...]:
     if p.degree() < 1:
         return ()
     q = _squarefree(_integer_associate(p))
-    rats = _rational_roots(q)
+    # The monic transform g is squarefree, and its roots are lead times
+    # those of q, so the rational roots of q are its integer roots over lead.
+    g, lead = _monic_transform(q), q[-1]
+    rats = []
+    for r in _integer_roots(g, _good_prime(resultant_int(g, _derivative(g)))):
+        d = math.gcd(r, lead) if lead > 0 else -math.gcd(r, lead)
+        rats.append((r // d, lead // d))
     reduced = q
     for num, den in rats:
         reduced = _exact_div(reduced, (-num, den))
@@ -524,45 +534,98 @@ def _power_sums(g: tuple[int, ...]) -> list[int]:
 
 
 def _hankel_is_positive_definite(t: list[int]) -> bool:
-    """Whether the m x m Hankel matrix (t_{i+j}) of t_0 ... t_{2m-2} is
-    positive definite: Bareiss elimination with no pivoting, stopped at the
-    first leading principal minor <= 0.
+    """Whether the Hankel matrix (t_{i+j}) of t_0 ... t_{2m-2} is positive
+    definite: `_hankel_run` on the one matrix."""
+    return bool(_hankel_run(t, [0] * len(t), (0,)))
 
-    Up to m = 4 the pivots are written out: b_ij = t_0 t_{i+j} - t_i t_j
-    are the 2 x 2 minors on rows and columns {0, i} and {0, j}, c_ij the
-    3 x 3 ones on {0, 1, i} and {0, 1, j}, and the pivots are t_0, b_11,
-    c_22 and (c_22 c_33 - c_23^2) / b_11; each division is exact."""
-    m = (len(t) + 1) // 2
-    if m <= 4:
-        t0 = t[0]
-        if t0 <= 0 or m == 1:
-            return t0 > 0
-        t1, t2 = t[1], t[2]
+
+def _hankel_run(base: list[int], slope: list[int], values: Iterable[int]) -> list[int]:
+    """The values a, in the given order and up to the end of their first
+    run, for which the m x m Hankel matrix (t_{i+j}) of t = base + a slope
+    is positive definite. slope_i = 0 for i < m, so t_0 ... t_{m-1} are the
+    same for every a.
+
+    The test is Bareiss elimination with no pivoting, stopped at the first
+    leading principal minor <= 0 (Sylvester's criterion). Up to m = 4 the
+    pivots are written out: b_ij = t_0 t_{i+j} - t_i t_j are the 2 x 2
+    minors on rows and columns {0, i} and {0, j}, c_ij the 3 x 3 ones on
+    {0, 1, i} and {0, 1, j}, and the pivots are t_0, b_11,
+    c_22 = (b_11 b_22 - b_12^2) / t_0 and (c_22 c_33 - c_23^2) / b_11. The
+    pivots that read only t_0 ... t_{m-1}, t_0 and from m = 3 b_11, are
+    taken once, and no value passes when one is <= 0. Per value only
+    t_m ... t_{2m-2} and the trailing pivots are formed, each as its
+    numerator over the positive t_0 or t_0^2 b_11, which has its sign.
+    Above m = 4 the first step, whose entries b_ij are affine in a, is
+    taken once, and the rest of the elimination runs per value.
+
+    In `search.candidate_polynomials` t are the power sums of a prefix
+    h + a whose derivative h' passed the test, so has m - 1 simple real
+    roots. By Rolle's theorem h + a has m of them exactly when -a lies
+    above every local minimum of h and below every local maximum, and
+    those a form one run: stopping at its end loses none.
+    """
+    m = (len(base) + 1) // 2
+    t0 = base[0]
+    if t0 <= 0:
+        return []
+    if m == 1:
+        return list(values)
+    t1 = base[1]
+    if m == 2:
+        def passes(a):
+            return t0 * (base[2] + a * slope[2]) > t1 * t1
+    elif m <= 4:
+        t2 = base[2]
         b11 = t0 * t2 - t1 * t1
-        if b11 <= 0 or m == 2:
-            return b11 > 0
-        t3, t4 = t[3], t[4]
-        b12, b22 = t0 * t3 - t1 * t2, t0 * t4 - t2 * t2
-        c22 = (b11 * b22 - b12 * b12) // t0
-        if c22 <= 0 or m == 3:
-            return c22 > 0
-        b13, b23, b33 = t0 * t4 - t1 * t3, t0 * t[5] - t2 * t3, t0 * t[6] - t3 * t3
-        c23, c33 = (b11 * b23 - b12 * b13) // t0, (b11 * b33 - b13 * b13) // t0
-        return (c22 * c33 - c23 * c23) // b11 > 0
-    rows = [t[i:i + m] for i in range(m)]
-    previous = 1
-    for k in range(m):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            return False
-        # The matrix stays symmetric, so only its upper triangle is kept.
-        for i in range(k + 1, m):
-            row, lead = rows[i], pivot_row[i]
-            for j in range(i, m):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
-        previous = pivot
-    return True
+        if b11 <= 0:
+            return []
+        if m == 3:
+            def passes(a):
+                b12 = t0 * (base[3] + a * slope[3]) - t1 * t2
+                b22 = t0 * (base[4] + a * slope[4]) - t2 * t2
+                return b11 * b22 > b12 * b12
+        else:
+            t3 = base[3]
+            b12 = t0 * t3 - t1 * t2
+
+            # c22, c23 and c33 below are t_0 times the minors
+            def passes(a):
+                t4 = base[4] + a * slope[4]
+                b22, b13 = t0 * t4 - t2 * t2, t0 * t4 - t1 * t3
+                c22 = b11 * b22 - b12 * b12
+                if c22 <= 0:
+                    return False
+                b23 = t0 * (base[5] + a * slope[5]) - t2 * t3
+                b33 = t0 * (base[6] + a * slope[6]) - t3 * t3
+                c23, c33 = b11 * b23 - b12 * b13, b11 * b33 - b13 * b13
+                return c22 * c33 > c23 * c23
+    else:
+        # The matrix stays symmetric, so only its upper triangle is kept:
+        # after the first step, rows[i - 1] holds b_ij for j = i ... m - 1.
+        fixed = [[t0 * base[i + j] - base[i] * base[j] for j in range(i, m)] for i in range(1, m)]
+        moving = [[t0 * slope[i + j] for j in range(i, m)] for i in range(1, m)]
+
+        def passes(a):
+            rows = [[f + a * g for f, g in zip(fs, gs)] for fs, gs in zip(fixed, moving)]
+            previous = t0
+            for k, pivot_row in enumerate(rows):
+                pivot = pivot_row[0]
+                if pivot <= 0:
+                    return False
+                for i in range(k + 1, m - 1):
+                    row, shift = rows[i], i - k
+                    lead = pivot_row[shift]
+                    for j in range(m - 1 - i):
+                        row[j] = (row[j] * pivot - lead * pivot_row[j + shift]) // previous
+                previous = pivot
+            return True
+    run = []
+    for a in values:
+        if passes(a):
+            run.append(a)
+        elif run:
+            break
+    return run
 
 
 def _bisect_cells(chain: list[tuple[int, ...]], lo: int, hi: int, den: int) -> list[list[int]]:
@@ -637,7 +700,9 @@ def _halve(q: tuple[int, ...], cell: list[int]) -> None:
 def _rational_roots(q: tuple[int, ...]) -> list[tuple[int, int]]:
     # Roots (num, den) of a squarefree integer polynomial: num divides the
     # constant term and den the leading coefficient (the rational root test),
-    # so a monic q has only integer roots.
+    # so a monic q has only integer roots. It factors both, so its only
+    # inputs are the field filter's, whose coefficients the search box
+    # bounds; any other polynomial gets `_integer_roots`.
     roots = []
     if len(q) > 1 and q[0] == 0:
         roots.append((0, 1))
@@ -708,7 +773,7 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     disc = resultant_int(f, _derivative(f))
     if disc == 0:
         return None
-    ell = next(p for p in itertools.count(2) if disc % p and is_prime(p))
+    ell = _good_prime(disc)
     factors = [(-r, 1) for r in _integer_roots(f, ell)]
     for g in factors:
         f = _exact_div(f, g)
@@ -747,6 +812,12 @@ def squarefree_factors(f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
             size += 1
     factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
+
+
+def _good_prime(disc: int) -> int:
+    """The first prime that does not divide disc != 0: a monic integer
+    polynomial of discriminant disc stays squarefree modulo it."""
+    return next(p for p in itertools.count(2) if disc % p and is_prime(p))
 
 
 def _integer_roots(f: tuple[int, ...], ell: int) -> list[int]:

@@ -4,10 +4,11 @@ import gc
 
 import pytest
 
-from latcert import modular
+from latcert import intfactor, modular
 from latcert.errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from latcert.finite_groups import (
     FiniteGroupSpec,
+    _prime_power,
     congruence_index,
     enumerate_group,
     group_order,
@@ -59,6 +60,29 @@ class TestSpecValidation:
     def test_non_prime_power_rejected(self, q):
         with pytest.raises(InvalidInputError):
             FiniteGroupSpec("SL", 2, q)
+
+    def test_prime_square_is_read_without_factoring(self, monkeypatch):
+        # rho on l^2 takes about sqrt(l) steps; the k-th roots take none
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(intfactor, "prime_factors", refuse)
+        monkeypatch.setattr(intfactor, "_pollard_rho", refuse)
+        ell = 1000000000000091
+        assert FiniteGroupSpec("SU", 3, ell**2).q == ell**2
+        assert _prime_power(ell**2) == (ell, 2)
+        for q in (0, 1, 6, 12, ell * (ell + 2)):
+            with pytest.raises(InvalidInputError):
+                FiniteGroupSpec("SL", 2, q)
+
+    def test_prime_power_matches_the_factorization(self):
+        for q in range(2, 5000):
+            factors = intfactor.prime_factors(q)
+            if len(factors) == 1:
+                assert _prime_power(q) == next(iter(factors.items()))
+            else:
+                with pytest.raises(InvalidInputError):
+                    _prime_power(q)
 
     def test_str_names_the_group(self):
         assert str(FiniteGroupSpec("SU", 3, 2)) == "SU_3(F_2)"

@@ -213,6 +213,29 @@ class TestIsolation:
         assert sorted(iv.lo for iv in points) == [-1, 1]
         assert _endpoints(intervals) == fraction_isolate_real_roots(list(p.coeffs))
 
+    def test_large_constant_terms_are_not_factored(self, monkeypatch):
+        # the rational roots come from the l-adic lift of the monic
+        # transform, whose cost does not grow with the prime factors of the
+        # constant term; the divisor test would run Pollard rho on p q
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(polynomials, "divisors", refuse)
+        p, q = 1000000000039, 3000000000013
+        f = Polynomial((p * q, 0, -(10**26), 0, 1))
+        intervals = isolate_real_roots(f)
+        assert len(intervals) == 4
+        for iv in intervals:
+            lo, hi = (sum(c * x**i for i, c in enumerate(f.coeffs)) for x in (iv.lo, iv.hi))
+            assert lo * hi < 0
+        g = _product([(-p, 3), (q, 1), (-2, 0, 1)])  # (3x - p)(x + q)(x^2 - 2)
+        intervals = isolate_real_roots(g)
+        assert [(iv.lo, iv.hi) for iv in intervals if iv.lo == iv.hi] == [
+            (-q, -q),
+            (Fraction(p, 3), Fraction(p, 3)),
+        ]
+        assert len(intervals) == 4
+
     def test_disjoint_and_sorted(self):
         p = _product([(-2, 0, 1), (-1, 1), (1, 1)])
         intervals = isolate_real_roots(p)

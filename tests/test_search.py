@@ -26,6 +26,7 @@ from latcert.number_field import CMExtension, NumberField
 from latcert.polynomials import (
     Polynomial,
     _hankel_is_positive_definite,
+    _hankel_run,
     _monic_transform,
     _power_sums,
     has_only_simple_real_roots,
@@ -179,20 +180,24 @@ class TestCandidates:
         degree, bound = case
         assert candidate_polynomials(degree, bound) == totally_real_box(degree, bound)
 
-    @pytest.mark.parametrize("degree, bound, counts", [(4, 3, 878), (3, 4, 492)])
-    def test_prefix_tests_pruned_by_derivatives(self, monkeypatch, degree, bound, counts):
+    @pytest.mark.parametrize(
+        "degree, bound, counts, scans",
+        [pytest.param(4, 3, 878, 145, id="4-3-878"), pytest.param(3, 4, 492, 67, id="3-4-492")],
+    )
+    def test_prefix_tests_pruned_by_derivatives(self, monkeypatch, degree, bound, counts, scans):
         # the box takes 2401 and 729 tests, the derivative prune alone 1015
-        # and 603, and the run stop leaves these; field_candidates adds none
-        calls = []
-        original = search._hankel_is_positive_definite
+        # and 603, and the run stop leaves these, in one scan per tail;
+        # field_candidates adds none
+        calls, tested = [], []
+        original = search._hankel_run
 
-        def counting(t):
-            calls.append(t)
-            return original(t)
+        def counting(base, slope, values):
+            calls.append(base)
+            return original(base, slope, (tested.append(a) or a for a in values))
 
-        monkeypatch.setattr(search, "_hankel_is_positive_definite", counting)
+        monkeypatch.setattr(search, "_hankel_run", counting)
         list(field_candidates(SearchConfig(degree=degree, coefficient_bound=bound)))
-        assert len(calls) == counts
+        assert (len(calls), len(tested)) == (scans, counts)
 
     def test_quintic_survivors_are_pinned(self):
         # the pin was taken from the box filter, 161051 Sturm counts
@@ -281,6 +286,24 @@ class TestCarriedPowerSums:
             unit = _power_sums((weights[-1] ** (len(tail) - 1),) + g[1:])
             assert original(weights, tail) == (base, [u - b for u, b in zip(unit, base)])
 
+
+
+class TestHankelRun:
+    @given(scanned_prefixes(), st.integers(0, 5))
+    @example(([1, 1, 1, 1], (0, 0, 1), 0), 3)  # x^3 + a: b_11 = 0 for every a
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_run_of_real_rooted_prefixes(self, case, bound):
+        # any tail, not only one that passed: if the derivative has fewer
+        # than m - 1 simple real roots, no value passes
+        weights, tail, _ = case
+        m = len(tail)
+        base, slope = search._carried_power_sums(weights, tail)
+        values = range(-bound, bound + 1)
+        expected = [
+            a for a in values
+            if distinct_real_root_count(tuple(w * c for w, c in zip(weights, (a,) + tail))) == m
+        ]
+        assert _hankel_run(base, slope, values) == expected
 
 class TestFieldFilter:
     def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
