@@ -3,12 +3,12 @@
 Deterministic Miller-Rabin (exact for anything below 3.3 * 10^24, which is
 far beyond every integer this package factors), trial division by the primes
 below 200, and Pollard's rho with Floyd's cycle detection for a cofactor
-with no smaller prime factor. Inputs here are resultants, coefficient
-denominators and the constant terms of small search candidates, so sizes
-stay modest and rho is rarely reached. Building a field, isolating real
-roots and reading a prime power factor no integer
-(`polynomials.squarefree_factors`, `polynomials.isolate_real_roots`,
-`finite_groups._prime_power`).
+with no smaller prime factor. Inputs here are resultants and coefficient
+denominators, so sizes stay modest and rho is rarely reached. Building a
+field, isolating real roots, reading a prime power and the search's
+integer-root drops factor no integer (`polynomials.squarefree_factors`,
+`polynomials.isolate_real_roots`, `finite_groups._prime_power`,
+`polynomials._has_integer_root`).
 """
 
 from __future__ import annotations
@@ -101,10 +101,3 @@ def prime_factors(n: int) -> dict[int, int]:
         stack.extend((d, m // d))
     return dict(sorted(out.items()))
 
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n != 0."""
-    divs = [1]
-    for p, e in prime_factors(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)

@@ -17,7 +17,11 @@ the pivots of their Hankel matrix (`_hankel_run`), written out as closed
 forms up to size 4 and a loop above. The sums are affine in the constant
 term, which enters them from t_m on, so a scan over that term, as in
 `search.candidate_polynomials`, takes the sums, their slope and the
-leading pivots once per scan, and only the trailing pivots per value.
+leading pivots once per scan, and per value only the trailing pivots,
+up to size 4 as numerators with no call. A monic polynomial's rational
+roots are integers: the search's drops only ask whether there is one
+(`_has_integer_root`), by trial divisors of a constant term that its
+coefficient box bounds, and factor no integer.
 
 `Polynomial` and `Interval` are the rational boundary; the work runs on
 an integer core of int tuples with content removed. Gcds and Sturm chains
@@ -50,7 +54,7 @@ from typing import Iterable, Union
 from . import modular
 from .errors import InvalidInputError
 from .frozen import Frozen
-from .intfactor import divisors, is_prime
+from .intfactor import is_prime
 
 Scalar = Union[int, Fraction]
 
@@ -552,9 +556,13 @@ def _hankel_run(base: list[int], slope: list[int], values: Iterable[int]) -> lis
     {0, 1, i} and {0, 1, j}, and the pivots are t_0, b_11,
     c_22 = (b_11 b_22 - b_12^2) / t_0 and (c_22 c_33 - c_23^2) / b_11. The
     pivots that read only t_0 ... t_{m-1}, t_0 and from m = 3 b_11, are
-    taken once, and no value passes when one is <= 0. Per value only
-    t_m ... t_{2m-2} and the trailing pivots are formed, each as its
-    numerator over the positive t_0 or t_0^2 b_11, which has its sign.
+    taken once, and no value passes when one is <= 0. Each trailing pivot
+    is read as its numerator over the positive t_0 or t_0^2 b_11, which has
+    its sign. The terms those numerators are built from, b_12 and b_11 b_22
+    at m = 3, and t_0 c_22, t_0 c_23, b_13 and b_11 b_33 at m = 4, are
+    affine in a. So their values at a = 0 and their slopes, and with them
+    every product of the fixed sums, are taken once per scan, and the loop
+    over the values forms only the numerators, with no list and no call.
     Above m = 4 the first step, whose entries b_ij are affine in a, is
     taken once, and the rest of the elimination runs per value.
 
@@ -570,56 +578,75 @@ def _hankel_run(base: list[int], slope: list[int], values: Iterable[int]) -> lis
         return []
     if m == 1:
         return list(values)
+    run = []
     t1 = base[1]
     if m == 2:
-        def passes(a):
-            return t0 * (base[2] + a * slope[2]) > t1 * t1
-    elif m <= 4:
+        b11, db11 = t0 * base[2] - t1 * t1, t0 * slope[2]
+        for a in values:
+            if b11 + a * db11 > 0:
+                run.append(a)
+            elif run:
+                break
+        return run
+    if m <= 4:
         t2 = base[2]
         b11 = t0 * t2 - t1 * t1
         if b11 <= 0:
             return []
         if m == 3:
-            def passes(a):
-                b12 = t0 * (base[3] + a * slope[3]) - t1 * t2
-                b22 = t0 * (base[4] + a * slope[4]) - t2 * t2
-                return b11 * b22 > b12 * b12
-        else:
-            t3 = base[3]
-            b12 = t0 * t3 - t1 * t2
+            # t_0 c_22 = b_11 b_22 - b_12^2, with b_12 and b_22 affine in a
+            b12, db12 = t0 * base[3] - t1 * t2, t0 * slope[3]
+            b11b22, db11b22 = b11 * (t0 * base[4] - t2 * t2), b11 * t0 * slope[4]
+            for a in values:
+                b = b12 + a * db12
+                if b11b22 + a * db11b22 > b * b:
+                    run.append(a)
+                elif run:
+                    break
+            return run
+        # c22 and c23 are t_0 c_22 and t_0 c_23, and c33 is
+        # t_0 c_33 + b_13^2, its part affine in a; b_13 and b_22 share the
+        # slope t_0 s_4
+        t3 = base[3]
+        b12 = t0 * t3 - t1 * t2
+        t0t4, dt4, dt5, dt6 = t0 * base[4], t0 * slope[4], t0 * slope[5], t0 * slope[6]
+        b13 = t0t4 - t1 * t3
+        b23 = t0 * base[5] - t2 * t3
+        c22, dc22 = b11 * (t0t4 - t2 * t2) - b12 * b12, b11 * dt4
+        c23, dc23 = b11 * b23 - b12 * b13, b11 * dt5 - b12 * dt4
+        c33, dc33 = b11 * (t0 * base[6] - t3 * t3), b11 * dt6
+        for a in values:
+            pivot = c22 + a * dc22
+            if pivot > 0:
+                # b_13 and t_0 c_23 at a
+                b = b13 + a * dt4
+                c = c23 + a * dc23
+                if pivot * (c33 + a * dc33 - b * b) > c * c:
+                    run.append(a)
+                    continue
+            if run:
+                break
+        return run
+    # The matrix stays symmetric, so only its upper triangle is kept: after
+    # the first step, rows[i - 1] holds b_ij for j = i ... m - 1.
+    fixed = [[t0 * base[i + j] - base[i] * base[j] for j in range(i, m)] for i in range(1, m)]
+    moving = [[t0 * slope[i + j] for j in range(i, m)] for i in range(1, m)]
 
-            # c22, c23 and c33 below are t_0 times the minors
-            def passes(a):
-                t4 = base[4] + a * slope[4]
-                b22, b13 = t0 * t4 - t2 * t2, t0 * t4 - t1 * t3
-                c22 = b11 * b22 - b12 * b12
-                if c22 <= 0:
-                    return False
-                b23 = t0 * (base[5] + a * slope[5]) - t2 * t3
-                b33 = t0 * (base[6] + a * slope[6]) - t3 * t3
-                c23, c33 = b11 * b23 - b12 * b13, b11 * b33 - b13 * b13
-                return c22 * c33 > c23 * c23
-    else:
-        # The matrix stays symmetric, so only its upper triangle is kept:
-        # after the first step, rows[i - 1] holds b_ij for j = i ... m - 1.
-        fixed = [[t0 * base[i + j] - base[i] * base[j] for j in range(i, m)] for i in range(1, m)]
-        moving = [[t0 * slope[i + j] for j in range(i, m)] for i in range(1, m)]
+    def passes(a):
+        rows = [[f + a * g for f, g in zip(fs, gs)] for fs, gs in zip(fixed, moving)]
+        previous = t0
+        for k, pivot_row in enumerate(rows):
+            pivot = pivot_row[0]
+            if pivot <= 0:
+                return False
+            for i in range(k + 1, m - 1):
+                row, shift = rows[i], i - k
+                lead = pivot_row[shift]
+                for j in range(m - 1 - i):
+                    row[j] = (row[j] * pivot - lead * pivot_row[j + shift]) // previous
+            previous = pivot
+        return True
 
-        def passes(a):
-            rows = [[f + a * g for f, g in zip(fs, gs)] for fs, gs in zip(fixed, moving)]
-            previous = t0
-            for k, pivot_row in enumerate(rows):
-                pivot = pivot_row[0]
-                if pivot <= 0:
-                    return False
-                for i in range(k + 1, m - 1):
-                    row, shift = rows[i], i - k
-                    lead = pivot_row[shift]
-                    for j in range(m - 1 - i):
-                        row[j] = (row[j] * pivot - lead * pivot_row[j + shift]) // previous
-                previous = pivot
-            return True
-    run = []
     for a in values:
         if passes(a):
             run.append(a)
@@ -697,22 +724,35 @@ def _halve(q: tuple[int, ...], cell: list[int]) -> None:
     cell[:] = (2 * a, m, 2 * d) if (qa > 0) != (qm > 0) else (m, 2 * b, 2 * d)
 
 
-def _rational_roots(q: tuple[int, ...]) -> list[tuple[int, int]]:
-    # Roots (num, den) of a squarefree integer polynomial: num divides the
-    # constant term and den the leading coefficient (the rational root test),
-    # so a monic q has only integer roots. It factors both, so its only
-    # inputs are the field filter's, whose coefficients the search box
-    # bounds; any other polynomial gets `_integer_roots`.
-    roots = []
-    if len(q) > 1 and q[0] == 0:
-        roots.append((0, 1))
-        q = q[1:]
-    if len(q) > 1:
-        for num in divisors(q[0]):
-            for den in (1,) if q[-1] == 1 else divisors(q[-1]):
-                if math.gcd(num, den) == 1:
-                    roots += [(x, den) for x in (num, -num) if _value(q, x, den) == 0]
-    return roots
+def _has_integer_root(q: tuple[int, ...]) -> bool:
+    """Whether the monic integer polynomial q, constant term first, has an
+    integer root; q is monic, so these are all its rational roots.
+
+    0 is a root exactly when q_0 = 0. Any other root r divides q_0, and one
+    of |r| and |q_0| / |r| is at most isqrt|q_0|: the test tries +-d and
+    +-|q_0| / d for each divisor d <= isqrt|q_0|, and stops at the first
+    root. Its cost is about sqrt|q_0| trial divisions, and it factors no
+    integer. So its only inputs are the field filter's, whose box bounds
+    |q_0|: by B for a candidate f, and by B^3 + 5B^2 for a quartic's
+    resolvent cubic (`_resolvent`).
+
+    >>> _has_integer_root((6, -5, 1))  # (x - 2)(x - 3)
+    True
+    >>> _has_integer_root((-7, 1, -7, 1))  # (x - 7)(x^2 + 1): 7 = 7 / 1
+    True
+    >>> _has_integer_root((-5, 0, -4, 0, 1))  # (x^2 - 5)(x^2 + 1)
+    False
+    """
+    q0 = abs(q[0])
+    if q0 == 0:
+        return True
+    for d in range(1, math.isqrt(q0) + 1):
+        if q0 % d == 0:
+            e = q0 // d
+            for x in (d, -d, e, -e):
+                if _value(q, x, 1) == 0:
+                    return True
+    return False
 
 
 def _over_common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:

@@ -32,9 +32,9 @@ from .number_field import CMExtension, FieldElement, NumberField, automorphism_c
 from .polynomials import (
     Polynomial,
     _hankel_run,
+    _has_integer_root,
     _monic_transform,
     _power_sums,
-    _rational_roots,
     _resolvent,
 )
 from .runner import SeedInput, build_certificate, seed_echo
@@ -108,12 +108,12 @@ def candidate_polynomials(degree: int, bound: int) -> list[tuple[int, ...]]:
     itself. The power sums of a prefix are affine in a_k, so each tail
     takes them once, with their slope in a_k (`_carried_power_sums`), and
     one scan of a_k (`polynomials._hankel_run`) takes the leading pivots,
-    which a_k does not enter, once, and per value only the trailing ones,
-    in closed form up to degree 4. The values of a_k that pass one tail
-    form a run, so the scan stops at its end: 878 values in 145 scans at
-    degree 4, bound 3, 492 in 67 at (3, 4) and 20188 in 2244 at (5, 5).
-    In process on a 2-vCPU x86_64 VM, (3, 4) takes 0.55 ms, (4, 3) 1.5 ms
-    and (5, 5) 0.14 s.
+    which a_k does not enter, once, and per value only the trailing ones.
+    Up to degree 4 the sums, their slope and the pivots are all in closed
+    form. The values of a_k that pass one tail form a run, so the scan
+    stops at its end: 878 values in 145 scans at degree 4, bound 3, 492 in
+    67 at (3, 4) and 20188 in 2244 at (5, 5). In process on a 2-vCPU
+    x86_64 VM, (3, 4) takes 0.2 ms, (4, 3) 0.5 ms and (5, 5) 0.1 s.
 
     >>> candidate_polynomials(2, 1)
     [(-1, -1, 1), (-1, 0, 1), (-1, 1, 1), (0, -1, 1), (0, 1, 1)]
@@ -138,17 +138,42 @@ def _carried_power_sums(weights: list[int], tail: tuple[int, ...]) -> tuple[list
     coefficient of x^i is weights[i] * ((a,) + tail)[i]; as in the
     enumerator, weights[0] is 1 and the tail ends in 1.
 
-    The transform g has constant term a * c, with c = lead^(m-1) and
-    lead = weights[m], and the sums are affine in it
-    (`polynomials._power_sums`). So base is taken once, with constant term
-    0, and the slope from Newton's identities differentiated in g_0: it is
-    0 below m, -m c at m, and -c t_{k-m} - sum_{i=1}^{k-m} g_{m-i} s_{k-i}
-    above.
+    The transform g has g_i = weights[i] tail[i-1] lead^(m-1-i), with
+    lead = weights[m], and constant term a * c, with c = lead^(m-1); the
+    sums are affine in it (`polynomials._power_sums`). So base is taken at
+    constant term 0, and the slope from Newton's identities differentiated
+    in g_0: it is 0 below m, -m c at m, and
+    -c t_{k-m} - sum_{i=1}^{k-m} g_{m-i} s_{k-i} above. Up to m = 4, the
+    sizes `_hankel_run` writes out, both are straight-line integer code
+    over g_1 ... g_{m-1}, where the slopes at m + 1 and m + 2 are
+    (m + 1) g_{m-1} c and (m + 2) (g_{m-2} - g_{m-1}^2) c; above, Newton's
+    identities run as a loop.
     """
     m = len(tail)
+    lead = weights[m]
+    if m == 2:
+        g1 = weights[1] * tail[0]
+        return [2, -g1, g1 * g1], [0, 0, -2 * lead]
+    if m == 3:
+        g2, g1 = weights[2] * tail[1], weights[1] * tail[0] * lead
+        c = lead * lead
+        t2 = g2 * g2 - 2 * g1
+        t3 = g1 * g2 - g2 * t2
+        return [3, -g2, t2, t3, -g2 * t3 - g1 * t2], [0, 0, 0, -3 * c, 4 * g2 * c]
+    if m == 4:
+        g3, g2 = weights[3] * tail[2], weights[2] * tail[1] * lead
+        g1 = weights[1] * tail[0] * lead * lead
+        c = lead * lead * lead
+        t2 = g3 * g3 - 2 * g2
+        t3 = g2 * g3 - 3 * g1 - g3 * t2
+        t4 = g1 * g3 - g3 * t3 - g2 * t2
+        t5 = -g3 * t4 - g2 * t3 - g1 * t2
+        t6 = -g3 * t5 - g2 * t4 - g1 * t3
+        slope = [0, 0, 0, 0, -4 * c, 5 * g3 * c, 6 * (g2 - g3 * g3) * c]
+        return [4, -g3, t2, t3, t4, t5, t6], slope
     g = _monic_transform((0,) + tuple(w * c for w, c in zip(weights[1:], tail)))
     base = _power_sums(g)
-    c = weights[-1] ** (m - 1)
+    c = lead ** (m - 1)
     slope = [0] * m + [-m * c]
     for k in range(m + 1, 2 * m - 1):
         s = -c * base[k - m]
@@ -176,11 +201,14 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     group is S4 or A4 (D4, C4 and V4 give 2, 4 and 4 automorphisms), so R
     is irreducible (Kappe & Warren 1989). So for a quartic without a
     rational root, a rational root of R means reducible or #Aut != 1, and
-    either one drops it below: the drop only comes sooner. Both drops use
-    the rational root test (`polynomials._rational_roots`): the box bounds
-    the constant terms of f and R, and on them it takes about a third of
-    the time of the ell-adic lift that `squarefree_factors` runs on any
-    size (0.6 against 1.7 ms for the 114 candidates at degree 4, bound 3).
+    either one drops it below: the drop only comes sooner. f and R are
+    monic, so their rational roots are integers, and both drops ask
+    `polynomials._has_integer_root`, which tries the divisors of the
+    constant term up to its square root and factors no integer. The box
+    bounds those constant terms, by B for f and by B^3 + 5B^2 for R, and
+    on them the test takes a fourteenth of the time of the ell-adic lift
+    that `squarefree_factors` runs on any size (0.12 against 1.7 ms for
+    the 114 candidates at degree 4, bound 3).
 
     Only the rest are factored over Z, by `NumberField`'s irreducibility
     test, and only the fields that pass have their automorphisms counted.
@@ -188,7 +216,7 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
     box's 2401 and leave 114 candidates. 95 of them have an integer root
     and 17 a rational root of R, so 2 fields are built. Both are proven
     irreducible by the same resolvent, with no factorization mod a prime.
-    The whole filter takes 2.5 ms in a fresh interpreter on a 2-vCPU
+    The whole filter takes 1.1 ms in a fresh interpreter on a 2-vCPU
     x86_64 VM.
     """
     total = (2 * cfg.coefficient_bound + 1) ** cfg.degree
@@ -197,7 +225,7 @@ def field_candidates(cfg: SearchConfig) -> Iterator[NumberField]:
             f"scanning {total} polynomials exceeds the budget of {cfg.enumeration_budget}"
         )
     for coeffs in candidate_polynomials(cfg.degree, cfg.coefficient_bound):
-        if _rational_roots(coeffs) or (cfg.degree == 4 and _rational_roots(_resolvent(coeffs))):
+        if _has_integer_root(coeffs) or (cfg.degree == 4 and _has_integer_root(_resolvent(coeffs))):
             continue
         try:
             # The candidates are monic and integral of degree >= 2, so a

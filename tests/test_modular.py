@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from _oracles import trial_division_factors
 from latcert import modular
 from latcert.errors import InvalidInputError
-from latcert.intfactor import divisors, is_prime, prime_factors
+from latcert.intfactor import is_prime, prime_factors
 from latcert.modular import FiniteField
 
 P_INT = (1, -3, -1, 1)  # x^3 - x^2 - 3x + 1
@@ -67,10 +67,6 @@ class TestIntFactor:
         for p, e in factors.items():
             n *= p**e
         assert prime_factors(n) == factors
-
-    def test_divisors(self):
-        assert divisors(148) == [1, 2, 4, 37, 74, 148]
-        assert divisors(-6) == [1, 2, 3, 6]
 
     @given(st.integers(2, 10**6))
     @settings(max_examples=80, deadline=None)

@@ -23,13 +23,14 @@ from _oracles import (
     fraction_field_inverse,
     fraction_field_product,
     fraction_isolate_real_roots,
+    fraction_rational_roots,
     fraction_value_range,
     kronecker_factor,
     quartic_automorphism_count,
     sieve_root_bound,
     sylvester_resultant,
 )
-from latcert import number_field, polynomials
+from latcert import intfactor, number_field, polynomials
 from latcert.errors import InvalidInputError
 from latcert.number_field import (
     CMExtension,
@@ -43,7 +44,7 @@ from latcert.number_field import (
 )
 from latcert.polynomials import (
     Polynomial,
-    _rational_roots,
+    _has_integer_root,
     _resolvent,
     is_irreducible,
     squarefree_factors,
@@ -205,7 +206,12 @@ class TestConstruction:
         def refused(n):
             raise AssertionError(f"factored {n}")
 
-        monkeypatch.setattr(polynomials, "divisors", refused)
+        monkeypatch.setattr(intfactor, "prime_factors", refused)
+        bound = {
+            name for name, value in vars(polynomials).items()
+            if getattr(value, "__module__", None) == intfactor.__name__
+        }
+        assert bound == {"is_prime"}
         built = refused_count = 0
         for coeffs in candidates:
             try:
@@ -608,16 +614,18 @@ class TestResolventRoots:
     @pytest.mark.parametrize(
         "tail, roots",
         [
-            ((6, 0, -5, 0), [(-5, 1)]),  # (x^2 - 2)(x^2 - 3): g(0) + h(0) = -5
+            ((6, 0, -5, 0), [-5]),  # (x^2 - 2)(x^2 - 3): g(0) + h(0) = -5
             ((1, 1, 0, 0), []),  # x^4 + x + 1, S4
             ((12, 8, 0, 0), []),  # x^4 + 8x + 12, A4
-            ((-2, 0, 0, 0), [(0, 1)]),  # x^4 - 2, D4
-            ((2, 0, -4, 0), [(-4, 1)]),  # C4
-            ((1, 0, -10, 0), [(-10, 1), (-2, 1), (2, 1)]),  # V4
+            ((-2, 0, 0, 0), [0]),  # x^4 - 2, D4
+            ((2, 0, -4, 0), [-4]),  # C4
+            ((1, 0, -10, 0), [-10, -2, 2]),  # V4
         ],
     )
     def test_frozen(self, tail, roots):
-        assert sorted(_rational_roots(_resolvent(tail + (1,)))) == sorted(roots)
+        r = _resolvent(tail + (1,))
+        assert fraction_rational_roots([Fraction(c) for c in r]) == roots
+        assert _has_integer_root(r) == bool(roots)
 
     @given(st.one_of(QUARTIC_TAILS, QUADRATIC_PRODUCT_TAILS))
     @example((6, 0, -5, 0))
@@ -636,7 +644,7 @@ class TestResolventRoots:
         assume(factors is not None and all(len(g) > 2 for g in factors))
         quadratic = kronecker_factor(list(tail) + [1], 2) is not None
         dropped = quadratic or quartic_automorphism_count(*tail) != 1
-        assert bool(_rational_roots(_resolvent(tail + (1,)))) == dropped
+        assert _has_integer_root(_resolvent(tail + (1,))) == dropped
 
 
 class TestShiftedNorm:

@@ -33,10 +33,10 @@ from latcert.polynomials import (
     Polynomial,
     _gcd,
     _hankel_is_positive_definite,
+    _has_integer_root,
     _integer_associate,
     _integer_roots,
     _monic_transform,
-    _rational_roots,
     _resolvent,
     _sign_variations,
     _squarefree,
@@ -216,11 +216,12 @@ class TestIsolation:
     def test_large_constant_terms_are_not_factored(self, monkeypatch):
         # the rational roots come from the l-adic lift of the monic
         # transform, whose cost does not grow with the prime factors of the
-        # constant term; the divisor test would run Pollard rho on p q
+        # constant term; a divisor test would run Pollard rho on p q
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
-        monkeypatch.setattr(polynomials, "divisors", refuse)
+        monkeypatch.setattr(intfactor, "prime_factors", refuse)
+        assert _bound_from_intfactor() == {"is_prime"}
         p, q = 1000000000039, 3000000000013
         f = Polynomial((p * q, 0, -(10**26), 0, 1))
         intervals = isolate_real_roots(f)
@@ -523,31 +524,53 @@ class TestRefinement:
             refine_interval(P_CUBIC, Interval(5, 6), Fraction(1, 2))
 
 
+def _bound_from_intfactor():
+    # the names polynomials binds to functions of intfactor
+    return {
+        name for name, value in vars(polynomials).items()
+        if getattr(value, "__module__", None) == intfactor.__name__
+    }
+
+
 class TestRationalRoots:
+    # a monic polynomial's rational roots are integers, and
+    # _has_integer_root says whether it has one
     def test_frozen(self):
-        p = Polynomial((6, -5, 1))  # (x-2)(x-3)
-        assert sorted(_rational_roots(_core(p))) == [(2, 1), (3, 1)]
-        assert _rational_roots(_core(Polynomial((0, 2, 0, 1)))) == [(0, 1)]
-        assert _rational_roots(_core(P_CUBIC)) == []
+        assert _has_integer_root((6, -5, 1))  # (x-2)(x-3)
+        assert _has_integer_root((0, 2, 0, 1))  # x (x^2 + 2)
+        assert not _has_integer_root(P_CUBIC.int_coeffs())
+        assert not _has_integer_root((-5, 0, -4, 0, 1))  # (x^2 - 5)(x^2 + 1)
 
     def test_fractional_roots(self):
-        p = Polynomial((-1, 0, 4))  # (2x-1)(2x+1)
-        assert sorted(_rational_roots(_core(p))) == [(-1, 2), (1, 2)]
+        # (2x-1)(2x+1) has its roots 2 (+-1/2) in the monic transform
+        assert _monic_transform((-1, 0, 4)) == (-4, 0, 1)
+        assert _has_integer_root(_monic_transform((-1, 0, 4)))
+        assert not _has_integer_root(_monic_transform((-1, 0, 3)))
 
-    def test_monic_input_factors_only_the_constant_term(self, monkeypatch):
-        factored = []
+    def test_factors_no_integer(self, monkeypatch):
+        # the candidate roots are trial divisors of the constant term, so
+        # the primes 1009 and 1013 are found without factoring their product
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
 
-        def recording(n):
-            factored.append(n)
-            return original(n)
+        monkeypatch.setattr(intfactor, "prime_factors", refuse)
+        assert _bound_from_intfactor() == {"is_prime"}
+        assert _has_integer_root((-6, 1, 4, 1))  # (x - 1)(x + 2)(x + 3)
+        p, q = 1009, 1013
+        assert _has_integer_root((p * q, -(p + q), 1))  # (x - p)(x - q)
+        assert not _has_integer_root((p * q, 0, 1))
 
-        original = intfactor.prime_factors
-        monkeypatch.setattr(intfactor, "prime_factors", recording)
-        assert sorted(_rational_roots((-6, 1, 4, 1))) == [(-3, 1), (-2, 1), (1, 1)]
-        assert factored == [-6]
-        factored.clear()
-        assert sorted(_rational_roots((-1, 0, 4))) == [(-1, 2), (1, 2)]
-        assert factored == [-1, 4]
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+    @example([0, 5])  # x (x + 5): q_0 = 0
+    @example([1, 0])  # x^2 + 1, q_0 = 1: no root
+    @example([-1, 0])  # x^2 - 1, q_0 = -1: the roots +-1
+    @example([36, -12])  # (x - 6)^2: the root isqrt 36
+    @example([-7, 1, -7])  # (x - 7)(x^2 + 1): 7 is the cofactor 7 / 1
+    @example([-35, 12])  # no root, though 35 = 5 * 7
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_rational_root_oracle(self, tail):
+        q = tuple(tail) + (1,)
+        assert _has_integer_root(q) == bool(fraction_rational_roots([Fraction(c) for c in q]))
 
 
 class TestHelpers:
@@ -691,7 +714,8 @@ class TestSquarefreeFactors:
             return
         ell = _first_squarefree_prime(f)
         for g in (f, _resolvent(f)):
-            assert sorted(_integer_roots(g, ell)) == sorted(r for r, _ in _rational_roots(g))
+            roots = fraction_rational_roots([Fraction(c) for c in g])
+            assert sorted(_integer_roots(g, ell)) == roots
 
     def test_root_near_the_cauchy_bound(self):
         # (x + 5)(x^2 + 1): Cauchy bound 6, first good prime 3, and the root

@@ -254,6 +254,11 @@ class TestCarriedPowerSums:
     @example(([1, 1, 1], (0, 1), 0))  # x^2
     @example(([1, 2, 3], (3, 1), 3))  # 3 (x + 1)^2
     @example(([1, 1, 1, 1], (-3, 0, 1), 2))  # (x - 1)^2 (x + 2)
+    # the closed forms at m = 2, 3 and 4 with lead != 1: f''/2! of a
+    # quartic, and f'/1! of a quartic and of a quintic
+    @example(([1, 3, 6], (-2, 1), 1))
+    @example(([1, 2, 3, 4], (-2, 1, 1), 1))
+    @example(([1, 2, 3, 4, 5], (3, -1, 2, 1), -2))
     @settings(max_examples=300, deadline=None)
     def test_match_the_sums_from_scratch(self, case):
         weights, tail, a = case
@@ -266,10 +271,10 @@ class TestCarriedPowerSums:
         assert verdict == has_only_simple_real_roots(prefix)
         assert verdict == (distinct_real_root_count(prefix) == m)
 
-    @pytest.mark.parametrize("degree, bound", [(4, 4), (5, 4)])
+    @pytest.mark.parametrize("degree, bound", [(3, 4), (4, 3), (4, 4), (5, 4)])
     def test_match_two_passes_over_every_scanned_tail(self, monkeypatch, degree, bound):
-        # the former definition: the sums at constant term 0 and at
-        # lead^(m-1), with the slope their difference
+        # the Newton loop: the sums at constant term 0 and at lead^(m-1),
+        # with the slope their difference; one tail per scan
         tails = []
         original = search._carried_power_sums
 
@@ -279,7 +284,7 @@ class TestCarriedPowerSums:
 
         monkeypatch.setattr(search, "_carried_power_sums", recording)
         candidate_polynomials(degree, bound)
-        assert len(tails) > 100
+        assert len(tails) == {(3, 4): 67, (4, 3): 145, (4, 4): 323, (5, 4): 954}[degree, bound]
         for weights, tail in tails:
             g = _monic_transform((0,) + tuple(w * c for w, c in zip(weights[1:], tail)))
             base = _power_sums(g)
@@ -306,27 +311,43 @@ class TestHankelRun:
         assert _hankel_run(base, slope, values) == expected
 
 class TestFieldFilter:
-    def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
-        # 114 of the 2401 quartics at bound 3 have four distinct real roots;
-        # 95 of them have an integer root and 17 of the other 19 a rational
-        # root of the resolvent cubic, and both kinds are dropped unfactored
-        calls, roots = [], []
-        original, rational_roots = number_field.is_irreducible, search._rational_roots
+    @staticmethod
+    def _quartic_drops(monkeypatch, bound):
+        """The fields of the quartic filter at `bound`, with (tests, drops)
+        by the integer-root test on f and on its resolvent cubic R, and the
+        number of irreducibility tests."""
+        calls, tests = [], {5: [], 4: []}
+        original, has_integer_root = number_field.is_irreducible, search._has_integer_root
 
         def counting(p):
             calls.append(p)
             return original(p)
 
-        def recording(f):
-            roots.append(rational_roots(f))
-            return roots[-1]
+        def recording(q):
+            tests[len(q)].append(has_integer_root(q))
+            return tests[len(q)][-1]
 
         monkeypatch.setattr(number_field, "is_irreducible", counting)
-        monkeypatch.setattr(search, "_rational_roots", recording)
-        fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=3)))
-        assert len(roots) == 114 + 19 and sum(map(bool, roots)) == 95 + 17
-        assert len(calls) == 2
+        monkeypatch.setattr(search, "_has_integer_root", recording)
+        fields = list(field_candidates(SearchConfig(degree=4, coefficient_bound=bound)))
+        counts = [(len(tests[n]), sum(tests[n])) for n in (5, 4)]
+        return fields, counts, len(calls)
+
+    def test_quartics_are_factored_only_with_four_real_roots(self, monkeypatch):
+        # 114 of the 2401 quartics at bound 3 have four distinct real roots;
+        # 95 of them have an integer root and 17 of the other 19 a rational
+        # root of the resolvent cubic, and both kinds are dropped unfactored
+        fields, counts, built = self._quartic_drops(monkeypatch, 3)
+        assert counts == [(114, 95), (19, 17)]
+        assert built == 2
         assert [f.min_poly.to_string() for f in fields] == ["2,-3,-3,2,1", "2,3,-3,-2,1"]
+
+    def test_quartics_at_bound_four_are_factored_only_with_four_real_roots(self, monkeypatch):
+        # 409 of the 6561 quartics; 290 with an integer root, and 69 of the
+        # other 119 with a rational root of R, so 50 fields are built
+        fields, counts, built = self._quartic_drops(monkeypatch, 4)
+        assert counts == [(409, 290), (119, 69)]
+        assert built == 50
 
     @pytest.mark.parametrize("degree, bound, dropped", [(3, 4, 114), (4, 3, 95), (5, 5, 1006)])
     def test_dropped_candidates_have_a_linear_factor(self, monkeypatch, degree, bound, dropped):
