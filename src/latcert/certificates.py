@@ -173,7 +173,7 @@ def write_certificate(payload: dict, directory: str) -> str:
     (`_publish`), and the index gains one entry under the store lock: an
     index in the layout `_index_bytes` writes gets the new row spliced in at
     its sorted place, and any other index (missing, unreadable or laid out
-    otherwise) is regenerated with `rebuild_index`.
+    otherwise) is regenerated from the files, under the same lock.
     """
     _check_header(payload)
     text = canonical_json(payload)
@@ -191,14 +191,10 @@ def write_certificate(payload: dict, directory: str) -> str:
     index_path = os.path.join(directory, INDEX_NAME)
     with _store_lock(directory):
         index = _read_index(index_path)
-        if index is not None:
-            rows, files = index
-            if name not in files:
-                _publish(index_path, _index_with(rows, files, _index_entry(name, payload)))
-    if index is None:
-        # after the lock is released: rebuild_index takes it on a descriptor
-        # of its own, which would wait for this one forever
-        rebuild_index(directory)
+        if index is None:
+            _rebuild(directory)
+        elif name not in index[1]:
+            _publish(index_path, _index_with(*index, _index_entry(name, payload)))
     return path
 
 
@@ -254,16 +250,21 @@ def rebuild_index(directory: str) -> str:
     write or another format version), so the store stays writable.  Writing
     the same certificate again replaces such a file and indexes it."""
     with _store_lock(directory):
-        entries = []
-        for name in sorted(os.listdir(directory)):
-            if name.startswith(CERT_PREFIX) and name.endswith(".json"):
-                try:
-                    cert = load_certificate(os.path.join(directory, name))
-                except (CertificateFormatError, CertificateVersionError):
-                    continue
-                entries.append(_index_entry(name, cert))
-        path = os.path.join(directory, INDEX_NAME)
-        _publish(path, _index_bytes([_index_row(e) for e in entries]))
+        return _rebuild(directory)
+
+
+def _rebuild(directory: str) -> str:
+    """`rebuild_index` for a caller that holds the store lock."""
+    entries = []
+    for name in sorted(os.listdir(directory)):
+        if name.startswith(CERT_PREFIX) and name.endswith(".json"):
+            try:
+                cert = load_certificate(os.path.join(directory, name))
+            except (CertificateFormatError, CertificateVersionError):
+                continue
+            entries.append(_index_entry(name, cert))
+    path = os.path.join(directory, INDEX_NAME)
+    _publish(path, _index_bytes([_index_row(e) for e in entries]))
     return path
 
 

@@ -15,30 +15,13 @@ import itertools
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from .frozen import Frozen
 from .hermitian import HermitianForm
-from .intfactor import is_prime
+from .intfactor import prime_power
 from .local import FinitePlace, splitting_in_E, valuation
 from .modular import FiniteField, find_irreducible
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
 _FAMILIES = ("GL", "SL", "GU", "SU")
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, or an InvalidInputError.
-
-    For k = 1, 2, ... while 2^k <= q, r is the integer k-th root of q, by
-    Newton's iteration from above, and (r, k) is the answer when r^k = q
-    and r is prime. No integer is factored, and a prime q costs one
-    primality test."""
-    if q >= 2:
-        for k in range(1, q.bit_length()):
-            r = 1 << -(-q.bit_length() // k)
-            while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
-                r = s
-            if r**k == q and is_prime(r):
-                return r, k
-    raise InvalidInputError(f"{q} is not a prime power")
 
 
 class FiniteGroupSpec(Frozen):
@@ -53,7 +36,8 @@ class FiniteGroupSpec(Frozen):
             raise InvalidInputError(f"unknown family {family!r}")
         if size < 1:
             raise InvalidInputError("matrix size must be positive")
-        _prime_power(q)
+        if prime_power(q) is None:
+            raise InvalidInputError(f"{q} is not a prime power")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "q", q)
@@ -85,7 +69,7 @@ def group_order(spec: FiniteGroupSpec) -> int:
 
 
 def _field_of_order(q: int) -> FiniteField:
-    p, k = _prime_power(q)
+    p, k = prime_power(q)
     return FiniteField(p, find_irreducible(p, k))
 
 
@@ -120,7 +104,7 @@ def _enumerate_unitary(spec: FiniteGroupSpec) -> int:
     column with pruning; SU additionally filters on determinant 1.
     """
     q = spec.q
-    _, k = _prime_power(q)
+    _, k = prime_power(q)
     field = _field_of_order(q * q)
     n = spec.size
 

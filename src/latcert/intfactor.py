@@ -2,13 +2,13 @@
 
 Deterministic Miller-Rabin (exact for anything below 3.3 * 10^24, which is
 far beyond every integer this package factors), trial division by the primes
-below 200, and Pollard's rho with Floyd's cycle detection for a cofactor
-with no smaller prime factor. Inputs here are resultants and coefficient
-denominators, so sizes stay modest and rho is rarely reached. Building a
-field, isolating real roots, reading a prime power and the search's
-integer-root drops factor no integer (`polynomials.squarefree_factors`,
-`polynomials.isolate_real_roots`, `finite_groups._prime_power`,
-`polynomials._has_integer_root`).
+below 200, exact integer roots for a prime power (`prime_power`), and
+Pollard's rho with Floyd's cycle detection for any other composite cofactor.
+Inputs here are resultants and coefficient denominators, so sizes stay
+modest and rho is rarely reached. Building a field, isolating real roots,
+reading a prime power and the search's integer-root drops factor no integer
+(`polynomials.squarefree_factors`, `polynomials.isolate_real_roots`,
+`prime_power`, `polynomials._has_integer_root`).
 """
 
 from __future__ import annotations
@@ -73,8 +73,28 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k and p prime, or None when n is no prime power.
+
+    For k = 1, 2, ... while 2^k <= n, r is the integer k-th root of n, by
+    Newton's iteration from above, and (r, k) is the answer when r^k = n
+    and r is prime. No integer is factored; the k = 1 step is is_prime(n).
+    """
+    if n >= 2:
+        for k in range(1, n.bit_length()):
+            r = 1 << -(-n.bit_length() // k)
+            while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = s
+            if r**k == n and is_prime(r):
+                return r, k
+    return None
+
+
 def prime_factors(n: int) -> dict[int, int]:
     """Factor |n| >= 1 into {prime: multiplicity}.
+
+    Trial division takes the primes below 200, `prime_power` reads each
+    cofactor left, and rho splits one only when it is no prime power.
 
     >>> prime_factors(3319595008)
     {2: 16, 37: 3}
@@ -94,10 +114,11 @@ def prime_factors(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+        power = prime_power(m)
+        if power is not None:
+            p, k = power
+            out[p] = out.get(p, 0) + k
             continue
         d = _pollard_rho(m)
         stack.extend((d, m // d))
     return dict(sorted(out.items()))
-

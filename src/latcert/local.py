@@ -32,9 +32,9 @@ Norm tests for a CM extension E = F(sqrt(delta)) reduce, at ramified places
 with rational delta, to classical Hilbert symbols over Q_l through the
 projection formula (delta, u)_{F_v} = (delta, N_{F_v/Q_l}(u))_{Q_l}. The
 symbols and square tests read only square classes, so a rational n/d enters
-them as the integer n*d, which lies in its class. At a
-place over 2, how rational delta of even 2-order splits is read off one
-digit-by-digit lift of a square root of its odd part. The few
+them as the integer n*d, which lies in its class. At a place over 2, whether
+rational delta of even 2-order splits, stays inert or ramifies is read off
+one digit-by-digit walk toward a square root of its odd part. The few
 corners this leaves open (non-rational delta at a ramified place with a
 non-unit argument, or with a unit whose denominator l divides when e is
 even, and similar dyadic cases) raise InconclusiveError rather than
@@ -271,11 +271,9 @@ def _symbol_vs_rational(place: FinitePlace, w: int, u: FieldElement) -> int:
     """
     ell = place.prime
     unit_mod = 8 if ell == 2 else ell
-    m = u.den
     o, r = _norm_ord_and_unit(place, u.num, unit_mod)
     ef = place.ramification * place.residue_degree
-    mo = _ord_int(m, ell)
-    mm = m // ell**mo
+    mo, mm = _split_prime_part(u.den, ell)
     beta = o - ef * mo
     r_n = r * pow(pow(mm, ef, unit_mod), -1, unit_mod) % unit_mod
     return hilbert_symbol_qq(w, ell ** (beta % 2) * r_n, ell)
@@ -296,22 +294,30 @@ class SplittingResult(Frozen):
         return f"{self.kind} ({self.method})"
 
 
-def _dyadic_approximable(place: FinitePlace, w: int, k: int) -> bool:
-    """Whether some y in O_v has v(y^2 - w) >= k, for an odd integer w.
+def _dyadic_splitting(place: FinitePlace, w: int) -> str:
+    """How F_v(sqrt(w)) behaves over F_v, for an odd integer w at a place
+    over 2: "split", "inert" or "ramified", read off one digit-by-digit walk.
 
-    An odd rational n/d is asked about as w = n*d: y -> d*y maps the
-    solutions for n/d onto those for n*d, since d*(d*y^2 - n) = (d*y)^2 - n*d
-    and d is a unit.
+    By the quadratic defect (O'Meara, section 63), w is a square exactly
+    when some y in O_v has v(y^2 - w) >= 2e + 1, and F_v(sqrt(w)) is
+    unramified exactly when some y has v(y^2 - w) >= 2e. So the walk returns
+    "split" at the first y with y^2 = w or v(y^2 - w) > 2e, and otherwise
+    "inert" if some y it visited reached exactly 2e, "ramified" if none did.
+    An odd rational n/d is asked about as w = n*d, since
+    d*(d*y^2 - n) = (d*y)^2 - n*d and d is a unit.
+
     The coordinates of y over 1, alpha, ..., alpha^(e*f - 1) are found one
-    binary digit at a time.  If y agrees with a solution y* mod 2^s, s >= 1,
-    then y - y* lies in 2^s O_v and y + y* in 2 O_v, so y^2 - y*^2 lies in
-    2^(s+1) O_v = pi^(e*(s+1)) O_v and v(y^2 - w) >= min(k, e*(s+1)); only
-    such nodes are extended, and the first node that reaches k is a solution.
-    Every node counts against the enumeration cap.
+    binary digit at a time, and a node fixed mod 2^(s+1) is extended, at
+    either level, when v(y^2 - w) >= e*(s+2). That finds a y* with
+    v(y*^2 - w) >= k for k = 2e + 1 and for k = 2e: a node that agrees with
+    y* mod 2^(s+1) has y - y* in 2^(s+1) O_v and y + y* in 2 O_v, so
+    v(y^2 - w) >= min(k, e*(s+2)), and the path to y* is extended until a
+    node on it reaches k. Every node counts against the enumeration cap.
     """
     e, width = place.ramification, place.ramification * place.residue_degree
     p = place.field.int_poly
     nodes = 0
+    inert = False
     stack = [((0,) * width, 0)]
     while stack:
         y, s = stack.pop()
@@ -326,27 +332,28 @@ def _dyadic_approximable(place: FinitePlace, w: int, k: int) -> bool:
             g = _reduce_monic(_poly_mul(child, child), p)
             g[0] -= w
             if not any(g):
-                return True
+                return "split"
             o = _int_valuation(place, tuple(g))
-            if o >= k:
-                return True
+            if o > 2 * e:
+                return "split"
+            inert = inert or o == 2 * e
             if o >= e * (s + 2):
                 stack.append((child, s + 1))
-    return False
+    return "inert" if inert else "ramified"
 
 
 @lru_cache(maxsize=None)
 def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
     """How a finite place of F behaves in E = F(sqrt(delta)).
 
-    Decides split/inert/ramified exactly wherever the engine reaches:
-    odd valuation of delta is always ramified; unit delta at odd places is a
-    residue-field square test; at a place over 2, rational delta of even
-    2-order with odd part w splits when some y has v(y^2 - w) >= 2e + 1, is
-    inert when, failing that, some y has v(y^2 - w) >= 2e, and is ramified
-    otherwise, each found by one digit-by-digit lift. The method strings
-    "unit square enumeration" and "unit symbol scan" name these two lifts in
-    format "1". The remaining corners raise InconclusiveError.
+    Decides split/inert/ramified exactly wherever the engine reaches: odd
+    valuation of delta is always ramified; unit delta at odd places is a
+    residue-field square test; rational delta of even l-order is read by its
+    unit part, by a residue square test over odd l and by one walk over 2
+    (`_dyadic_splitting`), which format "1" names "unit square enumeration"
+    when it splits and "unit symbol scan" otherwise. The remaining corners
+    (odd l-order with no uniformizer, non-rational delta over 2) raise
+    InconclusiveError.
     """
     delta = ext.delta
     if place.field != ext.base:
@@ -355,37 +362,24 @@ def splitting_in_E(ext: CMExtension, place: FinitePlace) -> SplittingResult:
     v_delta = valuation(place, delta)
     if v_delta % 2 == 1:
         return SplittingResult("ramified", "odd valuation of delta")
-
-    if ell != 2:
-        if v_delta == 0 and delta.den % ell != 0:
-            square = _residue_square(place, delta.num, delta.den)
-            return SplittingResult("split" if square else "inert", "residue square test")
-        if delta.is_rational():
-            k_ord, unit_part = _split_prime_part(delta.num[0] * delta.den, ell)
-            if k_ord % 2 == 0:
-                square = _residue_square(place, (unit_part,), 1)
-                return SplittingResult(
-                    "split" if square else "inert", "unit-part residue square test"
-                )
-        raise InconclusiveError(
-            f"cannot classify delta's square class at {place} without a uniformizer"
-        )
-
-    # Dyadic places: for rational delta of even 2-order with odd part w, E_v
-    # is F_v(sqrt(w)); w is a square exactly when it is a square mod
-    # 4*pi = pi^(2e+1), and F_v(sqrt(w)) is unramified exactly when w is a
-    # square mod 4 = pi^(2e) (the quadratic defect; O'Meara, section 63).
+    if ell != 2 and v_delta == 0 and delta.den % ell != 0:
+        square = _residue_square(place, delta.num, delta.den)
+        return SplittingResult("split" if square else "inert", "residue square test")
     if delta.is_rational():
-        k_ord, unit_part = _split_prime_part(delta.num[0] * delta.den, 2)
+        k_ord, unit_part = _split_prime_part(delta.num[0] * delta.den, ell)
         if k_ord % 2 == 0:
-            e = place.ramification
-            if _dyadic_approximable(place, unit_part, 2 * e + 1):
-                return SplittingResult("split", "unit square enumeration")
-            if _dyadic_approximable(place, unit_part, 2 * e):
-                return SplittingResult("inert", "unit symbol scan")
-            return SplittingResult("ramified", "unit symbol scan")
+            if ell == 2:
+                kind = _dyadic_splitting(place, unit_part)
+                method = "unit square enumeration" if kind == "split" else "unit symbol scan"
+                return SplittingResult(kind, method)
+            square = _residue_square(place, (unit_part,), 1)
+            return SplittingResult("split" if square else "inert", "unit-part residue square test")
+    elif ell == 2:
+        raise InconclusiveError(
+            f"dyadic splitting with non-rational delta is out of reach at {place}"
+        )
     raise InconclusiveError(
-        f"dyadic splitting with non-rational delta is out of reach at {place}"
+        f"cannot classify delta's square class at {place} without a uniformizer"
     )
 
 

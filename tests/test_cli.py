@@ -468,6 +468,18 @@ class TestLocalNorm:
         assert code == 2
         assert "UNKNOWN" in out
 
+    def test_rational_delta_of_odd_two_order_is_refused(self, capsys):
+        # delta = -2 over Q(sqrt 3) has even valuation e = 2 at 2#0; it is
+        # rational, and the refusal says that a uniformizer is missing
+        code, out, _ = run(
+            capsys, "local-norm", "--field=-3,0,1", "--delta=-2", "--element", "1,1", "--prime", "2"
+        )
+        assert code == 2
+        assert out == (
+            "2#0: UNKNOWN (cannot classify delta's square class at place 2#0 (e=2, f=1) "
+            "without a uniformizer)\n"
+        )
+
 
 class TestFiniteOrder:
     def test_order_and_enumeration(self, capsys):

@@ -8,7 +8,6 @@ from latcert import intfactor, modular
 from latcert.errors import BudgetExceededError, InvalidInputError, UnsupportedPlaceError
 from latcert.finite_groups import (
     FiniteGroupSpec,
-    _prime_power,
     congruence_index,
     enumerate_group,
     group_order,
@@ -70,7 +69,7 @@ class TestSpecValidation:
         monkeypatch.setattr(intfactor, "_pollard_rho", refuse)
         ell = 1000000000000091
         assert FiniteGroupSpec("SU", 3, ell**2).q == ell**2
-        assert _prime_power(ell**2) == (ell, 2)
+        assert intfactor.prime_power(ell**2) == (ell, 2)
         for q in (0, 1, 6, 12, ell * (ell + 2)):
             with pytest.raises(InvalidInputError):
                 FiniteGroupSpec("SL", 2, q)
@@ -79,10 +78,11 @@ class TestSpecValidation:
         for q in range(2, 5000):
             factors = intfactor.prime_factors(q)
             if len(factors) == 1:
-                assert _prime_power(q) == next(iter(factors.items()))
+                assert intfactor.prime_power(q) == next(iter(factors.items()))
             else:
+                assert intfactor.prime_power(q) is None
                 with pytest.raises(InvalidInputError):
-                    _prime_power(q)
+                    FiniteGroupSpec("SL", 2, q)
 
     def test_str_names_the_group(self):
         assert str(FiniteGroupSpec("SU", 3, 2)) == "SU_3(F_2)"

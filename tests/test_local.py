@@ -341,7 +341,7 @@ class TestDyadicSquareTest:
         block = dyadic_block(field, index)
         found = [
             w for w in candidates
-            if local._dyadic_approximable(place, w.numerator * w.denominator, 2 * e + 1)
+            if local._dyadic_splitting(place, w.numerator * w.denominator) == "split"
         ]
         assert found == [w for w in candidates if dyadic_square_scan(field, block, *shape, w)]
         return found
@@ -370,7 +370,7 @@ class TestDyadicSquareTest:
         for w in self.ODD + self.ODD_DENOMINATORS:
             expected = w.numerator * w.denominator % 8 == 1
             n_d = w.numerator * w.denominator
-            assert local._dyadic_approximable(place, n_d, 2 * place.ramification + 1) == expected
+            assert (local._dyadic_splitting(place, n_d) == "split") == expected
 
     def test_ramified_place_sharing_two(self):
         # a shared (2, 1) place with squares beyond those of Q_2
@@ -459,8 +459,8 @@ class TestDyadicSplitting:
 
     @pytest.mark.parametrize("cap", [1, 7, 8])
     def test_every_node_counts_against_the_cap(self, monkeypatch, cap):
-        # at the paper's place over 2 (e = 3), delta = -1 is ramified: each
-        # of the two lifts tries the 8 first digits, none of which has
+        # at the paper's place over 2 (e = 3), delta = -1 is ramified: the
+        # walk tries the 8 first digits, none of which has
         # v(y^2 + 1) >= 2e = 6, so 8 nodes decide the place, and with one
         # fewer the product check reports it as unknown
         splitting_in_E.cache_clear()
@@ -475,6 +475,40 @@ class TestDyadicSplitting:
             assert report.unknown_labels == ("2#0",) and report.minus_count_even is None
         else:
             assert report.conclusive and entry.symbol == -1
+
+    def test_each_call_walks_once(self, monkeypatch):
+        # the walk extends a node by a rule that does not depend on the level
+        # it looks for, so one walk tells split, inert and ramified apart
+        walks = []
+        walk = local._dyadic_splitting
+
+        def counted(place, w):
+            walks.append(walk(place, w))
+            return walks[-1]
+
+        splitting_in_E.cache_clear()
+        monkeypatch.setattr(local, "_dyadic_splitting", counted)
+        kinds = set()
+        try:
+            for field in census_fields(3, 3) + census_fields(4, 3):
+                for place in factor_prime(field, 2):
+                    for delta in (-1, -3):
+                        before = len(walks)
+                        ext = CMExtension(field, field.from_rational(delta))
+                        kinds.add(splitting_in_E(ext, place).kind)
+                        assert len(walks) == before + 1, (field, place, delta)
+        finally:
+            splitting_in_E.cache_clear()
+        assert kinds == {"split", "inert", "ramified"}
+
+    def test_rational_delta_of_odd_two_order_needs_a_uniformizer(self):
+        # -2 has 2-order 1, so v(-2) = e = 2 is even at the place over 2 of
+        # Q(sqrt 3): delta is rational, and what is missing is a uniformizer
+        field = NumberField(Polynomial((-3, 0, 1)))
+        place = factor_prime(field, 2)[0]
+        assert (place.label(), place.ramification) == ("2#0", 2)
+        with pytest.raises(InconclusiveError, match="without a uniformizer"):
+            splitting_in_E(CMExtension(field, field.from_rational(-2)), place)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import trial_division_factors
-from latcert import modular
+from latcert import intfactor, modular
 from latcert.errors import InvalidInputError
-from latcert.intfactor import is_prime, prime_factors
+from latcert.intfactor import is_prime, prime_factors, prime_power
 from latcert.modular import FiniteField
 
 P_INT = (1, -3, -1, 1)  # x^3 - x^2 - 3x + 1
@@ -67,6 +67,34 @@ class TestIntFactor:
         for p, e in factors.items():
             n *= p**e
         assert prime_factors(n) == factors
+
+    @pytest.mark.parametrize(
+        "p, k",
+        # the 21-digit prime 10^20 + 39, and the four prime squares whose
+        # factoring took rho in the degree-4 search at bound 4
+        [(10**20 + 39, 2), (10**20 + 39, 3), (223, 2), (257, 2), (269, 2), (307, 2)],
+    )
+    def test_prime_powers_never_reach_rho(self, monkeypatch, p, k):
+        # exact k-th roots read p^k; rho would take about sqrt(p) steps
+        def refuse(n):
+            raise AssertionError(f"rho on {n}")
+
+        monkeypatch.setattr(intfactor, "_pollard_rho", refuse)
+        assert prime_factors(p**k) == {p: k}
+
+    def test_rho_splits_only_composites_that_are_no_prime_powers(self, monkeypatch):
+        rho = intfactor._pollard_rho
+        seen = []
+
+        def recorded(n):
+            seen.append(n)
+            return rho(n)
+
+        monkeypatch.setattr(intfactor, "_pollard_rho", recorded)
+        p, q = 1000003, 7000003
+        assert prime_factors(p**2 * q**3) == {p: 2, q: 3}
+        assert prime_factors(p * q) == {p: 1, q: 1}
+        assert seen and all(not is_prime(n) and prime_power(n) is None for n in seen)
 
     @given(st.integers(2, 10**6))
     @settings(max_examples=80, deadline=None)

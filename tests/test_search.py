@@ -18,7 +18,7 @@ from _oracles import (
     quartic_automorphism_count,
     totally_real_box,
 )
-from latcert import modular, number_field, search
+from latcert import intfactor, modular, number_field, search
 from latcert.certificates import canonical_json, parse_exact
 from latcert.errors import BudgetExceededError, CertificateFormatError, InvalidInputError
 from latcert.hermitian import HermitianForm, forms_equivalent
@@ -492,6 +492,18 @@ class TestSearchResults:
         text = "".join(canonical_json(c) for c in certs)
         assert len(certs) == count
         assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith(prefix)
+
+    def test_degree_4_search_never_reaches_rho(self, monkeypatch):
+        # the prime squares that relevant_primes factors here are read by
+        # exact k-th roots, so rho splits nothing and the bytes are the pin's
+        def refuse(n):
+            raise AssertionError(f"rho on {n}")
+
+        monkeypatch.setattr(intfactor, "_pollard_rho", refuse)
+        certs = search_seeds(SearchConfig(degree=4, coefficient_bound=4))
+        text = "".join(canonical_json(c) for c in certs)
+        assert len(certs) == 234
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("2bee56e2a5097bd0")
 
     @pytest.mark.parametrize("rank, prefix", [(5, "f1757b7f2e28931d"), (7, "5353387e369b9bf6")])
     def test_pinned_search_bytes_above_rank_3(self, rank, prefix):
